@@ -160,24 +160,14 @@ def _read_trace_checked(path: str):
 def _cmd_enforce(args: argparse.Namespace) -> int:
     events = _read_trace_checked(args.trace)
     config = _load_config(args.policies)
-    engine = PolicyEngine(config, args.profile, mode="enforce")
-    actions, violations, notices = [], [], []
-    for event in events:
-        decision = engine.on_event(event)
-        actions.extend(decision.actions)
-        violations.extend(decision.violations)
-        notices.extend(decision.notices)
-    final = engine.finish(events[-1].ts if events else 0)
-    actions.extend(final.actions)
-    violations.extend(final.violations)
-    notices.extend(final.notices)
+    result = PolicyEngine(config, args.profile, mode="enforce").run(events)
     out = args.out
     _write_text(os.path.join(out, "violations.jsonl"),
-                _jsonl(_violation_rows(violations)))
-    _write_text(os.path.join(out, "actions.jsonl"), _jsonl(_action_rows(actions)))
-    _write_text(os.path.join(out, "notices.jsonl"), _jsonl(_notice_rows(notices)))
-    print(f"{len(violations)} violations, {len(actions)} actions")
-    if args.fail_on_violation and violations:
+                _jsonl(_violation_rows(result.violations)))
+    _write_text(os.path.join(out, "actions.jsonl"), _jsonl(_action_rows(result.actions)))
+    _write_text(os.path.join(out, "notices.jsonl"), _jsonl(_notice_rows(result.notices)))
+    print(f"{len(result.violations)} violations, {len(result.actions)} actions")
+    if args.fail_on_violation and result.violations:
         return 1
     return 0
 
@@ -197,19 +187,11 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     }
     _write_text(os.path.join(args.out, "report.json"),
                 json.dumps(report_obj, sort_keys=True, indent=2) + "\n")
-    for metric, field_name in (
-        ("pushes_per_hour", "pushes_per_hour_slots"),
-        ("exec_minutes_per_activation", "exec_minutes_per_activation"),
-        ("exec_minutes_per_day", "exec_minutes_per_day"),
-        ("bg_fetches_per_activation", "bg_third_party_fetches_per_activation"),
-        ("notification_close_deltas_s", "notification_close_deltas_s"),
-    ):
+    for metric, field_name in forensics._METRIC_FIELDS.items():
         values: list[float] = []
         for report in reports.values():
             values.extend(getattr(report, field_name))
-        path = os.path.join(args.out, f"cdf_{metric}.csv")
-        os.makedirs(args.out, exist_ok=True)
-        forensics.export_cdf(values, path)
+        forensics.export_cdf(values, os.path.join(args.out, f"cdf_{metric}.csv"))
     print(f"analyzed {len(reports)} workers into {args.out}")
     return 0
 

@@ -96,14 +96,3 @@ def url_registrable_domain(url: str, suffixes: frozenset[str] | None = None) -> 
     """Registrable domain of a URL's host ("" when the URL has no host)."""
     host = urlsplit(url).hostname or ""
     return registrable_domain(host, suffixes)
-
-
-def load_suffix_file(path: str) -> frozenset[str]:
-    """Load a suffix override file: one suffix per line, '#' comments allowed."""
-    entries = set()
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip().lower()
-            if line and not line.startswith("#"):
-                entries.add(line.lstrip("."))
-    return frozenset(entries)

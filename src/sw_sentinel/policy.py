@@ -6,11 +6,20 @@ execution budgets, browser-profile silent-push handling, and a severity
 ladder that maps accumulated violations to log / terminate / deregister
 decisions.
 
-The engine runs in two modes. ``simulate`` is closed-loop: throttled or
-terminated workers stop producing effects, and the caller partitions events
-into delivered/suppressed accordingly. ``enforce`` is open-loop for recorded
-traces: every decision is reported, none applied, and worker state follows
-the trace itself.
+The engine runs in two modes that judge every event and deadline the same
+way and differ only where a decision is applied. ``simulate`` is the closed
+loop: it applies its decisions, so throttled or terminated workers stop
+producing effects and events a browser would never have let happen are
+suppressed. ``enforce`` is the open loop for recorded traces: every decision
+is reported, none is applied, and worker state follows the trace itself.
+
+Two methods hold that difference. ``_refuse`` is the one refusal point: a
+handler that meets an event the closed loop would not let happen calls it,
+and in ``simulate`` the event is suppressed and the handler stops, while in
+``enforce`` the handler carries on with the recorded event as fact.
+``_apply_action`` is the one applier: it stops or deregisters the worker in
+``simulate`` and does nothing in ``enforce``. ``PolicyEngine.run`` is the one
+loop that drives the engine over a whole trace.
 """
 
 from __future__ import annotations
@@ -20,10 +29,9 @@ from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
 from importlib import resources
-from typing import Any, Iterable, Mapping, Optional
-from urllib.parse import urlsplit
+from typing import Any, Iterable, Mapping, Optional, Sequence
 
-from .domains import registrable_domain
+from .domains import registrable_domain, url_registrable_domain
 from .model import Capability, Origin, Scope, SwRecord, SwState, check_capability
 from .trace import TraceEvent, UnbalancedBrackets
 
@@ -64,10 +72,6 @@ class UnknownPolicyName(PolicyConfigError):
     pass
 
 
-class DanglingClose(Exception):
-    """notification_close referenced a notif_id that was never shown."""
-
-
 class Severity(Enum):
     LOW = "low"
     MEDIUM = "medium"
@@ -83,15 +87,6 @@ class EnforcementAction(Enum):
     THROTTLE_EVENT = "throttle_event"
     TERMINATE_SW = "terminate_sw"
     DEREGISTER_SW = "deregister_sw"
-
-
-# Severity of enforcement, for the monotonicity property.
-ACTION_ORDER = {
-    EnforcementAction.LOG_ONLY: 0,
-    EnforcementAction.THROTTLE_EVENT: 1,
-    EnforcementAction.TERMINATE_SW: 2,
-    EnforcementAction.DEREGISTER_SW: 3,
-}
 
 
 @dataclass(frozen=True)
@@ -283,17 +278,6 @@ REQUIRED_CAPABILITY: dict[str, Capability] = {
     "periodicsync": Capability.PERIODIC_SYNC,
 }
 
-# Events that (re)start worker execution when delivered.
-_WAKE_KINDS = frozenset(
-    {"push", "sync", "periodicsync", "fetch_event_start", "notification_click",
-     "install", "activate", "update_found", "update_check"}
-)
-# Events that imply the worker is executing right now; in closed loop they
-# are suppressed while the worker is not running.
-_RUN_REQUIRING = frozenset(
-    {"notification_show", "update_check", "fetch_event_end"}
-)
-
 
 @dataclass
 class Decision:
@@ -301,6 +285,23 @@ class Decision:
     actions: list[ActionEntry] = field(default_factory=list)
     violations: list[ViolationRecord] = field(default_factory=list)
     notices: list[Notice] = field(default_factory=list)
+
+
+@dataclass
+class EngineRun:
+    """A whole trace judged in order: the events partitioned by delivery,
+    plus every decision's actions, violations and notices, merged in order."""
+
+    delivered: list[TraceEvent] = field(default_factory=list)
+    suppressed: list[TraceEvent] = field(default_factory=list)
+    actions: list[ActionEntry] = field(default_factory=list)
+    violations: list[ViolationRecord] = field(default_factory=list)
+    notices: list[Notice] = field(default_factory=list)
+
+    def merge(self, decision: Decision) -> None:
+        self.actions.extend(decision.actions)
+        self.violations.extend(decision.violations)
+        self.notices.extend(decision.notices)
 
 
 @dataclass
@@ -477,12 +478,16 @@ class PolicyEngine:
     def _apply_ladder(self, st: _SwEngineState, violation: ViolationRecord, out: Decision) -> None:
         out.violations.append(violation)
         for action in self.escalate(st.record, violation):
-            out.actions.append(
-                ActionEntry(violation.ts, st.record.sw_id, action, violation.policy_name)
-            )
-            self._apply_action(st, violation.ts, action)
+            self._apply_action(st, violation.ts, action, violation.policy_name, out)
 
-    def _apply_action(self, st: _SwEngineState, ts: int, action: EnforcementAction) -> None:
+    def _apply_action(
+        self, st: _SwEngineState, ts: int, action: EnforcementAction, reason: str,
+        out: Decision,
+    ) -> None:
+        """The one applier: every action is reported, and only the closed
+        loop stops or deregisters the worker. A throttle is carried out
+        where its event is judged, through ``_refuse``."""
+        out.actions.append(ActionEntry(ts, st.record.sw_id, action, reason))
         if self.mode != "simulate":
             return
         if action is EnforcementAction.TERMINATE_SW:
@@ -558,18 +563,11 @@ class PolicyEngine:
             ts, cause = crossing
             if cause == "self_update_cap":
                 st.chain_capped = True
-                out.actions.append(
-                    ActionEntry(ts, st.record.sw_id, EnforcementAction.TERMINATE_SW, cause)
-                )
-                self._apply_action(st, ts, EnforcementAction.TERMINATE_SW)
+                self._apply_action(st, ts, EnforcementAction.TERMINATE_SW, cause, out)
             elif cause == "exec_per_day_exhausted":
                 # Budget already violated today: keep stopping the worker,
                 # but log no further violations.
-                out.actions.append(
-                    ActionEntry(ts, st.record.sw_id, EnforcementAction.TERMINATE_SW,
-                                "exec_per_day")
-                )
-                self._apply_action(st, ts, EnforcementAction.TERMINATE_SW)
+                self._apply_action(st, ts, EnforcementAction.TERMINATE_SW, "exec_per_day", out)
             else:
                 spec = self.config.get(cause)
                 if cause == "exec_per_activation":
@@ -588,10 +586,7 @@ class PolicyEngine:
                     actions = actions + (EnforcementAction.TERMINATE_SW,)
                 out.violations.append(violation)
                 for action in actions:
-                    out.actions.append(ActionEntry(ts, st.record.sw_id, action, cause))
-                    self._apply_action(st, ts, action)
-            if self.mode == "simulate":
-                break  # worker stopped; nothing left to cross
+                    self._apply_action(st, ts, action, cause, out)
 
     def _next_crossing(self, st: _SwEngineState, now: int) -> Optional[tuple[int, str]]:
         candidates: list[tuple[int, str]] = []
@@ -688,22 +683,24 @@ class PolicyEngine:
         needed = REQUIRED_CAPABILITY.get(kind)
         if needed is not None and not check_capability(record, needed):
             out.deliver = False
-            out.actions.append(
-                ActionEntry(event.ts, record.sw_id, EnforcementAction.THROTTLE_EVENT,
-                            f"capability:{needed.value}")
-            )
+            self._apply_action(st, event.ts, EnforcementAction.THROTTLE_EVENT,
+                               f"capability:{needed.value}", out)
             return out
 
         handler = getattr(self, f"_on_{kind}", None)
         if handler is not None:
             handler(st, event, out)
-        if self.mode == "enforce":
-            out.deliver = True
         return out
 
-    # Closed-loop delivery helper: enforce mode always "happened".
-    def _effective(self, out: Decision) -> bool:
-        return out.deliver or self.mode == "enforce"
+    def _refuse(self, out: Decision) -> bool:
+        """The one refusal point, for an event the closed loop would not let
+        happen. ``simulate`` suppresses it and returns True, so the handler
+        stops; ``enforce`` returns False, and the handler carries on with the
+        recorded event as fact."""
+        if self.mode == "simulate":
+            out.deliver = False
+            return True
+        return False
 
     # -- per-kind handlers ---------------------------------------------------
 
@@ -711,32 +708,29 @@ class PolicyEngine:
         st.expect_install = True
 
     def _on_install(self, st: _SwEngineState, event: TraceEvent, out: Decision) -> None:
-        if self.mode == "simulate" and not st.expect_install and not st.running:
-            out.deliver = False
+        if not st.expect_install and not st.running and self._refuse(out):
             return
         st.expect_install = False
         st.expect_activate = True
         self._wake(st, event.ts)
 
     def _on_activate(self, st: _SwEngineState, event: TraceEvent, out: Decision) -> None:
-        if self.mode == "simulate" and not st.expect_activate and not st.running:
-            out.deliver = False
+        if not st.expect_activate and not st.running and self._refuse(out):
             return
         st.expect_activate = False
         self._wake(st, event.ts)
 
     def _on_update_check(self, st: _SwEngineState, event: TraceEvent, out: Decision) -> None:
-        if self.mode == "simulate" and not st.running:
+        if not st.running and self._refuse(out):
             # update() is called from a handler; a dead worker cannot call it
             st.update_check_suppressed = True
-            out.deliver = False
             return
         st.update_check_delivered = True
 
     def _on_update_found(self, st: _SwEngineState, event: TraceEvent, out: Decision) -> None:
-        if self.mode == "simulate" and not st.update_check_delivered and st.update_check_suppressed:
+        if (not st.update_check_delivered and st.update_check_suppressed
+                and self._refuse(out)):
             st.update_check_suppressed = False
-            out.deliver = False
             return
         st.update_check_delivered = False
         st.record.version += 1
@@ -751,8 +745,7 @@ class PolicyEngine:
 
     def _on_push(self, st: _SwEngineState, event: TraceEvent, out: Decision) -> None:
         record = st.record
-        if self.mode == "simulate" and not record.push_subscribed:
-            out.deliver = False
+        if not record.push_subscribed and self._refuse(out):
             out.notices.append(
                 Notice(event.ts, record.sw_id, "push_dropped", "subscription revoked")
             )
@@ -763,11 +756,8 @@ class PolicyEngine:
             slot = self._slot(event.ts, spec.duration_in_minutes)
             counts[slot] = counts.get(slot, 0) + 1
             if counts[slot] > spec.threshold:
-                out.deliver = False
-                out.actions.append(
-                    ActionEntry(event.ts, record.sw_id,
-                                EnforcementAction.THROTTLE_EVENT, "push_per_hour")
-                )
+                self._apply_action(st, event.ts, EnforcementAction.THROTTLE_EVENT,
+                                   "push_per_hour", out)
                 if ("push_per_hour", slot) not in st.window_violated:
                     st.window_violated.add(("push_per_hour", slot))
                     self._apply_ladder(
@@ -776,11 +766,10 @@ class PolicyEngine:
                                         counts[slot], spec.threshold),
                         out,
                     )
-                if self.mode != "enforce":
+                if self._refuse(out):
                     return
-        if self._effective(out):
-            self._wake(st, event.ts)
-            st.pending_silent.append((event.ts, event.ts + SILENT_PUSH_GRACE_MS))
+        self._wake(st, event.ts)
+        st.pending_silent.append((event.ts, event.ts + SILENT_PUSH_GRACE_MS))
 
     def _on_sync(self, st: _SwEngineState, event: TraceEvent, out: Decision) -> None:
         self._wake(st, event.ts)
@@ -794,9 +783,8 @@ class PolicyEngine:
 
     def _on_fetch_event_end(self, st: _SwEngineState, event: TraceEvent, out: Decision) -> None:
         if st.bracket_depth == 0:
-            if self.mode == "simulate":
-                out.deliver = False  # its start was suppressed with the worker
-                return
+            if self._refuse(out):
+                return  # its start was suppressed with the worker
             raise UnbalancedBrackets(
                 f"fetch_event_end at ts {event.ts} without open start for {event.sw_id!r}"
             )
@@ -807,17 +795,15 @@ class PolicyEngine:
     def _on_fetch_request(self, st: _SwEngineState, event: TraceEvent, out: Decision) -> None:
         if not event.get("initiator_is_sw"):
             return  # page-initiated; not worker execution
-        if self.mode == "simulate" and not st.running:
-            out.deliver = False
+        if not st.running and self._refuse(out):
             return
-        if self.mode == "enforce":
-            self._wake(st, event.ts)
+        self._wake(st, event.ts)  # open loop: the recorded event shows it running
         foreground = st.bracket_depth > 0 or (
             st.last_bracket_end is not None and event.ts == st.last_bracket_end
         )
         if foreground:
             return
-        domain = registrable_domain(_url_host(event.get("url", "")))
+        domain = url_registrable_domain(event.get("url", ""))
         if domain in st.first_party:
             return
         spec = self.config.get("bg_fetch_per_activation")
@@ -825,11 +811,8 @@ class PolicyEngine:
             return
         st.act_bg_count += 1
         if st.act_bg_count > spec.threshold:
-            out.deliver = False
-            out.actions.append(
-                ActionEntry(event.ts, st.record.sw_id,
-                            EnforcementAction.THROTTLE_EVENT, "bg_fetch_per_activation")
-            )
+            self._apply_action(st, event.ts, EnforcementAction.THROTTLE_EVENT,
+                               "bg_fetch_per_activation", out)
             if not st.act_bg_violated:
                 st.act_bg_violated = True
                 self._apply_ladder(
@@ -838,13 +821,12 @@ class PolicyEngine:
                                     event.ts, st.act_bg_count, spec.threshold),
                     out,
                 )
+            self._refuse(out)
 
     def _on_notification_show(self, st: _SwEngineState, event: TraceEvent, out: Decision) -> None:
-        if self.mode == "simulate" and not st.running:
-            out.deliver = False
+        if not st.running and self._refuse(out):
             return
-        if self.mode == "enforce":
-            self._wake(st, event.ts)
+        self._wake(st, event.ts)  # open loop: the recorded event shows it running
         if st.pending_silent:
             st.pending_silent.popleft()  # this push did show a notification
         tag = event.get("tag")
@@ -878,25 +860,17 @@ class PolicyEngine:
             )
 
     def _on_notification_click(self, st: _SwEngineState, event: TraceEvent, out: Decision) -> None:
-        notif_id = event.get("notif_id", "")
-        if notif_id not in st.visible:
-            if self.mode == "simulate":
-                out.deliver = False  # cannot click a notification never shown
-                return
-        else:
-            del st.visible[notif_id]
+        if st.visible.pop(event.get("notif_id", ""), None) is None and self._refuse(out):
+            return  # cannot click a notification never shown
         self._wake(st, event.ts)
 
     def _on_notification_close(self, st: _SwEngineState, event: TraceEvent, out: Decision) -> None:
         by_user = bool(event.get("by_user", False))
-        if not by_user and self.mode == "simulate" and not st.running:
-            out.deliver = False
+        if not by_user and not st.running and self._refuse(out):
             return
-        notif_id = event.get("notif_id", "")
-        shown = st.visible.pop(notif_id, None)
+        shown = st.visible.pop(event.get("notif_id", ""), None)
         if shown is None:
-            if self.mode == "simulate":
-                out.deliver = False
+            self._refuse(out)
             return
         if by_user:
             return
@@ -914,56 +888,23 @@ class PolicyEngine:
 
     def _on_terminate(self, st: _SwEngineState, event: TraceEvent, out: Decision) -> None:
         if not st.running:
-            if self.mode == "simulate":
-                out.deliver = False  # already stopped by policy
+            self._refuse(out)  # already stopped by policy
             return
         self._stop(st, event.ts)
 
     def _on_code_tampered(self, st: _SwEngineState, event: TraceEvent, out: Decision) -> None:
         st.record.code_tampered = True
 
-    # -- spec-level helpers --------------------------------------------------
-
-    def on_activation_tick(self, sw_id: str, now: int) -> Optional[ActionEntry]:
-        """Run the execution-limit checks for one running worker at ``now``.
-
-        Returns the terminate action when a cap fired, None otherwise.
-        """
-        st = self._states[sw_id]
-        if not st.running:
-            return None
-        out = Decision(deliver=True)
-        self._advance_sw(st, now, out)
-        self._last_ts = max(self._last_ts, now)
-        for entry in out.actions:
-            if entry.action is EnforcementAction.TERMINATE_SW:
-                return entry
-        return None
-
-    @staticmethod
-    def check_notification_visibility(
-        show_event: TraceEvent, close_event: TraceEvent, min_visible_s: float = 30.0
-    ) -> Optional[ViolationRecord]:
-        """Direct visibility check for a show/close pair.
-
-        Raises DanglingClose when the close references a different notif_id.
-        """
-        if close_event.get("notif_id") != show_event.get("notif_id"):
-            raise DanglingClose(f"close references unknown id {close_event.get('notif_id')!r}")
-        if close_event.get("by_user", False):
-            return None
-        delta_s = (close_event.ts - show_event.ts) / 1_000
-        if delta_s < min_visible_s:
-            return ViolationRecord(
-                "notif_min_visible", show_event.sw_id or "", close_event.ts,
-                delta_s, min_visible_s,
-            )
-        return None
-
     def finish(self, end_ts: Optional[int] = None) -> Decision:
         """Flush deadlines/caps up to the end of the observed trace."""
         return self.advance(end_ts if end_ts is not None else self._last_ts)
 
-
-def _url_host(url: str) -> str:
-    return urlsplit(url).hostname or ""
+    def run(self, events: Sequence[TraceEvent]) -> EngineRun:
+        """Judge each event in order, then flush the clock to the last one."""
+        result = EngineRun()
+        for event in events:
+            decision = self.on_event(event)
+            result.merge(decision)
+            (result.delivered if decision.deliver else result.suppressed).append(event)
+        result.merge(self.finish(events[-1].ts if events else 0))
+        return result

@@ -398,29 +398,14 @@ def simulate(
     events = scenario.generate() if isinstance(scenario, Scenario) else list(scenario)
     engine = PolicyEngine(policies, browser_profile, mode="simulate",
                           import_domains=import_domains)
-    delivered: list[TraceEvent] = []
-    suppressed: list[TraceEvent] = []
-    actions: list[ActionEntry] = []
-    violations: list[ViolationRecord] = []
-    notices: list[Notice] = []
-
-    def collect(decision) -> None:
-        actions.extend(decision.actions)
-        violations.extend(decision.violations)
-        notices.extend(decision.notices)
-
-    for event in events:
-        decision = engine.on_event(event)
-        collect(decision)
-        (delivered if decision.deliver else suppressed).append(event)
+    run = engine.run(events)
     end_ts = events[-1].ts if events else 0
-    collect(engine.finish(end_ts))
     return SimulationResult(
-        delivered_events=delivered,
-        suppressed_events=suppressed,
-        actions=actions,
-        violations=violations,
-        notices=notices,
+        delivered_events=run.delivered,
+        suppressed_events=run.suppressed,
+        actions=run.actions,
+        violations=run.violations,
+        notices=run.notices,
         final_states=engine.states(),
         running_intervals={
             sw_id: engine.run_intervals(sw_id, end_ts) for sw_id in engine.states()

@@ -5,7 +5,6 @@ import pytest
 from sw_sentinel.model import Capability, Origin, Scope, SwRecord, SwState
 from sw_sentinel.policy import (
     BadThreshold,
-    DanglingClose,
     DEFAULT_NOTIFICATION_TITLE,
     DuplicateName,
     EnforcementAction,
@@ -21,7 +20,7 @@ from sw_sentinel.policy import (
     load_policies,
     update_engagement,
 )
-from sw_sentinel.trace import TraceEvent
+from sw_sentinel.trace import TraceEvent, UnbalancedBrackets
 
 ORIGIN = "https://p.example"
 
@@ -52,9 +51,9 @@ def fresh_record(caps=None, sw_id="sw-1", subscribed=True):
     )
 
 
-def engine_with(config=None, profile="chrome", mode="simulate", caps=None):
+def engine_with(config=None, profile="chrome", mode="simulate", caps=None, subscribed=True):
     engine = PolicyEngine(config or default_policies(), profile, mode=mode)
-    engine.register_record(fresh_record(caps=caps))
+    engine.register_record(fresh_record(caps=caps, subscribed=subscribed))
     return engine
 
 
@@ -183,19 +182,22 @@ class TestCapabilityGate:
         assert engine.on_event(ev(0, "push", push_id="p")).deliver
 
 
+def terminations(decision):
+    return [a for a in decision.actions if a.action is EnforcementAction.TERMINATE_SW]
+
+
 class TestExecutionCaps:
     def test_terminated_at_five_minutes(self):
         engine = engine_with()
         engine.on_event(ev(0, "push", push_id="p"))
-        entry = engine.on_activation_tick("sw-1", 22 * 60_000)
-        assert entry is not None
+        [entry] = terminations(engine.advance(22 * 60_000))
         assert entry.ts == 301_000  # 5 min + one 1 s tick
-        assert entry.action is EnforcementAction.TERMINATE_SW
+        assert entry.reason == "exec_per_activation"
 
     def test_under_threshold_no_action(self):
         engine = engine_with()
         engine.on_event(ev(0, "push", push_id="p"))
-        assert engine.on_activation_tick("sw-1", 299_000) is None
+        assert terminations(engine.advance(299_000)) == []
 
     def test_daily_budget_crosses_mid_activation(self):
         config = PolicyConfig((PolicySpec("exec_per_day", Severity.MEDIUM, 90, 1440),))
@@ -204,8 +206,7 @@ class TestExecutionCaps:
         engine.on_event(ev(0, "push", push_id="a"))
         engine.on_event(ev(50 * minute, "terminate"))
         engine.on_event(ev(51 * minute, "push", push_id="b"))
-        entry = engine.on_activation_tick("sw-1", 120 * minute)
-        assert entry is not None
+        [entry] = terminations(engine.advance(120 * minute))
         assert entry.ts == 91 * minute + 1_000
         assert entry.reason == "exec_per_day"
 
@@ -267,28 +268,22 @@ class TestSilentPush:
 
 
 class TestNotificationVisibility:
+    def _close_violations(self, close_ts, by_user):
+        engine = engine_with(mode="enforce")
+        engine.on_event(ev(1_000, "notification_show", notif_id="n1", title="t"))
+        close = ev(close_ts, "notification_close", notif_id="n1", by_user=by_user)
+        return engine.on_event(close).violations
+
     def test_programmatic_fast_close_violates(self):
-        show = ev(1_000, "notification_show", notif_id="n1", title="t")
-        close = ev(1_100, "notification_close", notif_id="n1", by_user=False)
-        violation = PolicyEngine.check_notification_visibility(show, close)
-        assert violation is not None
+        [violation] = self._close_violations(1_100, by_user=False)
+        assert violation.policy_name == "notif_min_visible"
         assert violation.observed == pytest.approx(0.1)
 
     def test_user_close_is_fine(self):
-        show = ev(1_000, "notification_show", notif_id="n1", title="t")
-        close = ev(1_100, "notification_close", notif_id="n1", by_user=True)
-        assert PolicyEngine.check_notification_visibility(show, close) is None
+        assert self._close_violations(1_100, by_user=True) == []
 
     def test_slow_close_is_fine(self):
-        show = ev(1_000, "notification_show", notif_id="n1", title="t")
-        close = ev(46_000, "notification_close", notif_id="n1", by_user=False)
-        assert PolicyEngine.check_notification_visibility(show, close) is None
-
-    def test_dangling_close(self):
-        show = ev(1_000, "notification_show", notif_id="n1", title="t")
-        close = ev(1_100, "notification_close", notif_id="zz", by_user=False)
-        with pytest.raises(DanglingClose):
-            PolicyEngine.check_notification_visibility(show, close)
+        assert self._close_violations(46_000, by_user=False) == []
 
     def test_engine_counts_each_fast_close(self):
         engine = engine_with(mode="enforce")
@@ -528,3 +523,72 @@ class TestEngagement:
         score = update_engagement(EngagementScore(), page_visit(0))
         later = update_engagement(score, ev(7 * 86_400_000, "push", push_id="p"))
         assert later.score == pytest.approx(1.0)
+
+
+PUSH_CAP_ONE = PolicyConfig((PolicySpec("push_per_hour", Severity.LOW, 1, 60),))
+BG_FETCH_CAP_ONE = PolicyConfig(
+    (PolicySpec("bg_fetch_per_activation", Severity.LOW, 1, 0),)
+)
+THIRD_PARTY_URL = "https://tracker.example/t"
+
+
+def refusal(site, event, prelude=(), config=None, subscribed=True, enforce_error=None):
+    return pytest.param(config, subscribed, prelude, event, enforce_error, id=site)
+
+
+# One row per closed-loop refusal site. The worker starts activated,
+# subscribed and not running; ``prelude`` leads up to the refused event.
+REFUSAL_SITES = [
+    refusal("install_without_precursor", ev(1_000, "install")),
+    refusal("activate_without_precursor", ev(1_000, "activate")),
+    refusal("update_check_not_running", ev(1_000, "update_check")),
+    refusal("update_found_after_refused_check", ev(1_000, "update_found", version=2),
+            prelude=[ev(1_000, "update_check")]),
+    refusal("notification_show_not_running",
+            ev(1_000, "notification_show", notif_id="n1", title="t")),
+    refusal("notification_close_not_running",
+            ev(1_000, "notification_close", notif_id="n1", by_user=False)),
+    refusal("notification_close_never_shown",
+            ev(1_100, "notification_close", notif_id="zz", by_user=False),
+            prelude=[ev(1_000, "push", push_id="p")]),
+    refusal("notification_click_never_shown",
+            ev(1_000, "notification_click", notif_id="zz")),
+    refusal("fetch_request_not_running",
+            ev(1_000, "fetch_request", url=THIRD_PARTY_URL, initiator_is_sw=True)),
+    refusal("fetch_event_end_unmatched", ev(1_000, "fetch_event_end"),
+            enforce_error=UnbalancedBrackets),
+    refusal("terminate_not_running", ev(1_000, "terminate")),
+    refusal("push_after_revocation", ev(1_000, "push", push_id="p"), subscribed=False),
+    refusal("push_per_hour_throttle", ev(2_000, "push", push_id="p2"),
+            prelude=[ev(1_000, "push", push_id="p1")], config=PUSH_CAP_ONE),
+    refusal("bg_fetch_throttle",
+            ev(1_200, "fetch_request", url=THIRD_PARTY_URL, initiator_is_sw=True),
+            prelude=[ev(1_000, "push", push_id="p"),
+                     ev(1_100, "fetch_request", url=THIRD_PARTY_URL, initiator_is_sw=True)],
+            config=BG_FETCH_CAP_ONE),
+]
+
+
+class TestModeContract:
+    """simulate and enforce judge alike and differ only where a decision is
+    applied: the closed loop refuses each event below, the open loop takes
+    the recorded event as fact and delivers it."""
+
+    @staticmethod
+    def _judge(mode, config, subscribed, prelude, event):
+        engine = engine_with(config, mode=mode, subscribed=subscribed)
+        for earlier in prelude:
+            engine.on_event(earlier)
+        return engine.on_event(event)
+
+    @pytest.mark.parametrize("config, subscribed, prelude, event, enforce_error",
+                             REFUSAL_SITES)
+    def test_simulate_refuses_enforce_delivers(
+        self, config, subscribed, prelude, event, enforce_error
+    ):
+        assert not self._judge("simulate", config, subscribed, prelude, event).deliver
+        if enforce_error is not None:
+            with pytest.raises(enforce_error):
+                self._judge("enforce", config, subscribed, prelude, event)
+        else:
+            assert self._judge("enforce", config, subscribed, prelude, event).deliver
