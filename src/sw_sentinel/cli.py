@@ -19,7 +19,7 @@ from . import csp as csp_mod
 from . import forensics
 from .policy import PolicyConfig, PolicyEngine, PROFILES, load_policies
 from .scenarios import GENERATORS, Scenario, generate, simulate
-from .trace import TraceError, emit_trace, read_trace
+from .trace import TraceError, UnbalancedBrackets, emit_trace, read_trace
 
 ENV_CONFIG = "SW_SENTINEL_CONFIG"
 
@@ -160,7 +160,10 @@ def _read_trace_checked(path: str):
 def _cmd_enforce(args: argparse.Namespace) -> int:
     events = _read_trace_checked(args.trace)
     config = _load_config(args.policies)
-    result = PolicyEngine(config, args.profile, mode="enforce").run(events)
+    try:
+        result = PolicyEngine(config, args.profile, mode="enforce").run(events)
+    except UnbalancedBrackets as exc:
+        raise CliError(f"invalid trace {args.trace}: {exc}") from exc
     out = args.out
     _write_text(os.path.join(out, "violations.jsonl"),
                 _jsonl(_violation_rows(result.violations)))
@@ -181,7 +184,10 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
                 metadata = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise CliError(f"cannot read metadata {args.meta}: {exc}") from exc
-    reports = forensics.analyze_trace(events, metadata)
+    try:
+        reports = forensics.analyze_trace(events, metadata)
+    except UnbalancedBrackets as exc:
+        raise CliError(f"invalid trace {args.trace}: {exc}") from exc
     report_obj = {
         sw_id: dataclasses.asdict(report) for sw_id, report in reports.items()
     }

@@ -20,15 +20,24 @@ and in ``simulate`` the event is suppressed and the handler stops, while in
 ``_apply_action`` is the one applier: it stops or deregisters the worker in
 ``simulate`` and does nothing in ``enforce``. ``PolicyEngine.run`` is the one
 loop that drives the engine over a whole trace.
+
+Two smaller differences follow from the same contract. Once a day's
+execution budget is spent, only the closed loop keeps stopping the worker
+(``_day_crossing``). And only the closed loop drops a worker's open fetch
+brackets when it stops (``_stop``): its fetch handler dies with it. The open
+loop counts the recorded brackets as ``trace.bracket_intervals`` does.
 """
 
 from __future__ import annotations
 
+import heapq
 import json
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from importlib import resources
+from operator import attrgetter
 from typing import Any, Iterable, Mapping, Optional, Sequence
 
 from .domains import registrable_domain, url_registrable_domain
@@ -192,11 +201,13 @@ class PolicyConfig:
     allow_list: frozenset[str] = frozenset()
     deregister_engagement_threshold: float = 5.0
 
+    @cached_property
+    def _by_name(self) -> dict[str, PolicySpec]:
+        # Reversed, so that the first spec of a name wins, as a scan would.
+        return {spec.name: spec for spec in reversed(self.specs)}
+
     def get(self, name: str) -> Optional[PolicySpec]:
-        for spec in self.specs:
-            if spec.name == name:
-                return spec
-        return None
+        return self._by_name.get(name)
 
 
 _TEMPLATE_KEYS = {"name", "severity", "threshold", "duration_in_minutes"}
@@ -336,6 +347,11 @@ class _SwEngineState:
     lows_today: int = 0
     mediums_today: int = 0
     ladder_day: int = -1
+    # clock heap bookkeeping: registration order, the stamp of the live heap
+    # entry, and that entry's key (None: no live entry)
+    order: int = 0
+    stamp: int = 0
+    wake_ts: Optional[int] = None
 
 
 class PolicyEngine:
@@ -361,13 +377,16 @@ class PolicyEngine:
         self._t0: Optional[int] = None
         self._last_ts: int = 0
         self._states: dict[str, _SwEngineState] = {}
+        # min-heap of (wake_ts, order, stamp, state); see ``advance``
+        self._heap: list[tuple[int, int, int, _SwEngineState]] = []
+        self._stamps = 0
         self.engagement: dict[str, EngagementScore] = {}
 
     # -- registry ---------------------------------------------------------
 
     def register_record(self, record: SwRecord) -> None:
         """Pre-register a worker (used by tests and the capability grid)."""
-        self._states[record.sw_id] = self._new_state(record)
+        self._add_state(self._new_state(record))
 
     def record(self, sw_id: str) -> SwRecord:
         return self._states[sw_id].record
@@ -393,6 +412,19 @@ class PolicyEngine:
         domains |= self._import_domains.get(record.sw_id, frozenset())
         return _SwEngineState(record=record, first_party=frozenset(domains))
 
+    def _add_state(self, st: _SwEngineState) -> None:
+        """Insert a worker's state, or replace the state of its sw_id. A
+        replacement keeps the registration order of the state it replaces,
+        as ``_states`` keeps its key's position. A new state has no deadline
+        until its first handler runs, so it is not put on the clock heap."""
+        old = self._states.get(st.record.sw_id)
+        if old is None:
+            st.order = len(self._states)
+        else:
+            st.order = old.order
+            old.stamp = -1  # its heap entries go stale
+        self._states[st.record.sw_id] = st
+
     def _state_for(self, event: TraceEvent) -> _SwEngineState:
         sw_id = event.sw_id or ""
         st = self._states.get(sw_id)
@@ -416,7 +448,7 @@ class PolicyEngine:
             st = self._new_state(record)
             if event.kind == "register":
                 st.expect_install = True
-            self._states[sw_id] = st
+            self._add_state(st)
         return st
 
     # -- time -------------------------------------------------------------
@@ -508,7 +540,6 @@ class PolicyEngine:
         st.act_exec_violated = False
         st.update_chain = False
         st.chain_capped = False
-        st.bracket_depth = 0
         st.last_bracket_end = None
         st.record.state = SwState.RUNNING
 
@@ -520,7 +551,8 @@ class PolicyEngine:
         self._accrue_exec(st, start, ts)
         st.running = False
         st.update_chain = False
-        st.bracket_depth = 0
+        if self.mode == "simulate":
+            st.bracket_depth = 0  # the closed loop kills open fetch handlers
         if st.record.state is not SwState.DEREGISTERED:
             st.record.state = SwState.TERMINATED
 
@@ -540,17 +572,63 @@ class PolicyEngine:
 
     def advance(self, now: int) -> Decision:
         """Process virtual time up to ``now``: exec-limit checks at 1 s tick
-        granularity plus silent-push grace deadlines."""
+        granularity plus silent-push grace deadlines.
+
+        Only the workers that are due are visited. A min-heap holds entries
+        ``(wake_ts, order, stamp, state)``, at most one live entry per
+        worker; an entry whose stamp is no longer its worker's is stale and
+        skipped when popped. The invariant: a key is never later than the
+        worker's next crossing (or silent-push deadline), so a worker whose
+        key lies after ``now`` has nothing to do. A key may be earlier, which
+        costs one ``_advance_sw`` call that does nothing. Due workers run in
+        registration order, as a scan over every worker would.
+        """
         out = Decision(deliver=True)
         if self._t0 is None:
             return out
-        for st in list(self._states.values()):
-            self._advance_sw(st, now, out)
+        heap = self._heap
+        due = []
+        while heap and heap[0][0] <= now:
+            _wake_ts, _order, stamp, st = heapq.heappop(heap)
+            if stamp == st.stamp:
+                st.wake_ts = None
+                due.append(st)
+        if due:
+            due.sort(key=attrgetter("order"))
+            for st in due:
+                self._advance_sw(st, now, out)
+                self._reschedule(st, now)
+            out.actions.sort(key=lambda entry: entry.ts)
+            out.violations.sort(key=lambda violation: violation.ts)
+            out.notices.sort(key=lambda notice: notice.ts)
         self._last_ts = max(self._last_ts, now)
-        out.actions.sort(key=lambda entry: entry.ts)
-        out.violations.sort(key=lambda violation: violation.ts)
-        out.notices.sort(key=lambda notice: notice.ts)
         return out
+
+    def _reschedule(self, st: _SwEngineState, now: int) -> None:
+        """Key ``st`` at the earliest time ``_advance_sw`` may have work for
+        it: its first silent-push deadline and, while it runs, its next
+        crossing up to the end of the virtual day of ``now``, or that day's
+        end when there is none. Call it after every change to ``st``."""
+        wake = st.pending_silent[0][1] if st.pending_silent else None
+        if st.running:
+            day_end = (self._t0 or 0) + (self._day(now) + 1) * DAY_MS
+            crossing = self._next_crossing(st, day_end)
+            tick = crossing[0] if crossing is not None else day_end
+            wake = tick if wake is None else min(wake, tick)
+        if wake == st.wake_ts:
+            return  # the live entry still holds
+        self._stamps += 1
+        st.stamp = self._stamps
+        st.wake_ts = wake
+        if wake is None:
+            return
+        heap = self._heap
+        heapq.heappush(heap, (wake, st.order, st.stamp, st))
+        # Stale entries leave only when their time comes; drop them at once
+        # when they outnumber the live ones, so the heap stays O(workers).
+        if len(heap) > 4 * len(self._states) + 64:
+            heap[:] = [entry for entry in heap if entry[2] == entry[3].stamp]
+            heapq.heapify(heap)
 
     def _advance_sw(self, st: _SwEngineState, now: int, out: Decision) -> None:
         while st.pending_silent and st.pending_silent[0][1] <= now:
@@ -690,6 +768,7 @@ class PolicyEngine:
         handler = getattr(self, f"_on_{kind}", None)
         if handler is not None:
             handler(st, event, out)
+            self._reschedule(st, event.ts)
         return out
 
     def _refuse(self, out: Decision) -> bool:

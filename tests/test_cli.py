@@ -123,6 +123,39 @@ class TestPipeline:
         assert outs[0] == outs[1]
 
 
+def write_lines(path, objs):
+    path.write_text("".join(json.dumps(obj) + "\n" for obj in objs))
+
+
+def fetch_trace(*kinds):
+    return [{"ts": 1_000 * i, "kind": kind, "origin": "https://a.example",
+             "sw_id": "sw-1", "scope": "/"} for i, kind in enumerate(kinds)]
+
+
+class TestBracketedTraces:
+    # A recorded terminate, or a later wake, leaves the open bracket open.
+    @pytest.mark.parametrize("kinds", [
+        ("register", "fetch_event_start", "terminate", "fetch_event_end"),
+        ("register", "fetch_event_start", "terminate", "fetch_event_start",
+         "fetch_event_end", "fetch_event_end"),
+    ], ids=["terminate", "terminate_then_wake"])
+    def test_enforce_accepts_what_analyze_accepts(self, tmp_path, kinds):
+        trace = tmp_path / "t.jsonl"
+        write_lines(trace, fetch_trace(*kinds))
+        assert run(["analyze", "--trace", str(trace), "--out", str(tmp_path / "rep")]) == 0
+        assert run(["enforce", "--trace", str(trace), "--out", str(tmp_path / "enf"),
+                    "--fail-on-violation"]) == 0
+
+    def test_end_without_start_is_an_input_error(self, tmp_path, capsys):
+        trace = tmp_path / "t.jsonl"
+        write_lines(trace, fetch_trace("register", "fetch_event_start", "fetch_event_end",
+                                       "fetch_event_end"))
+        for command in ("enforce", "analyze"):
+            assert run([command, "--trace", str(trace), "--out", str(tmp_path / command)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: invalid trace") and "fetch_event_end" in err
+
+
 class TestCspCommands:
     def test_check_denies_third_party_with_exit_one(self, capsys):
         code = run(["csp-check", "--header", "script-src 'self'",

@@ -557,6 +557,8 @@ REFUSAL_SITES = [
             ev(1_000, "fetch_request", url=THIRD_PARTY_URL, initiator_is_sw=True)),
     refusal("fetch_event_end_unmatched", ev(1_000, "fetch_event_end"),
             enforce_error=UnbalancedBrackets),
+    refusal("fetch_event_end_after_terminate", ev(1_200, "fetch_event_end"),
+            prelude=[ev(1_000, "fetch_event_start"), ev(1_100, "terminate")]),
     refusal("terminate_not_running", ev(1_000, "terminate")),
     refusal("push_after_revocation", ev(1_000, "push", push_id="p"), subscribed=False),
     refusal("push_per_hour_throttle", ev(2_000, "push", push_id="p2"),
