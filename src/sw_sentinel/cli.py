@@ -80,8 +80,12 @@ def _write_trace_file(path: str, events) -> None:
     _write_text(path, "".join(line + "\n" for line in emit_trace(events)))
 
 
+# One encoder for every row, as json.dumps(sort_keys=True) would build one per call.
+_ROW_ENCODER = json.JSONEncoder(sort_keys=True)
+
+
 def _jsonl(rows: Iterable[dict[str, Any]]) -> str:
-    return "".join(json.dumps(row, sort_keys=True) + "\n" for row in rows)
+    return "".join(_ROW_ENCODER.encode(row) + "\n" for row in rows)
 
 
 def _action_rows(actions) -> list[dict[str, Any]]:

@@ -3,10 +3,14 @@
 The table carries the multi-label suffixes that actually change the answer
 (co.uk, com.au, github.io, ...). Anything else falls back to the last two
 labels, which is correct for all plain gTLDs/ccTLDs.
+
+Both lookups are memoized with a fixed bound: a trace asks about the same
+few hosts and URLs on every line, and the answers are immutable strings.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from urllib.parse import urlsplit
 
 # Multi-label public suffixes seen most often in the wild, plus the common
@@ -67,6 +71,7 @@ PUBLIC_SUFFIXES: frozenset[str] = frozenset(
 )
 
 
+@lru_cache(maxsize=4096)
 def registrable_domain(host: str, suffixes: frozenset[str] | None = None) -> str:
     """Return the registrable domain (public suffix plus one label) for a host.
 
@@ -92,6 +97,7 @@ def registrable_domain(host: str, suffixes: frozenset[str] | None = None) -> str
     return ".".join(labels[-2:])
 
 
+@lru_cache(maxsize=4096)
 def url_registrable_domain(url: str, suffixes: frozenset[str] | None = None) -> str:
     """Registrable domain of a URL's host ("" when the URL has no host)."""
     host = urlsplit(url).hostname or ""

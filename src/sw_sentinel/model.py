@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import lru_cache
 from typing import Optional
 from urllib.parse import urlsplit
 
@@ -56,13 +57,8 @@ class Origin:
 
     @classmethod
     def parse(cls, text: str) -> "Origin":
-        parts = urlsplit(text if "://" in text else "//" + text)
-        if not parts.scheme or not parts.hostname:
-            raise ModelError(f"not an origin: {text!r}")
-        port = parts.port
-        if port == _DEFAULT_PORTS.get(parts.scheme):
-            port = None
-        return cls(parts.scheme.lower(), parts.hostname.lower(), port)
+        """Parse ``scheme://host[:port]``; raises ModelError otherwise."""
+        return _parse_origin(cls, text)
 
     @property
     def is_secure(self) -> bool:
@@ -72,6 +68,24 @@ class Origin:
         if self.port is None:
             return f"{self.scheme}://{self.host}"
         return f"{self.scheme}://{self.host}:{self.port}"
+
+
+# Traces repeat a few origins on every line, so parsed origins are kept.
+# Origin is frozen, so every caller may share one instance; an exception
+# leaves the cache untouched, so a bad origin raises on every call.
+@lru_cache(maxsize=4096)
+def _parse_origin(cls: type[Origin], text: str) -> Origin:
+    try:
+        parts = urlsplit(text if "://" in text else "//" + text)
+        host = parts.hostname
+        port = parts.port
+    except ValueError as exc:  # bad brackets, or a port out of range or not a number
+        raise ModelError(f"not an origin: {text!r}: {exc}") from exc
+    if not parts.scheme or not host:
+        raise ModelError(f"not an origin: {text!r}")
+    if port == _DEFAULT_PORTS.get(parts.scheme):
+        port = None
+    return cls(parts.scheme.lower(), host.lower(), port)
 
 
 @dataclass(frozen=True)

@@ -348,10 +348,12 @@ class _SwEngineState:
     mediums_today: int = 0
     ladder_day: int = -1
     # clock heap bookkeeping: registration order, the stamp of the live heap
-    # entry, and that entry's key (None: no live entry)
+    # entry, that entry's key (None: no live entry), and whether an input of
+    # the key has changed since it was computed
     order: int = 0
     stamp: int = 0
     wake_ts: Optional[int] = None
+    dirty: bool = False
 
 
 class PolicyEngine:
@@ -542,6 +544,7 @@ class PolicyEngine:
         st.chain_capped = False
         st.last_bracket_end = None
         st.record.state = SwState.RUNNING
+        st.dirty = True
 
     def _stop(self, st: _SwEngineState, ts: int) -> None:
         if not st.running:
@@ -551,6 +554,7 @@ class PolicyEngine:
         self._accrue_exec(st, start, ts)
         st.running = False
         st.update_chain = False
+        st.dirty = True
         if self.mode == "simulate":
             st.bracket_depth = 0  # the closed loop kills open fetch handlers
         if st.record.state is not SwState.DEREGISTERED:
@@ -604,17 +608,31 @@ class PolicyEngine:
         self._last_ts = max(self._last_ts, now)
         return out
 
-    def _reschedule(self, st: _SwEngineState, now: int) -> None:
-        """Key ``st`` at the earliest time ``_advance_sw`` may have work for
-        it: its first silent-push deadline and, while it runs, its next
-        crossing up to the end of the virtual day of ``now``, or that day's
-        end when there is none. Call it after every change to ``st``."""
+    def _wake_key(self, st: _SwEngineState, now: int) -> Optional[int]:
+        """The earliest time ``_advance_sw`` may have work for ``st``: its
+        first silent-push deadline and, while it runs, its next crossing up
+        to the end of the virtual day of ``now``, or that day's end when
+        there is none. None when it has neither."""
         wake = st.pending_silent[0][1] if st.pending_silent else None
         if st.running:
             day_end = (self._t0 or 0) + (self._day(now) + 1) * DAY_MS
             crossing = self._next_crossing(st, day_end)
             tick = crossing[0] if crossing is not None else day_end
             wake = tick if wake is None else min(wake, tick)
+        return wake
+
+    def _reschedule(self, st: _SwEngineState, now: int) -> None:
+        """Key ``st`` at ``_wake_key``. Call it after ``_advance_sw`` and
+        after every handler that set ``st.dirty``, which every change to an
+        input of the key does (``_wake``, ``_stop``, the start of a
+        self-update chain, a pushed or popped silent-push deadline).
+
+        Nothing else moves the key: it depends on ``now`` only through its
+        day, and a key computed on an earlier day is at most that day's
+        end, so it is due, popped and recomputed by ``advance`` before any
+        later handler runs."""
+        st.dirty = False
+        wake = self._wake_key(st, now)
         if wake == st.wake_ts:
             return  # the live entry still holds
         self._stamps += 1
@@ -768,7 +786,8 @@ class PolicyEngine:
         handler = getattr(self, f"_on_{kind}", None)
         if handler is not None:
             handler(st, event, out)
-            self._reschedule(st, event.ts)
+            if st.dirty:
+                self._reschedule(st, event.ts)
         return out
 
     def _refuse(self, out: Decision) -> bool:
@@ -818,6 +837,7 @@ class PolicyEngine:
             if not st.update_chain:
                 st.update_chain = True
                 st.chain_anchor = st.activation_start
+                st.dirty = True
         else:
             self._wake(st, event.ts)  # browser-scheduled update; no cap anchor
         st.expect_install = True
@@ -849,6 +869,7 @@ class PolicyEngine:
                     return
         self._wake(st, event.ts)
         st.pending_silent.append((event.ts, event.ts + SILENT_PUSH_GRACE_MS))
+        st.dirty = True
 
     def _on_sync(self, st: _SwEngineState, event: TraceEvent, out: Decision) -> None:
         self._wake(st, event.ts)
@@ -908,6 +929,7 @@ class PolicyEngine:
         self._wake(st, event.ts)  # open loop: the recorded event shows it running
         if st.pending_silent:
             st.pending_silent.popleft()  # this push did show a notification
+            st.dirty = True
         tag = event.get("tag")
         if tag is not None:
             replaced = [

@@ -10,10 +10,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Any, Iterable, Iterator, Mapping, Optional
 
 from .domains import url_registrable_domain
-from .model import ModelError, Origin
+from .model import Capability, ModelError, Origin, Scope
 
 
 class TraceError(Exception):
@@ -81,6 +82,19 @@ _REQUIRED_PAYLOAD: dict[str, tuple[tuple[str, type], ...]] = {
 
 _HEADER_KEYS = ("ts", "kind", "origin", "sw_id", "scope")
 
+_CAPABILITY_VALUES = frozenset(capability.value for capability in Capability)
+
+# One encoder for every line: json.dumps with non-default arguments would
+# build a new one per call.
+_LINE_ENCODER = json.JSONEncoder(separators=(",", ":"), ensure_ascii=False)
+
+
+@lru_cache(maxsize=4096)
+def _check_scope(scope: str) -> None:
+    """Raise InvalidScope unless ``scope`` meets the Scope rules. Traces
+    repeat a few scopes on every line, so each distinct one is checked once."""
+    Scope(scope)
+
 
 @dataclass(frozen=True)
 class TraceEvent:
@@ -131,15 +145,34 @@ def _validate_obj(obj: Any, line_no: int) -> TraceEvent:
     scope = obj.get("scope")
     if scope is not None and not isinstance(scope, str):
         raise MalformedLine("'scope' must be a string", line_no)
+    if scope:  # the engine reads an empty scope as "/"
+        try:
+            _check_scope(scope)
+        except ModelError as exc:
+            raise MalformedLine(f"bad scope {scope!r}: {exc}", line_no) from exc
     payload = {k: v for k, v in obj.items() if k not in _HEADER_KEYS}
+    caps = payload.get("capabilities")
+    if caps is not None and not (
+        isinstance(caps, list)
+        and all(isinstance(cap, str) and cap in _CAPABILITY_VALUES for cap in caps)
+    ):
+        raise MalformedLine(
+            f"'capabilities' must be a list of {sorted(_CAPABILITY_VALUES)}", line_no
+        )
     for key, typ in _REQUIRED_PAYLOAD.get(kind, ()):
         value = payload.get(key)
         if typ is int and isinstance(value, bool):
             raise MalformedLine(f"{kind}: '{key}' must be {typ.__name__}", line_no)
         if not isinstance(value, typ):
             raise MalformedLine(f"{kind}: missing/invalid '{key}'", line_no)
-    if kind == "fetch_request" and "://" not in payload["url"]:
-        raise MalformedLine("fetch_request: 'url' must carry scheme and host", line_no)
+    if kind == "fetch_request":
+        url = payload["url"]
+        if "://" not in url:
+            raise MalformedLine("fetch_request: 'url' must carry scheme and host", line_no)
+        try:
+            url_registrable_domain(url)  # what the engine and forensics ask of it
+        except ValueError as exc:
+            raise MalformedLine(f"fetch_request: bad 'url' {url!r}: {exc}", line_no) from exc
     return TraceEvent(ts=ts, kind=kind, origin=origin, sw_id=sw_id, scope=scope, payload=payload)
 
 
@@ -174,7 +207,7 @@ def emit_trace(events: Iterable[TraceEvent]) -> Iterator[str]:
                 f"events out of order: ts {event.ts} after {last_ts}"
             )
         last_ts = event.ts
-        yield json.dumps(event.to_obj(), separators=(",", ":"), ensure_ascii=False)
+        yield _LINE_ENCODER.encode(event.to_obj())
 
 
 def read_trace(path: str) -> list[TraceEvent]:

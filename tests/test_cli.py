@@ -156,6 +156,31 @@ class TestBracketedTraces:
             assert err.startswith("error: invalid trace") and "fetch_event_end" in err
 
 
+class TestHostileFields:
+    """A bad origin port, scope, capability list or fetch URL is a malformed
+    line: both trace readers exit 2 with an ``error:`` line, never a
+    traceback."""
+
+    @pytest.mark.parametrize("fields", [
+        {"origin": "https://a.example:99999"},
+        {"origin": "https://a.example:x"},
+        {"scope": "nope"},
+        {"capabilities": ["telepathy"]},
+        {"capabilities": "push"},
+        {"kind": "fetch_request", "url": "https://[x/a", "initiator_is_sw": True},
+    ], ids=["port_range", "port_text", "scope", "cap_unknown", "cap_string",
+            "fetch_url_brackets"])
+    def test_enforce_and_analyze_exit_two(self, tmp_path, capsys, fields):
+        trace = tmp_path / "t.jsonl"
+        objs = fetch_trace("register", "install", "activate")
+        objs[1].update(fields)
+        write_lines(trace, objs)
+        for command in ("enforce", "analyze"):
+            assert run([command, "--trace", str(trace), "--out", str(tmp_path / command)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: invalid trace") and "line 2" in err
+
+
 class TestCspCommands:
     def test_check_denies_third_party_with_exit_one(self, capsys):
         code = run(["csp-check", "--header", "script-src 'self'",

@@ -70,6 +70,35 @@ class TestParse:
     def test_event_kind_enumeration_is_closed(self):
         assert len(EVENT_KINDS) == 18
 
+    @pytest.mark.parametrize("fields", [
+        {"origin": "https://t.example:99999"},
+        {"origin": "https://t.example:x"},
+        {"origin": "https://[::1"},
+        {"scope": "nope"},
+        {"scope": "/a/../b/"},
+        {"capabilities": ["telepathy"]},
+        {"capabilities": "push"},
+        {"capabilities": [1]},
+        {"kind": "fetch_request", "url": "https://[x/a", "initiator_is_sw": True},
+    ], ids=["port_range", "port_text", "brackets", "scope", "scope_dotdot",
+            "cap_unknown", "cap_string", "cap_number", "fetch_url_brackets"])
+    def test_bad_field_is_malformed(self, fields):
+        obj = {"ts": 0, "kind": "register", "origin": ORIGIN, "sw_id": "sw-1",
+               "scope": "/", **fields}
+        for _ in range(2):  # a failed check is never remembered as passed
+            with pytest.raises(MalformedLine) as err:
+                parse_trace(["", json.dumps(obj)])
+            assert err.value.line_no == 2
+
+    def test_good_header_fields_parse(self):
+        obj = {"ts": 0, "kind": "register", "origin": "https://t.example:8443",
+               "sw_id": "sw-1", "scope": "/app", "capabilities": ["push", "periodicsync"]}
+        for scope in ("/app", "", None):
+            line = json.dumps({**obj, "scope": scope})
+            (event,) = parse_trace([line])
+            assert event.scope == scope
+            assert event.get("capabilities") == ["push", "periodicsync"]
+
 
 class TestEmit:
     def test_empty(self):
