@@ -38,7 +38,6 @@ from .policy import (
     ViolationRecord,
     default_policies,
     load_policies,
-    update_engagement,
 )
 from .scenarios import Scenario, SimulationResult, generate, simulate
 from .csp import (

@@ -17,6 +17,7 @@ from typing import Any, Iterable, Optional
 
 from . import csp as csp_mod
 from . import forensics
+from .model import ModelError, Origin
 from .policy import PolicyConfig, PolicyEngine, PROFILES, load_policies
 from .scenarios import GENERATORS, Scenario, generate, simulate
 from .trace import TraceError, UnbalancedBrackets, emit_trace, read_trace
@@ -208,9 +209,14 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 def _cmd_csp_check(args: argparse.Namespace) -> int:
     policy = csp_mod.parse_csp(args.header) if args.header is not None else None
+    try:
+        origin = Origin.parse(args.origin)
+        verdicts = [(url, csp_mod.check_import(policy, origin, url))
+                    for url in args.imports or []]
+    except (ModelError, ValueError) as exc:  # an unparsable origin or URL
+        raise CliError(f"bad --origin or --import: {exc}") from exc
     denied = False
-    for import_url in args.imports or []:
-        verdict = csp_mod.check_import(policy, args.origin, import_url)
+    for import_url, verdict in verdicts:
         status = "allow" if verdict.allowed else "deny"
         print(f"import {import_url}: {status} ({verdict.rule})")
         denied = denied or not verdict.allowed

@@ -72,13 +72,12 @@ PUBLIC_SUFFIXES: frozenset[str] = frozenset(
 
 
 @lru_cache(maxsize=4096)
-def registrable_domain(host: str, suffixes: frozenset[str] | None = None) -> str:
+def registrable_domain(host: str) -> str:
     """Return the registrable domain (public suffix plus one label) for a host.
 
     Hosts whose suffix is not in the table use the last two labels. A bare
     label (or an IP-looking host) is returned unchanged.
     """
-    table = PUBLIC_SUFFIXES if suffixes is None else suffixes
     host = host.strip().rstrip(".").lower()
     if not host:
         return host
@@ -90,7 +89,7 @@ def registrable_domain(host: str, suffixes: frozenset[str] | None = None) -> str
     # Longest matching suffix wins.
     for take in range(len(labels) - 1, 0, -1):
         candidate = ".".join(labels[-take:])
-        if candidate in table:
+        if candidate in PUBLIC_SUFFIXES:
             if take == len(labels):
                 return host
             return ".".join(labels[-(take + 1):])
@@ -98,7 +97,7 @@ def registrable_domain(host: str, suffixes: frozenset[str] | None = None) -> str
 
 
 @lru_cache(maxsize=4096)
-def url_registrable_domain(url: str, suffixes: frozenset[str] | None = None) -> str:
+def url_registrable_domain(url: str) -> str:
     """Registrable domain of a URL's host ("" when the URL has no host)."""
     host = urlsplit(url).hostname or ""
-    return registrable_domain(host, suffixes)
+    return registrable_domain(host)

@@ -3,13 +3,14 @@
 Covers origins, scopes, the registration registry, the lifecycle state
 machine, capability gating, and the scope-keyed cache namespace. Everything
 here is a plain single-writer value; all mutation goes through the operations
-on :class:`SwRegistry` / :func:`apply_lifecycle_event`.
+on :class:`SwRegistry` / :func:`apply_lifecycle_event`, the only code that
+assigns a worker's ``state``, for the registry and the policy engine alike.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from typing import Optional
@@ -178,7 +179,6 @@ class SwRecord:
     push_subscribed: bool = False
     silent_push_count: int = 0
     severity_level: int = 0
-    violation_log: list = field(default_factory=list)
     version: int = 1
     has_pending_predecessor: bool = False
     code_tampered: bool = False
@@ -197,7 +197,8 @@ def apply_lifecycle_event(record: SwRecord, event_kind: str, now: int = 0) -> Sw
     """Advance the lifecycle state machine; raises IllegalTransition otherwise.
 
     Terminated workers may be woken again by ``event_arrived`` (a push or
-    sync restarts the worker process); Deregistered is absorbing.
+    sync restarts the worker process); Deregistered is absorbing. Installing
+    workers run on it too: their install handler, or a first push, runs them.
     """
     if event_kind not in LIFECYCLE_EVENTS:
         raise IllegalTransition(f"unknown lifecycle event {event_kind!r}")
@@ -221,6 +222,7 @@ def apply_lifecycle_event(record: SwRecord, event_kind: str, now: int = 0) -> Sw
         record.has_pending_predecessor = False
         record.state = SwState.ACTIVATED
     elif event_kind == "event_arrived" and state in (
+        SwState.INSTALLING,
         SwState.ACTIVATED,
         SwState.IDLE,
         SwState.TERMINATED,

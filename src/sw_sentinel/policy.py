@@ -26,6 +26,11 @@ execution budget is spent, only the closed loop keeps stopping the worker
 (``_day_crossing``). And only the closed loop drops a worker's open fetch
 brackets when it stops (``_stop``): its fetch handler dies with it. The open
 loop counts the recorded brackets as ``trace.bracket_intervals`` does.
+
+Both modes move workers through the one lifecycle state machine,
+``model.apply_lifecycle_event`` (``_wake``: ``event_arrived``, ``_stop``:
+``terminate``, an applied deregistration: ``deregister``), so a worker is
+running exactly when its record's state is RUNNING.
 """
 
 from __future__ import annotations
@@ -41,7 +46,8 @@ from operator import attrgetter
 from typing import Any, Iterable, Mapping, Optional, Sequence
 
 from .domains import registrable_domain, url_registrable_domain
-from .model import Capability, Origin, Scope, SwRecord, SwState, check_capability
+from .model import (Capability, Origin, Scope, SwRecord, SwState,
+                    apply_lifecycle_event, check_capability)
 from .trace import TraceEvent, UnbalancedBrackets
 
 TICK_MS = 1_000
@@ -51,7 +57,13 @@ SILENT_PUSH_GRACE_MS = 5_000
 ENGAGEMENT_VISIT_POINTS = 2.0
 ENGAGEMENT_CAP = 100.0
 ENGAGEMENT_HALF_LIFE_DAYS = 7.0
+# Violations of one severity within a virtual day that promote to the next.
+PROMOTE_AFTER = 3
 DEFAULT_NOTIFICATION_TITLE = "The site has been updated in the background."
+# A worker runs exactly when its state is RUNNING. The per-event path compares
+# states several times, and a member looked up on an Enum class costs 0.1 to
+# 0.25 us in CPython 3.11, so the two members it compares with are bound once.
+_RUNNING, _DEREGISTERED = SwState.RUNNING, SwState.DEREGISTERED
 
 KNOWN_POLICIES = frozenset(
     {
@@ -161,20 +173,6 @@ class EngagementScore:
         self.last_visit = now
 
 
-def update_engagement(
-    score: EngagementScore, event: TraceEvent, now: Optional[int] = None
-) -> EngagementScore:
-    """Pure update: page visits add points, everything else just re-anchors."""
-    ts = event.ts if now is None else now
-    updated = EngagementScore(score.score, score.last_visit)
-    if event.kind == "page_visit":
-        updated.visit(ts)
-    else:
-        updated.score = updated.value_at(ts)
-        updated.last_visit = ts
-    return updated
-
-
 @dataclass(frozen=True)
 class BrowserProfile:
     """Built-in mitigations that differ across browser vendors."""
@@ -183,15 +181,14 @@ class BrowserProfile:
     silent_push_limit: Optional[int] = None
     default_notification_on_silent_push: bool = False
     self_update_delay_cap_minutes: Optional[int] = None
-    terminate_on_site_close: bool = False
 
 
 PROFILES: dict[str, BrowserProfile] = {
-    "chrome": BrowserProfile("chrome", None, True, 3, False),
-    "firefox": BrowserProfile("firefox", 15, False, None, False),
-    "edge": BrowserProfile("edge", 3, True, 3, False),
-    "opera": BrowserProfile("opera", None, True, 3, False),
-    "safari": BrowserProfile("safari", None, False, None, True),
+    "chrome": BrowserProfile("chrome", None, True, 3),
+    "firefox": BrowserProfile("firefox", 15, False, None),
+    "edge": BrowserProfile("edge", 3, True, 3),
+    "opera": BrowserProfile("opera", None, True, 3),
+    "safari": BrowserProfile("safari", None, False, None),
 }
 
 
@@ -319,7 +316,6 @@ class EngineRun:
 class _SwEngineState:
     record: SwRecord
     first_party: frozenset[str]
-    running: bool = False
     activation_start: int = 0
     run_intervals: list[tuple[int, int]] = field(default_factory=list)
     # tumbling-window counters: policy -> slot -> count
@@ -365,14 +361,12 @@ class PolicyEngine:
         profile: BrowserProfile | str = "chrome",
         mode: str = "simulate",
         import_domains: Optional[Mapping[str, Iterable[str]]] = None,
-        promote_after: int = 3,
     ) -> None:
         if mode not in ("simulate", "enforce"):
             raise ValueError(f"unknown engine mode {mode!r}")
         self.config = config if config is not None else default_policies()
         self.profile = PROFILES[profile] if isinstance(profile, str) else profile
         self.mode = mode
-        self.promote_after = promote_after
         self._import_domains = {
             sw: frozenset(doms) for sw, doms in (import_domains or {}).items()
         }
@@ -401,7 +395,7 @@ class PolicyEngine:
         at ``end_ts`` (or the last seen timestamp)."""
         st = self._states[sw_id]
         intervals = list(st.run_intervals)
-        if st.running:
+        if st.record.state is _RUNNING:
             intervals.append((st.activation_start, end_ts if end_ts is not None else self._last_ts))
         return intervals
 
@@ -448,8 +442,6 @@ class PolicyEngine:
                 push_subscribed=event.kind != "register",
             )
             st = self._new_state(record)
-            if event.kind == "register":
-                st.expect_install = True
             self._add_state(st)
         return st
 
@@ -490,16 +482,15 @@ class PolicyEngine:
         effective = spec.severity if spec is not None else Severity.MEDIUM
         if effective is Severity.LOW:
             st.lows_today += 1
-            if st.lows_today >= self.promote_after:
+            if st.lows_today >= PROMOTE_AFTER:
                 st.lows_today = 0
                 effective = Severity.MEDIUM
         if effective is Severity.MEDIUM:
             st.mediums_today += 1
-            if st.mediums_today >= self.promote_after:
+            if st.mediums_today >= PROMOTE_AFTER:
                 st.mediums_today = 0
                 effective = Severity.HIGH
         record.severity_level = max(record.severity_level, effective.rank)
-        record.violation_log.append(violation)
         if effective is Severity.LOW:
             return (EnforcementAction.LOG_ONLY,)
         if effective is Severity.MEDIUM:
@@ -528,14 +519,15 @@ class PolicyEngine:
             self._stop(st, ts)
         elif action is EnforcementAction.DEREGISTER_SW:
             self._stop(st, ts)
-            st.record.state = SwState.DEREGISTERED
+            apply_lifecycle_event(st.record, "deregister", ts)
 
     # -- running intervals --------------------------------------------------
 
     def _wake(self, st: _SwEngineState, ts: int) -> None:
-        if st.running or st.record.state is SwState.DEREGISTERED:
+        state = st.record.state
+        if state is _RUNNING or state is _DEREGISTERED:
             return
-        st.running = True
+        apply_lifecycle_event(st.record, "event_arrived", ts)
         st.activation_start = ts
         st.act_bg_count = 0
         st.act_bg_violated = False
@@ -543,22 +535,19 @@ class PolicyEngine:
         st.update_chain = False
         st.chain_capped = False
         st.last_bracket_end = None
-        st.record.state = SwState.RUNNING
         st.dirty = True
 
     def _stop(self, st: _SwEngineState, ts: int) -> None:
-        if not st.running:
+        if st.record.state is not _RUNNING:
             return
         start = st.activation_start
         st.run_intervals.append((start, ts))
         self._accrue_exec(st, start, ts)
-        st.running = False
+        apply_lifecycle_event(st.record, "terminate", ts)
         st.update_chain = False
         st.dirty = True
         if self.mode == "simulate":
             st.bracket_depth = 0  # the closed loop kills open fetch handlers
-        if st.record.state is not SwState.DEREGISTERED:
-            st.record.state = SwState.TERMINATED
 
     def _accrue_exec(self, st: _SwEngineState, start: int, end: int) -> None:
         # Split a closed running interval across virtual-day boundaries.
@@ -614,7 +603,7 @@ class PolicyEngine:
         to the end of the virtual day of ``now``, or that day's end when
         there is none. None when it has neither."""
         wake = st.pending_silent[0][1] if st.pending_silent else None
-        if st.running:
+        if st.record.state is _RUNNING:
             day_end = (self._t0 or 0) + (self._day(now) + 1) * DAY_MS
             crossing = self._next_crossing(st, day_end)
             tick = crossing[0] if crossing is not None else day_end
@@ -652,7 +641,7 @@ class PolicyEngine:
         while st.pending_silent and st.pending_silent[0][1] <= now:
             _push_ts, deadline = st.pending_silent.popleft()
             self._silent_push_detected(st, deadline, out)
-        while st.running:
+        while st.record.state is _RUNNING:
             crossing = self._next_crossing(st, now)
             if crossing is None:
                 break
@@ -772,7 +761,7 @@ class PolicyEngine:
         st = self._state_for(event)
         record = st.record
 
-        if record.state is SwState.DEREGISTERED:
+        if record.state is _DEREGISTERED:
             out.deliver = False
             return out
 
@@ -806,20 +795,20 @@ class PolicyEngine:
         st.expect_install = True
 
     def _on_install(self, st: _SwEngineState, event: TraceEvent, out: Decision) -> None:
-        if not st.expect_install and not st.running and self._refuse(out):
+        if not st.expect_install and st.record.state is not _RUNNING and self._refuse(out):
             return
         st.expect_install = False
         st.expect_activate = True
         self._wake(st, event.ts)
 
     def _on_activate(self, st: _SwEngineState, event: TraceEvent, out: Decision) -> None:
-        if not st.expect_activate and not st.running and self._refuse(out):
+        if not st.expect_activate and st.record.state is not _RUNNING and self._refuse(out):
             return
         st.expect_activate = False
         self._wake(st, event.ts)
 
     def _on_update_check(self, st: _SwEngineState, event: TraceEvent, out: Decision) -> None:
-        if not st.running and self._refuse(out):
+        if st.record.state is not _RUNNING and self._refuse(out):
             # update() is called from a handler; a dead worker cannot call it
             st.update_check_suppressed = True
             return
@@ -832,7 +821,7 @@ class PolicyEngine:
             return
         st.update_check_delivered = False
         st.record.version += 1
-        if st.running:
+        if st.record.state is _RUNNING:
             # Self-update chain: anchor at the activation it is extending.
             if not st.update_chain:
                 st.update_chain = True
@@ -895,7 +884,7 @@ class PolicyEngine:
     def _on_fetch_request(self, st: _SwEngineState, event: TraceEvent, out: Decision) -> None:
         if not event.get("initiator_is_sw"):
             return  # page-initiated; not worker execution
-        if not st.running and self._refuse(out):
+        if st.record.state is not _RUNNING and self._refuse(out):
             return
         self._wake(st, event.ts)  # open loop: the recorded event shows it running
         foreground = st.bracket_depth > 0 or (
@@ -924,7 +913,7 @@ class PolicyEngine:
             self._refuse(out)
 
     def _on_notification_show(self, st: _SwEngineState, event: TraceEvent, out: Decision) -> None:
-        if not st.running and self._refuse(out):
+        if st.record.state is not _RUNNING and self._refuse(out):
             return
         self._wake(st, event.ts)  # open loop: the recorded event shows it running
         if st.pending_silent:
@@ -967,7 +956,7 @@ class PolicyEngine:
 
     def _on_notification_close(self, st: _SwEngineState, event: TraceEvent, out: Decision) -> None:
         by_user = bool(event.get("by_user", False))
-        if not by_user and not st.running and self._refuse(out):
+        if not by_user and st.record.state is not _RUNNING and self._refuse(out):
             return
         shown = st.visible.pop(event.get("notif_id", ""), None)
         if shown is None:
@@ -988,7 +977,7 @@ class PolicyEngine:
             )
 
     def _on_terminate(self, st: _SwEngineState, event: TraceEvent, out: Decision) -> None:
-        if not st.running:
+        if st.record.state is not _RUNNING:
             self._refuse(out)  # already stopped by policy
             return
         self._stop(st, event.ts)

@@ -213,6 +213,18 @@ class TestCspCommands:
         out = capsys.readouterr().out
         assert "fine.js: allow" in out and "bad.js: deny" in out
 
+    @pytest.mark.parametrize("origin,import_url", [
+        ("https://a.example", "https://b.example:99999/x.js"),
+        ("nope", "https://a.example/x.js"),
+        ("https://a.example", "https://[x/a"),
+    ], ids=["import_port_range", "origin", "import_brackets"])
+    def test_check_unparsable_input_exits_two(self, capsys, origin, import_url):
+        code = run(["csp-check", "--origin", origin, "--import", import_url])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert captured.out == ""
+
     def test_audit_counts(self, tmp_path, capsys):
         corpus = tmp_path / "headers.jsonl"
         rows = []

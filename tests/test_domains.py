@@ -23,8 +23,3 @@ def test_bare_and_edge_hosts():
 def test_url_helper():
     assert url_registrable_domain("https://cdn.victim.example:8443/x?q=1") == "victim.example"
     assert url_registrable_domain("not a url") == ""
-
-
-def test_override_table():
-    custom = frozenset({"internal.corp"})
-    assert registrable_domain("svc.team.internal.corp", custom) == "team.internal.corp"

@@ -217,6 +217,10 @@ class TestLifecycle:
         rec = make_record(state=SwState.TERMINATED)
         assert apply_lifecycle_event(rec, "event_arrived") is SwState.RUNNING
 
+    def test_installing_runs_on_event(self):
+        rec = make_record(state=SwState.INSTALLING)
+        assert apply_lifecycle_event(rec, "event_arrived") is SwState.RUNNING
+
     def test_random_legal_sequences_stay_in_state_space(self):
         from sw_sentinel.model import LIFECYCLE_EVENTS
 

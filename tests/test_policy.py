@@ -18,7 +18,6 @@ from sw_sentinel.policy import (
     ViolationRecord,
     default_policies,
     load_policies,
-    update_engagement,
 )
 from sw_sentinel.trace import TraceEvent, UnbalancedBrackets
 
@@ -118,7 +117,6 @@ class TestProfiles:
         assert PROFILES["chrome"].self_update_delay_cap_minutes == 3
         assert PROFILES["edge"].self_update_delay_cap_minutes == 3
         assert PROFILES["firefox"].self_update_delay_cap_minutes is None
-        assert PROFILES["safari"].terminate_on_site_close
 
 
 class TestPushWindow:
@@ -505,24 +503,28 @@ class TestEscalation:
 
 class TestEngagement:
     def test_first_visit_scores_two(self):
-        score = update_engagement(EngagementScore(), page_visit(0))
+        score = EngagementScore()
+        score.visit(0)
         assert score.score == pytest.approx(2.0)
 
     def test_half_life_decay(self):
-        score = update_engagement(EngagementScore(), page_visit(0))
+        score = EngagementScore()
+        score.visit(0)
         seven_days = 7 * 86_400_000
         assert score.value_at(seven_days) == pytest.approx(1.0)
 
     def test_sixty_visits_cap_at_hundred(self):
         score = EngagementScore()
         for i in range(60):
-            score = update_engagement(score, page_visit(i * 1_000))
+            score.visit(i * 1_000)
         assert score.score == pytest.approx(100.0)
 
     def test_non_visit_event_only_decays(self):
-        score = update_engagement(EngagementScore(), page_visit(0))
-        later = update_engagement(score, ev(7 * 86_400_000, "push", push_id="p"))
-        assert later.score == pytest.approx(1.0)
+        engine = engine_with()
+        seven_days = 7 * 86_400_000
+        engine.on_event(page_visit(0))
+        engine.on_event(ev(seven_days, "push", push_id="p"))
+        assert engine.engagement_for(ORIGIN).value_at(seven_days) == pytest.approx(1.0)
 
 
 PUSH_CAP_ONE = PolicyConfig((PolicySpec("push_per_hour", Severity.LOW, 1, 60),))
