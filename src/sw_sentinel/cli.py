@@ -18,9 +18,9 @@ from typing import Any, Iterable, Optional
 from . import csp as csp_mod
 from . import forensics
 from .model import ModelError, Origin
-from .policy import PolicyConfig, PolicyEngine, PROFILES, load_policies
+from .policy import PolicyConfig, PolicyConfigError, PolicyEngine, PROFILES, load_policies
 from .scenarios import GENERATORS, Scenario, generate, simulate
-from .trace import TraceError, UnbalancedBrackets, emit_trace, read_trace
+from .trace import TraceError, TraceEvent, UnbalancedBrackets, emit_trace, read_trace
 
 ENV_CONFIG = "SW_SENTINEL_CONFIG"
 
@@ -59,8 +59,10 @@ def _load_config(path: Optional[str]) -> PolicyConfig:
     try:
         with open(path, encoding="utf-8") as fh:
             return load_policies(fh.read())
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise CliError(f"cannot read policy config {path}: {exc}") from exc
+    except PolicyConfigError as exc:
+        raise CliError(f"invalid policy config {path}: {exc}") from exc
 
 
 def _write_text(path: str, text: str) -> None:
@@ -111,28 +113,27 @@ def _notice_rows(notices) -> list[dict[str, Any]]:
     ]
 
 
-def _scenario_from_args(args: argparse.Namespace) -> Scenario:
+def _generate(args: argparse.Namespace) -> list[TraceEvent]:
+    """The one generation path of ``gen`` and ``simulate``."""
     params = _parse_params(args.param or [])
     duration = params.pop("duration_ms", None)
-    return Scenario(name=args.scenario, seed=args.seed, params=params,
-                    duration_ms=duration)
+    try:
+        return generate(Scenario(name=args.scenario, seed=args.seed, params=params,
+                                 duration_ms=duration))
+    except (KeyError, TypeError, ValueError) as exc:  # unknown, missing or bad params
+        raise CliError(f"cannot generate scenario: {exc}") from exc
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
-    scenario = _scenario_from_args(args)
-    try:
-        events = generate(scenario)
-    except (KeyError, TypeError) as exc:
-        raise CliError(f"cannot generate scenario: {exc}") from exc
+    events = _generate(args)
     _write_trace_file(args.out, events)
     print(f"wrote {len(events)} events to {args.out}")
     return 0
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    scenario = _scenario_from_args(args)
-    config = _load_config(args.policies)
-    result = simulate(scenario, config, args.profile)
+    events = _generate(args)
+    result = simulate(events, _load_config(args.policies), args.profile)
     out = args.out
     _write_trace_file(os.path.join(out, "delivered.jsonl"), result.delivered_events)
     _write_trace_file(os.path.join(out, "suppressed.jsonl"), result.suppressed_events)

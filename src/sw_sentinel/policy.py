@@ -1,10 +1,17 @@
 """Policy enforcement engine for service worker event streams.
 
-Declarative count/time policies are evaluated over a virtual clock:
-tumbling windows aligned to trace start, per-activation counters, daily
-execution budgets, browser-profile silent-push handling, and a severity
-ladder that maps accumulated violations to log / terminate / deregister
-decisions.
+Declarative count/time policies are evaluated over a virtual clock, with
+browser-profile silent-push handling and a severity ladder that maps
+accumulated violations to log / terminate / deregister decisions.
+
+``RULES`` is the one table of policy names: it says which rules need a
+window, which throttle the event past their threshold (``_count``) and which
+stop the worker whatever the ladder says. Each rule is triggered by one event
+kind or clock crossing and judged under one key: a window slot aligned to
+trace start (``push_per_hour``), a (tag, slot) pair (``tag_reuse``), the
+activation (``bg_fetch_per_activation``, ``exec_per_activation``), the
+virtual day (``exec_per_day``), or none, judging every close
+(``notif_min_visible``). ``_violate`` reports once per key, then climbs.
 
 The engine runs in two modes that judge every event and deadline the same
 way and differ only where a decision is applied. ``simulate`` is the closed
@@ -43,7 +50,7 @@ from enum import Enum
 from functools import cached_property
 from importlib import resources
 from operator import attrgetter
-from typing import Any, Iterable, Mapping, Optional, Sequence
+from typing import Any, Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .domains import registrable_domain, url_registrable_domain
 from .model import (Capability, Origin, Scope, SwRecord, SwState,
@@ -65,16 +72,23 @@ DEFAULT_NOTIFICATION_TITLE = "The site has been updated in the background."
 # 0.25 us in CPython 3.11, so the two members it compares with are bound once.
 _RUNNING, _DEREGISTERED = SwState.RUNNING, SwState.DEREGISTERED
 
-KNOWN_POLICIES = frozenset(
-    {
-        "push_per_hour",
-        "exec_per_activation",
-        "exec_per_day",
-        "bg_fetch_per_activation",
-        "notif_min_visible",
-        "tag_reuse",
-    }
-)
+
+class Rule(NamedTuple):
+    """What the engine does with a policy beyond its spec."""
+
+    windowed: bool  # counts in tumbling windows: needs duration_in_minutes >= 1
+    throttles: bool  # an event past the threshold is throttled
+    stops: bool  # a violation stops the worker whatever the ladder says
+
+
+RULES: dict[str, Rule] = {
+    "push_per_hour": Rule(windowed=True, throttles=True, stops=False),
+    "exec_per_activation": Rule(windowed=False, throttles=False, stops=True),
+    "exec_per_day": Rule(windowed=True, throttles=False, stops=True),
+    "bg_fetch_per_activation": Rule(windowed=False, throttles=True, stops=False),
+    "notif_min_visible": Rule(windowed=False, throttles=False, stops=False),
+    "tag_reuse": Rule(windowed=True, throttles=False, stops=False),
+}
 
 
 class PolicyConfigError(Exception):
@@ -108,6 +122,11 @@ class EnforcementAction(Enum):
     THROTTLE_EVENT = "throttle_event"
     TERMINATE_SW = "terminate_sw"
     DEREGISTER_SW = "deregister_sw"
+
+
+# Bound once, as _RUNNING is: the action paths pass and compare these often.
+_LOG_ONLY, _THROTTLE = EnforcementAction.LOG_ONLY, EnforcementAction.THROTTLE_EVENT
+_TERMINATE, _DEREGISTER = EnforcementAction.TERMINATE_SW, EnforcementAction.DEREGISTER_SW
 
 
 @dataclass(frozen=True)
@@ -216,7 +235,8 @@ def _parse_spec(obj: Any) -> PolicySpec:
             f"policy object must have exactly keys {sorted(_TEMPLATE_KEYS)}: {obj!r}"
         )
     name = obj["name"]
-    if name not in KNOWN_POLICIES:
+    rule = RULES.get(name) if isinstance(name, str) else None
+    if rule is None:
         raise UnknownPolicyName(f"unknown policy {name!r}")
     try:
         severity = Severity(obj["severity"])
@@ -230,7 +250,7 @@ def _parse_spec(obj: Any) -> PolicySpec:
     duration = obj["duration_in_minutes"]
     if isinstance(duration, bool) or not isinstance(duration, int) or duration < 0:
         raise PolicyConfigError(f"bad duration_in_minutes: {duration!r}")
-    if name in ("push_per_hour", "tag_reuse", "exec_per_day") and duration < 1:
+    if rule.windowed and duration < 1:
         raise PolicyConfigError(f"{name} needs a window of at least one minute")
     return PolicySpec(name, severity, float(threshold), duration)
 
@@ -243,29 +263,33 @@ def load_policies(config_text: str | bytes | None = None) -> PolicyConfig:
     ``deregister_engagement_threshold``.
     """
     if config_text is None:
-        config_text = resources.files(__package__).joinpath("defaults.json").read_text(
-            "utf-8"
-        )
-    data = json.loads(config_text)
-    allow_list: frozenset[str] = frozenset()
-    threshold = 5.0
+        config_text = resources.files(__package__).joinpath("defaults.json").read_text("utf-8")
+    try:
+        data = json.loads(config_text)
+    except ValueError as exc:
+        raise PolicyConfigError(f"config is not JSON: {exc}") from exc
+    allow_list: Any = []
+    threshold: Any = 5.0
     if isinstance(data, dict):
         items = data.get("policies", [])
-        allow_list = frozenset(data.get("allow_list", []))
-        threshold = float(data.get("deregister_engagement_threshold", 5.0))
+        allow_list = data.get("allow_list", [])
+        threshold = data.get("deregister_engagement_threshold", 5.0)
     elif isinstance(data, list):
         items = data
     else:
         raise PolicyConfigError("config must be an array or an object")
-    specs = []
-    seen = set()
-    for obj in items:
-        spec = _parse_spec(obj)
-        if spec.name in seen:
+    if not isinstance(items, list):
+        raise PolicyConfigError(f"policies must be an array: {items!r}")
+    if not isinstance(allow_list, list) or not all(isinstance(o, str) for o in allow_list):
+        raise PolicyConfigError(f"allow_list must be an array of origins: {allow_list!r}")
+    if isinstance(threshold, bool) or not isinstance(threshold, (int, float)):
+        raise PolicyConfigError(f"bad deregister_engagement_threshold: {threshold!r}")
+    specs: list[PolicySpec] = []
+    for spec in map(_parse_spec, items):
+        if any(spec.name == seen.name for seen in specs):
             raise DuplicateName(f"duplicate policy {spec.name!r}")
-        seen.add(spec.name)
         specs.append(spec)
-    return PolicyConfig(tuple(specs), allow_list, threshold)
+    return PolicyConfig(tuple(specs), frozenset(allow_list), float(threshold))
 
 
 def default_policies() -> PolicyConfig:
@@ -312,23 +336,20 @@ class EngineRun:
         self.notices.extend(decision.notices)
 
 
+_Crossing = tuple[int, str, Any, float]  # see _next_crossing
+
+
 @dataclass
 class _SwEngineState:
     record: SwRecord
     first_party: frozenset[str]
     activation_start: int = 0
+    activation: int = 0  # the number of the current (or last) activation
     run_intervals: list[tuple[int, int]] = field(default_factory=list)
-    # tumbling-window counters: policy -> slot -> count
-    windows: dict[str, dict[int, int]] = field(default_factory=dict)
-    window_violated: set[tuple[str, int]] = field(default_factory=set)
-    # tag -> [slot, consecutive replacement count]
-    tag_counts: dict[str, list] = field(default_factory=dict)
-    tag_violated: set[tuple[str, int]] = field(default_factory=set)
+    # rule counters and the keys already reported, both by (policy, key)
+    counts: dict[tuple[str, Any], int] = field(default_factory=dict)
+    violated: set[tuple[str, Any]] = field(default_factory=set)
     day_exec_ms: dict[int, int] = field(default_factory=dict)
-    day_exec_violated: set[int] = field(default_factory=set)
-    act_exec_violated: bool = False
-    act_bg_count: int = 0
-    act_bg_violated: bool = False
     pending_silent: deque = field(default_factory=deque)
     visible: dict[str, tuple[int, Optional[str]]] = field(default_factory=dict)
     bracket_depth: int = 0
@@ -400,8 +421,9 @@ class PolicyEngine:
         return intervals
 
     def window_counts(self, sw_id: str, policy_name: str) -> dict[int, int]:
-        """Per-slot event counts for one worker and window policy."""
-        return dict(self._states[sw_id].windows.get(policy_name, {}))
+        """Per-key event counts for one worker and counting policy."""
+        counts = self._states[sw_id].counts
+        return {key: count for (name, key), count in counts.items() if name == policy_name}
 
     def _new_state(self, record: SwRecord) -> _SwEngineState:
         domains = {registrable_domain(record.origin.host)}
@@ -475,35 +497,63 @@ class PolicyEngine:
         st = self._states[record.sw_id]
         day = self._day(violation.ts)
         if day != st.ladder_day:
-            st.ladder_day = day
-            st.lows_today = 0
-            st.mediums_today = 0
+            st.ladder_day, st.lows_today, st.mediums_today = day, 0, 0
         spec = self.config.get(violation.policy_name)
         effective = spec.severity if spec is not None else Severity.MEDIUM
         if effective is Severity.LOW:
             st.lows_today += 1
             if st.lows_today >= PROMOTE_AFTER:
-                st.lows_today = 0
-                effective = Severity.MEDIUM
+                st.lows_today, effective = 0, Severity.MEDIUM
         if effective is Severity.MEDIUM:
             st.mediums_today += 1
             if st.mediums_today >= PROMOTE_AFTER:
-                st.mediums_today = 0
-                effective = Severity.HIGH
+                st.mediums_today, effective = 0, Severity.HIGH
         record.severity_level = max(record.severity_level, effective.rank)
         if effective is Severity.LOW:
-            return (EnforcementAction.LOG_ONLY,)
+            return (_LOG_ONLY,)
         if effective is Severity.MEDIUM:
-            return (EnforcementAction.TERMINATE_SW,)
+            return (_TERMINATE,)
         score = self.engagement_for(str(record.origin)).value_at(violation.ts)
         if score < self.config.deregister_engagement_threshold:
-            return (EnforcementAction.TERMINATE_SW, EnforcementAction.DEREGISTER_SW)
-        return (EnforcementAction.TERMINATE_SW,)
+            return (_TERMINATE, _DEREGISTER)
+        return (_TERMINATE,)
 
-    def _apply_ladder(self, st: _SwEngineState, violation: ViolationRecord, out: Decision) -> None:
+    def _violate(self, st: _SwEngineState, spec: PolicySpec, key: Any, ts: int,
+                 observed: float, out: Decision) -> None:
+        """The one path from a rule's transgression to its decisions: report
+        it once per (rule, key), or every time when ``key`` is None, then
+        climb the ladder. A rule that ``stops`` terminates the worker
+        whatever rung the ladder reaches."""
+        name = spec.name
+        if key is not None:
+            if (name, key) in st.violated:
+                return
+            st.violated.add((name, key))
+        violation = ViolationRecord(name, st.record.sw_id, ts, observed, spec.threshold)
         out.violations.append(violation)
-        for action in self.escalate(st.record, violation):
-            self._apply_action(st, violation.ts, action, violation.policy_name, out)
+        actions = self.escalate(st.record, violation)
+        if RULES[name].stops and _TERMINATE not in actions:
+            actions += (_TERMINATE,)
+        for action in actions:
+            self._apply_action(st, ts, action, name, out)
+
+    def _count(self, st: _SwEngineState, spec: PolicySpec, key: Any, ts: int,
+               out: Decision) -> bool:
+        """Count one event against a counting rule under ``key``. Past the
+        threshold a throttling rule throttles the event, and the rule is
+        violated once per key. True when the closed loop refuses the event."""
+        name = spec.name
+        counter = (name, key)
+        counts = st.counts
+        count = counts[counter] = counts.get(counter, 0) + 1
+        if count <= spec.threshold:
+            return False
+        throttles = RULES[name].throttles
+        if throttles:
+            self._apply_action(st, ts, _THROTTLE, name, out)
+        if counter not in st.violated:  # a flood past the threshold skips the call
+            self._violate(st, spec, key, ts, count, out)
+        return throttles and self._refuse(out)
 
     def _apply_action(
         self, st: _SwEngineState, ts: int, action: EnforcementAction, reason: str,
@@ -515,9 +565,9 @@ class PolicyEngine:
         out.actions.append(ActionEntry(ts, st.record.sw_id, action, reason))
         if self.mode != "simulate":
             return
-        if action is EnforcementAction.TERMINATE_SW:
+        if action is _TERMINATE:
             self._stop(st, ts)
-        elif action is EnforcementAction.DEREGISTER_SW:
+        elif action is _DEREGISTER:
             self._stop(st, ts)
             apply_lifecycle_event(st.record, "deregister", ts)
 
@@ -529,11 +579,8 @@ class PolicyEngine:
             return
         apply_lifecycle_event(st.record, "event_arrived", ts)
         st.activation_start = ts
-        st.act_bg_count = 0
-        st.act_bg_violated = False
-        st.act_exec_violated = False
-        st.update_chain = False
-        st.chain_capped = False
+        st.activation += 1
+        st.update_chain = st.chain_capped = False
         st.last_bracket_end = None
         st.dirty = True
 
@@ -645,73 +692,61 @@ class PolicyEngine:
             crossing = self._next_crossing(st, now)
             if crossing is None:
                 break
-            ts, cause = crossing
-            if cause == "self_update_cap":
+            ts, reason, key, observed = crossing
+            if key is not None:
+                self._violate(st, self.config.get(reason), key, ts, observed, out)
+                continue
+            if reason == "self_update_cap":
                 st.chain_capped = True
-                self._apply_action(st, ts, EnforcementAction.TERMINATE_SW, cause, out)
-            elif cause == "exec_per_day_exhausted":
-                # Budget already violated today: keep stopping the worker,
-                # but log no further violations.
-                self._apply_action(st, ts, EnforcementAction.TERMINATE_SW, "exec_per_day", out)
-            else:
-                spec = self.config.get(cause)
-                if cause == "exec_per_activation":
-                    st.act_exec_violated = True
-                    observed = (ts - st.activation_start) / 60_000
-                else:
-                    day = self._day(ts)
-                    st.day_exec_violated.add(day)
-                    done = st.day_exec_ms.get(day, 0)
-                    live_start = max(st.activation_start, (self._t0 or 0) + day * DAY_MS)
-                    observed = (done + (ts - live_start)) / 60_000
-                violation = ViolationRecord(cause, st.record.sw_id, ts, observed, spec.threshold)
-                actions = self.escalate(st.record, violation)
-                if EnforcementAction.TERMINATE_SW not in actions:
-                    # Execution caps terminate regardless of ladder position.
-                    actions = actions + (EnforcementAction.TERMINATE_SW,)
-                out.violations.append(violation)
-                for action in actions:
-                    self._apply_action(st, ts, action, cause, out)
+            # A self-update chain reached its cap or, in the closed loop, a
+            # worker woke after spending today's budget: stop it, but log no
+            # further violation.
+            self._apply_action(st, ts, _TERMINATE, reason, out)
 
-    def _next_crossing(self, st: _SwEngineState, now: int) -> Optional[tuple[int, str]]:
-        candidates: list[tuple[int, str]] = []
+    def _next_crossing(self, st: _SwEngineState, now: int) -> Optional[_Crossing]:
+        """The earliest clock crossing of ``st`` up to ``now``, as (tick,
+        reason, key, observed). The reason is a rule's name, whose key is
+        None when the crossing only stops the worker, or the self-update cap."""
+        candidates: list[_Crossing] = []
         spec = self.config.get("exec_per_activation")
-        if spec is not None and not st.act_exec_violated:
+        if spec is not None and (spec.name, st.activation) not in st.violated:
             ts = self._tick_after(st.activation_start + int(spec.threshold * 60_000))
             if ts <= now:
-                candidates.append((ts, "exec_per_activation"))
-        spec = self.config.get("exec_per_day")
-        if spec is not None:
-            crossing = self._day_crossing(st, now, int(spec.threshold * 60_000))
-            if crossing is not None:
-                candidates.append(crossing)
+                candidates.append((ts, spec.name, st.activation,
+                                   (ts - st.activation_start) / 60_000))
+        crossing = self._day_crossing(st, now)
+        if crossing is not None:
+            candidates.append(crossing)
         cap = self.profile.self_update_delay_cap_minutes
         if cap is not None and st.update_chain and not st.chain_capped:
             ts = self._tick_after(st.chain_anchor + cap * 60_000)
             if ts <= now:
-                candidates.append((ts, "self_update_cap"))
+                candidates.append((ts, "self_update_cap", None, 0.0))
+        # Each reason appears once, so ties on a tick fall to the reason.
         return min(candidates) if candidates else None
 
-    def _day_crossing(
-        self, st: _SwEngineState, now: int, budget_ms: int
-    ) -> Optional[tuple[int, str]]:
+    def _day_crossing(self, st: _SwEngineState, now: int) -> Optional[_Crossing]:
+        spec = self.config.get("exec_per_day")
+        if spec is None:
+            return None
+        name, budget_ms = spec.name, int(spec.threshold * 60_000)
         t0 = self._t0 or 0
         day = (st.activation_start - t0) // DAY_MS
         last_day = (now - t0) // DAY_MS
         while day <= last_day:
             day_start = t0 + day * DAY_MS
             live_start = max(st.activation_start, day_start)
-            if day in st.day_exec_violated:
+            if (name, day) in st.violated:
                 # Only meaningful in closed loop; open loop reported already.
                 if self.mode == "simulate":
                     crossing = self._tick_after(live_start)
                     if crossing <= min(now, day_start + DAY_MS):
-                        return crossing, "exec_per_day_exhausted"
+                        return crossing, name, None, 0.0
             else:
-                remaining = budget_ms - st.day_exec_ms.get(day, 0)
-                crossing = self._tick_after(live_start + max(remaining, 0))
+                done = st.day_exec_ms.get(day, 0)
+                crossing = self._tick_after(live_start + max(budget_ms - done, 0))
                 if crossing <= min(now, day_start + DAY_MS):
-                    return crossing, "exec_per_day"
+                    return crossing, name, day, (done + crossing - live_start) / 60_000
             day += 1
         return None
 
@@ -719,9 +754,7 @@ class PolicyEngine:
         st.record.silent_push_count += 1
         sw_id = st.record.sw_id
         if self.profile.default_notification_on_silent_push:
-            out.notices.append(
-                Notice(ts, sw_id, "default_notification", DEFAULT_NOTIFICATION_TITLE)
-            )
+            out.notices.append(Notice(ts, sw_id, "default_notification", DEFAULT_NOTIFICATION_TITLE))
         limit = self.profile.silent_push_limit
         if limit is not None and st.record.push_subscribed and st.record.silent_push_count >= limit:
             st.record.push_subscribed = False
@@ -768,8 +801,7 @@ class PolicyEngine:
         needed = REQUIRED_CAPABILITY.get(kind)
         if needed is not None and not check_capability(record, needed):
             out.deliver = False
-            self._apply_action(st, event.ts, EnforcementAction.THROTTLE_EVENT,
-                               f"capability:{needed.value}", out)
+            self._apply_action(st, event.ts, _THROTTLE, f"capability:{needed.value}", out)
             return out
 
         handler = getattr(self, f"_on_{kind}", None)
@@ -839,23 +871,10 @@ class PolicyEngine:
             )
             return
         spec = self.config.get("push_per_hour")
-        if spec is not None and event.origin not in self.config.allow_list:
-            counts = st.windows.setdefault("push_per_hour", {})
-            slot = self._slot(event.ts, spec.duration_in_minutes)
-            counts[slot] = counts.get(slot, 0) + 1
-            if counts[slot] > spec.threshold:
-                self._apply_action(st, event.ts, EnforcementAction.THROTTLE_EVENT,
-                                   "push_per_hour", out)
-                if ("push_per_hour", slot) not in st.window_violated:
-                    st.window_violated.add(("push_per_hour", slot))
-                    self._apply_ladder(
-                        st,
-                        ViolationRecord("push_per_hour", record.sw_id, event.ts,
-                                        counts[slot], spec.threshold),
-                        out,
-                    )
-                if self._refuse(out):
-                    return
+        if (spec is not None and event.origin not in self.config.allow_list
+                and self._count(st, spec, self._slot(event.ts, spec.duration_in_minutes),
+                                event.ts, out)):
+            return
         self._wake(st, event.ts)
         st.pending_silent.append((event.ts, event.ts + SILENT_PUSH_GRACE_MS))
         st.dirty = True
@@ -863,8 +882,7 @@ class PolicyEngine:
     def _on_sync(self, st: _SwEngineState, event: TraceEvent, out: Decision) -> None:
         self._wake(st, event.ts)
 
-    def _on_periodicsync(self, st: _SwEngineState, event: TraceEvent, out: Decision) -> None:
-        self._wake(st, event.ts)
+    _on_periodicsync = _on_sync
 
     def _on_fetch_event_start(self, st: _SwEngineState, event: TraceEvent, out: Decision) -> None:
         self._wake(st, event.ts)
@@ -887,30 +905,13 @@ class PolicyEngine:
         if st.record.state is not _RUNNING and self._refuse(out):
             return
         self._wake(st, event.ts)  # open loop: the recorded event shows it running
-        foreground = st.bracket_depth > 0 or (
-            st.last_bracket_end is not None and event.ts == st.last_bracket_end
-        )
-        if foreground:
-            return
-        domain = url_registrable_domain(event.get("url", ""))
-        if domain in st.first_party:
+        if st.bracket_depth > 0 or event.ts == st.last_bracket_end:
+            return  # foreground: inside a fetch handler, or at its end
+        if url_registrable_domain(event.get("url", "")) in st.first_party:
             return
         spec = self.config.get("bg_fetch_per_activation")
-        if spec is None:
-            return
-        st.act_bg_count += 1
-        if st.act_bg_count > spec.threshold:
-            self._apply_action(st, event.ts, EnforcementAction.THROTTLE_EVENT,
-                               "bg_fetch_per_activation", out)
-            if not st.act_bg_violated:
-                st.act_bg_violated = True
-                self._apply_ladder(
-                    st,
-                    ViolationRecord("bg_fetch_per_activation", st.record.sw_id,
-                                    event.ts, st.act_bg_count, spec.threshold),
-                    out,
-                )
-            self._refuse(out)
+        if spec is not None:
+            self._count(st, spec, st.activation, event.ts, out)
 
     def _on_notification_show(self, st: _SwEngineState, event: TraceEvent, out: Decision) -> None:
         if st.record.state is not _RUNNING and self._refuse(out):
@@ -921,33 +922,14 @@ class PolicyEngine:
             st.dirty = True
         tag = event.get("tag")
         if tag is not None:
-            replaced = [
-                notif_id for notif_id, (_ts, seen_tag) in st.visible.items()
-                if seen_tag == tag
-            ]
-            if replaced:
-                for notif_id in replaced:
-                    del st.visible[notif_id]
-                self._note_tag_reuse(st, tag, event, out)
+            replaced = [notif_id for notif_id, (_ts, seen) in st.visible.items() if seen == tag]
+            for notif_id in replaced:
+                del st.visible[notif_id]
+            spec = self.config.get("tag_reuse")
+            if replaced and spec is not None:
+                self._count(st, spec, (tag, self._slot(event.ts, spec.duration_in_minutes)),
+                            event.ts, out)
         st.visible[event.get("notif_id", "")] = (event.ts, tag)
-
-    def _note_tag_reuse(self, st: _SwEngineState, tag: str, event: TraceEvent, out: Decision) -> None:
-        spec = self.config.get("tag_reuse")
-        if spec is None:
-            return
-        counter = st.tag_counts.setdefault(tag, [0, 0])
-        slot = self._slot(event.ts, spec.duration_in_minutes or 60)
-        if slot != counter[0]:
-            counter[:] = [slot, 0]
-        counter[1] += 1
-        if counter[1] > spec.threshold and (tag, slot) not in st.tag_violated:
-            st.tag_violated.add((tag, slot))
-            self._apply_ladder(
-                st,
-                ViolationRecord("tag_reuse", st.record.sw_id, event.ts,
-                                counter[1], spec.threshold),
-                out,
-            )
 
     def _on_notification_click(self, st: _SwEngineState, event: TraceEvent, out: Decision) -> None:
         if st.visible.pop(event.get("notif_id", ""), None) is None and self._refuse(out):
@@ -962,19 +944,10 @@ class PolicyEngine:
         if shown is None:
             self._refuse(out)
             return
-        if by_user:
-            return
         spec = self.config.get("notif_min_visible")
-        if spec is None:
-            return
         delta_s = (event.ts - shown[0]) / 1_000
-        if delta_s < spec.threshold:
-            self._apply_ladder(
-                st,
-                ViolationRecord("notif_min_visible", st.record.sw_id, event.ts,
-                                delta_s, spec.threshold),
-                out,
-            )
+        if not by_user and spec is not None and delta_s < spec.threshold:
+            self._violate(st, spec, None, event.ts, delta_s, out)
 
     def _on_terminate(self, st: _SwEngineState, event: TraceEvent, out: Decision) -> None:
         if st.record.state is not _RUNNING:

@@ -14,6 +14,7 @@ event marks the process exit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Mapping, Optional, Sequence
 
@@ -362,6 +363,9 @@ def generate(scenario: Scenario) -> list[TraceEvent]:
     kwargs = dict(scenario.params)
     if scenario.duration_ms is not None:
         kwargs["duration_ms"] = scenario.duration_ms
+    for key, value in kwargs.items():
+        if isinstance(value, (int, float)) and not 0 <= value < math.inf:
+            raise ValueError(f"parameter {key} must be a finite number >= 0: {value!r}")
     return GENERATORS[scenario.name](scenario.seed, **kwargs)
 
 

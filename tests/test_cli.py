@@ -181,6 +181,51 @@ class TestHostileFields:
             assert err.startswith("error: invalid trace") and "line 2" in err
 
 
+POLICY = {"name": "push_per_hour", "severity": "low", "threshold": 2,
+          "duration_in_minutes": 60}
+
+
+class TestHostileArguments:
+    """A malformed policy file or generator parameter is a usage error:
+    exit 2 with an ``error:`` line, never a traceback and exit 1."""
+
+    @pytest.mark.parametrize("argv,policy_text", [
+        (["enforce"], json.dumps([{**POLICY, "threshold": 0}])),
+        (["enforce"], json.dumps([{**POLICY, "severity": "dire"}])),
+        (["enforce"], json.dumps({"policies": [POLICY],
+                                  "deregister_engagement_threshold": "x"})),
+        (["enforce"], json.dumps({"policies": 5})),
+        (["enforce"], json.dumps({"policies": [POLICY], "allow_list": 7})),
+        (["enforce"], "[5]"),
+        (["enforce"], "not json"),
+        (["simulate", "--scenario", "benign"], "[5]"),
+        (["simulate", "--scenario", "push_flood", "--param", "pushes_per_hour=20",
+          "--param", "bogus=3"], None),
+        (["simulate", "--scenario", "ddos", "--param", "req_per_s=5"], None),
+        (["simulate", "--scenario", "ddos", "--param", "req_per_s=-1",
+          "--param", "burst_minutes=1"], None),
+        (["gen", "--scenario", "ddos", "--param", "req_per_s=-1",
+          "--param", "burst_minutes=1"], None),
+    ], ids=["threshold_zero", "severity", "engagement_text", "policies_number",
+            "allow_list_number", "spec_number", "not_json", "simulate_policies",
+            "simulate_unknown_param", "simulate_missing_param", "simulate_negative_param",
+            "gen_negative_param"])
+    def test_exits_two_with_an_error_line(self, tmp_path, capsys, argv, policy_text):
+        if argv[0] == "enforce":
+            trace = tmp_path / "t.jsonl"
+            write_lines(trace, fetch_trace("register", "install", "activate"))
+            argv = argv + ["--trace", str(trace)]
+        if policy_text is not None:
+            policy = tmp_path / "p.json"
+            policy.write_text(policy_text)
+            argv = argv + ["--policies", str(policy)]
+        out = tmp_path / ("out.jsonl" if argv[0] == "gen" else "out")
+        assert run(argv + ["--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert not out.exists()
+
+
 class TestCspCommands:
     def test_check_denies_third_party_with_exit_one(self, capsys):
         code = run(["csp-check", "--header", "script-src 'self'",

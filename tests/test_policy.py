@@ -1,4 +1,6 @@
 import random
+import re
+from pathlib import Path
 
 import pytest
 
@@ -10,9 +12,11 @@ from sw_sentinel.policy import (
     EnforcementAction,
     EngagementScore,
     PolicyConfig,
+    PolicyConfigError,
     PolicyEngine,
     PolicySpec,
     PROFILES,
+    RULES,
     Severity,
     UnknownPolicyName,
     ViolationRecord,
@@ -85,6 +89,23 @@ class TestLoadPolicies:
                 '"duration_in_minutes":60}]'
             )
 
+    @pytest.mark.parametrize("text", [
+        "not json",
+        "5",
+        "[5]",
+        '{"policies": 5}',
+        '{"allow_list": 7}',
+        '{"allow_list": [7]}',
+        '{"deregister_engagement_threshold": "x"}',
+        '{"deregister_engagement_threshold": true}',
+        '[{"name": ["x"], "severity": "low", "threshold": 1, "duration_in_minutes": 60}]',
+        '[{"name": "tag_reuse", "severity": ["x"], "threshold": 1, "duration_in_minutes": 60}]',
+        '[{"name": "tag_reuse", "severity": "low", "threshold": 1, "duration_in_minutes": 0}]',
+    ])
+    def test_every_malformed_shape_is_a_config_error(self, text):
+        with pytest.raises(PolicyConfigError):
+            load_policies(text)
+
     def test_object_form_with_allow_list(self):
         config = load_policies(
             '{"policies":[{"name":"push_per_hour","severity":"low","threshold":14,'
@@ -95,11 +116,15 @@ class TestLoadPolicies:
         assert config.deregister_engagement_threshold == 7.5
 
     def test_defaults_cover_the_six_policies(self):
-        config = default_policies()
-        assert {spec.name for spec in config.specs} == {
-            "push_per_hour", "exec_per_activation", "exec_per_day",
-            "bg_fetch_per_activation", "notif_min_visible", "tag_reuse",
-        }
+        six = {"push_per_hour", "exec_per_activation", "exec_per_day",
+               "bg_fetch_per_activation", "notif_min_visible", "tag_reuse"}
+        config = default_policies()  # defaults.json
+        assert {spec.name for spec in config.specs} == six
+        # The rule table and README's table name the same six.
+        assert set(RULES) == six
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        table = readme.split("## Default policies", 1)[1].split("\n## ", 1)[0]
+        assert set(re.findall(r"^\| `(\w+)` \|", table, re.MULTILINE)) == six
         assert config.get("push_per_hour").threshold == 14
         assert config.get("exec_per_activation").threshold == 5
         assert config.get("exec_per_day").threshold == 90

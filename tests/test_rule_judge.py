@@ -9,10 +9,11 @@ execution per activation and per virtual day over activations rebuilt from
 the trace (a stopped worker wakes on ``forensics._is_activity``, which
 ``test_lifecycle`` pins to the engine kind by kind). It then replays the
 severity ladder over each worker's violations in the order the engine meets
-them. On seeded random fleets from the real generators,
-``PolicyEngine(mode="enforce")`` must report the same violation rows and the
-same rule-driven actions under every profile (differential testing:
-McKeeman, Digital Tech. J. 10(1), 1998).
+them. On seeded random fleets from the real generators, and on seeded
+traces whose events fall on each rule's boundaries, ``PolicyEngine(mode=
+"enforce")`` must report the same violation rows and the same rule-driven
+actions under every profile (differential testing: McKeeman, Digital Tech.
+J. 10(1), 1998).
 """
 
 import random
@@ -31,7 +32,9 @@ from sw_sentinel.policy import (
     EngagementScore,
     PolicyEngine,
     Severity,
+    load_policies,
 )
+from sw_sentinel.trace import TraceEvent
 
 from test_policy_clock import ALL_GENERATORS, CONFIGS, merged_fleet
 
@@ -180,7 +183,7 @@ def _ladder_actions(events, config, violations):
         if event.sw_id is not None:
             origin_of.setdefault(event.sw_id, str(Origin.parse(event.origin)))
     actions = []
-    ladder = {}  # sw_id -> [day, lows, mediums]
+    ladder = {}  # sw_id -> (day, lows, mediums)
     for order, policy, sw, ts, _observed, _threshold in sorted(
             violations, key=lambda row: (row[2], row[0])):
         day, lows, mediums = ladder.get(sw, (None, 0, 0))
@@ -244,6 +247,70 @@ def test_engine_matches_the_judge(seed):
             assert engine_verdicts(events, config, profile) == expected, (config_name, profile)
 
 
+# Small thresholds and one-minute windows, so that short traces reach them.
+EDGE = load_policies("""[
+  {"name": "push_per_hour", "severity": "low", "threshold": 2, "duration_in_minutes": 1},
+  {"name": "exec_per_activation", "severity": "medium", "threshold": 1, "duration_in_minutes": 0},
+  {"name": "exec_per_day", "severity": "low", "threshold": 2, "duration_in_minutes": 1440},
+  {"name": "bg_fetch_per_activation", "severity": "low", "threshold": 1, "duration_in_minutes": 0},
+  {"name": "notif_min_visible", "severity": "low", "threshold": 30, "duration_in_minutes": 0},
+  {"name": "tag_reuse", "severity": "low", "threshold": 1, "duration_in_minutes": 1}
+]""")
+EDGE_KINDS = ("sync", "push", "push", "terminate", "terminate", "fetch_event_start",
+              "fetch_event_end", "fetch_request", "fetch_request", "notification_show",
+              "notification_show", "notification_close", "notification_click")
+# Gaps on and off the 1 s tick grid, at the distances where EDGE's
+# comparisons flip (a 30 s close, a 1 min activation and its 61 s crossing).
+EDGE_STEPS = (0, 0, 500, 1_000, 1_000, 29_000, 30_000, 31_000, 60_000, 61_000)
+
+
+def _edge_trace(seed):
+    """Two workers whose events fall on the boundaries of every rule: same-ts
+    fetches and bracket ends, first- and third-party fetches, tags reused
+    across window slots, and now and then a jump to just before midnight."""
+    rng = random.Random(seed)
+    origins = {"sw-a": "https://a.example", "sw-b": "https://b.example"}
+    events = [TraceEvent(ts=0, kind="page_visit", origin=origins["sw-a"])]
+    ts, depth = 0, Counter()
+    for _ in range(rng.randint(10, 60)):
+        ts += rng.choice(EDGE_STEPS)
+        if rng.random() < 0.03:
+            ts = max(ts, (ts // DAY_MS + 1) * DAY_MS - rng.choice((60_000, 120_500, 121_000)))
+        sw, kind = rng.choice(sorted(origins)), rng.choice(EDGE_KINDS)
+        if kind == "fetch_event_end" and depth[sw] == 0:
+            kind = "fetch_event_start"
+        depth[sw] += {"fetch_event_start": 1, "fetch_event_end": -1}.get(kind, 0)
+        payload = {}
+        if kind == "push":
+            payload = {"push_id": "p"}
+        elif kind == "fetch_request":
+            payload = {"url": rng.choice((origins[sw] + "/x", "https://cdn.other.example/x")),
+                       "initiator_is_sw": rng.random() < 0.9}
+        elif kind.startswith("notification_"):
+            payload = {"notif_id": f"n{rng.randrange(4)}", "title": "t",
+                       "tag": rng.choice("xy"), "by_user": rng.random() < 0.3}
+        events.append(TraceEvent(ts=ts, kind=kind, origin=origins[sw], sw_id=sw, scope="/",
+                                 payload=payload))
+        if kind == "fetch_event_end" and rng.random() < 0.5:
+            # Fetches at the very ts a handler ended, perhaps after a stop.
+            fetch = {"url": "https://cdn.other.example/y", "initiator_is_sw": True}
+            for then, body in ([("terminate", {})] * rng.randrange(2)
+                               + [("fetch_request", fetch)] * rng.randint(1, 2)):
+                events.append(TraceEvent(ts=ts, kind=then, origin=origins[sw], sw_id=sw,
+                                         scope="/", payload=body))
+    return events
+
+
+@pytest.mark.parametrize("chunk", range(4))
+def test_engine_matches_the_judge_on_rule_boundaries(chunk):
+    for seed in range(chunk * 100, chunk * 100 + 100):
+        events = _edge_trace(seed)
+        assert all(a.ts <= b.ts for a, b in zip(events, events[1:]))
+        expected = judge(events, EDGE)
+        for profile in ("chrome", "edge"):
+            assert engine_verdicts(events, EDGE, profile) == expected, (seed, profile)
+
+
 def test_judge_sees_every_rule_and_action():
     """The agreement above is only as strong as what the fleets exercise."""
     policies, steps = set(), set()
@@ -257,3 +324,30 @@ def test_judge_sees_every_rule_and_action():
     assert {("throttle_event", "push_per_hour"), ("throttle_event", "bg_fetch_per_activation"),
             ("log_only", "tag_reuse"), ("terminate_sw", "exec_per_day"),
             ("deregister_sw", "notif_min_visible")} <= steps
+
+
+def test_budget_spent_in_the_last_second_before_midnight(monkeypatch):
+    """The day's budget runs out 500 ms before midnight, so the crossing
+    falls on the midnight tick itself. It is the day before midnight's
+    violation: reported once, with that day's execution as observed."""
+    config = load_policies('[{"name": "exec_per_day", "severity": "low", "threshold": 3, '
+                           '"duration_in_minutes": 1440}]')
+    origin = "https://a.example"
+    events = [TraceEvent(ts=0, kind="page_visit", origin=origin)] + [
+        TraceEvent(ts=ts, kind=kind, origin=origin, sw_id="sw-1", scope="/")
+        for ts, kind in ((DAY_MS - 3 * 60_000 - 500, "sync"), (DAY_MS + 10_000, "terminate"))]
+    violate, calls = PolicyEngine._violate, []
+
+    def bounded(self, *args):
+        calls.append(args)
+        assert len(calls) < 20, "the crossing keeps firing"
+        return violate(self, *args)
+
+    monkeypatch.setattr(PolicyEngine, "_violate", bounded)
+    expected = judge(events, config)
+    assert expected[0] == [("exec_per_day", "sw-1", DAY_MS, 180_500 / 60_000, 3.0)]
+    for mode in ("simulate", "enforce"):
+        run = PolicyEngine(config, "chrome", mode=mode).run(events)
+        assert [(v.policy_name, v.sw_id, v.ts, v.observed, v.threshold)
+                for v in run.violations] == expected[0], mode
+    assert engine_verdicts(events, config, "chrome") == expected

@@ -1,5 +1,7 @@
 import random
 
+import pytest
+
 from sw_sentinel.model import SwState
 from sw_sentinel.policy import (
     EnforcementAction,
@@ -242,6 +244,11 @@ class TestSimulate:
             assert list(emit_trace(generate(scenario))) == list(
                 emit_trace(generate(scenario))
             )
+
+    @pytest.mark.parametrize("value", [-1, -0.5, float("nan"), float("inf")])
+    def test_negative_or_unbounded_params_rejected(self, value):
+        with pytest.raises(ValueError, match="req_per_s"):
+            generate(Scenario("ddos", 0, {"req_per_s": value, "burst_minutes": 1}))
 
     def test_tightening_thresholds_never_delivers_more(self):
         rng = random.Random(31)
