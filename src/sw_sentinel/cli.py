@@ -13,12 +13,14 @@ import json
 import os
 import sys
 import tempfile
-from typing import Any, Iterable, Optional
+from functools import lru_cache
+from typing import Any, Callable, Iterable, Optional
 
 from . import csp as csp_mod
 from . import forensics
 from .model import ModelError, Origin
-from .policy import PolicyConfig, PolicyConfigError, PolicyEngine, PROFILES, load_policies
+from .policy import (ActionEntry, Notice, PolicyConfig, PolicyConfigError, PolicyEngine, PROFILES,
+                     ViolationRecord, load_policies)
 from .scenarios import GENERATORS, Scenario, generate, simulate
 from .trace import TraceError, TraceEvent, UnbalancedBrackets, emit_trace, read_trace
 
@@ -83,34 +85,42 @@ def _write_trace_file(path: str, events) -> None:
     _write_text(path, "".join(line + "\n" for line in emit_trace(events)))
 
 
-# One encoder for every row, as json.dumps(sort_keys=True) would build one per call.
-_ROW_ENCODER = json.JSONEncoder(sort_keys=True)
+# The JSONL outputs are written key by key in sorted order, in the text that
+# json.dumps(row, sort_keys=True) gives, without a dict per row. Rule names,
+# action values, notice kinds and details are always strings.
+_json_str = json.encoder.encode_basestring_ascii
+_VALUE_ENCODER = json.JSONEncoder()
 
 
-def _jsonl(rows: Iterable[dict[str, Any]]) -> str:
-    return "".join(_ROW_ENCODER.encode(row) + "\n" for row in rows)
+def _json_text(value: Any) -> str:
+    """json's text for a value: null for a missing sw_id, NaN/Infinity and
+    float reprs for observed values and thresholds."""
+    kind = type(value)
+    if kind is str:
+        return _json_str(value)
+    if kind is int:
+        return int.__repr__(value)
+    return _VALUE_ENCODER.encode(value)
 
 
-def _action_rows(actions) -> list[dict[str, Any]]:
-    return [
-        {"ts": a.ts, "sw_id": a.sw_id, "action": a.action.value, "reason": a.reason}
-        for a in actions
-    ]
+def _action_row(a: ActionEntry) -> str:
+    return (f'{{"action": {_json_str(a.action.value)}, "reason": {_json_str(a.reason)}, '
+            f'"sw_id": {_json_text(a.sw_id)}, "ts": {_json_text(a.ts)}}}\n')
 
 
-def _violation_rows(violations) -> list[dict[str, Any]]:
-    return [
-        {"ts": v.ts, "sw_id": v.sw_id, "policy": v.policy_name,
-         "observed": v.observed, "threshold": v.threshold}
-        for v in violations
-    ]
+def _violation_row(v: ViolationRecord) -> str:
+    return (f'{{"observed": {_json_text(v.observed)}, "policy": {_json_str(v.policy_name)}, '
+            f'"sw_id": {_json_text(v.sw_id)}, "threshold": {_json_text(v.threshold)}, '
+            f'"ts": {_json_text(v.ts)}}}\n')
 
 
-def _notice_rows(notices) -> list[dict[str, Any]]:
-    return [
-        {"ts": n.ts, "sw_id": n.sw_id, "kind": n.kind, "detail": n.detail}
-        for n in notices
-    ]
+def _notice_row(n: Notice) -> str:
+    return (f'{{"detail": {_json_str(n.detail)}, "kind": {_json_str(n.kind)}, '
+            f'"sw_id": {_json_text(n.sw_id)}, "ts": {_json_text(n.ts)}}}\n')
+
+
+def _jsonl(row: Callable[[Any], str], records: Iterable[Any]) -> str:
+    return "".join(map(row, records))
 
 
 def _generate(args: argparse.Namespace) -> list[TraceEvent]:
@@ -137,10 +147,10 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     out = args.out
     _write_trace_file(os.path.join(out, "delivered.jsonl"), result.delivered_events)
     _write_trace_file(os.path.join(out, "suppressed.jsonl"), result.suppressed_events)
-    _write_text(os.path.join(out, "actions.jsonl"), _jsonl(_action_rows(result.actions)))
+    _write_text(os.path.join(out, "actions.jsonl"), _jsonl(_action_row, result.actions))
     _write_text(os.path.join(out, "violations.jsonl"),
-                _jsonl(_violation_rows(result.violations)))
-    _write_text(os.path.join(out, "notices.jsonl"), _jsonl(_notice_rows(result.notices)))
+                _jsonl(_violation_row, result.violations))
+    _write_text(os.path.join(out, "notices.jsonl"), _jsonl(_notice_row, result.notices))
     _write_text(
         os.path.join(out, "final_states.json"),
         json.dumps({sw: state.value for sw, state in result.final_states.items()},
@@ -172,9 +182,9 @@ def _cmd_enforce(args: argparse.Namespace) -> int:
         raise CliError(f"invalid trace {args.trace}: {exc}") from exc
     out = args.out
     _write_text(os.path.join(out, "violations.jsonl"),
-                _jsonl(_violation_rows(result.violations)))
-    _write_text(os.path.join(out, "actions.jsonl"), _jsonl(_action_rows(result.actions)))
-    _write_text(os.path.join(out, "notices.jsonl"), _jsonl(_notice_rows(result.notices)))
+                _jsonl(_violation_row, result.violations))
+    _write_text(os.path.join(out, "actions.jsonl"), _jsonl(_action_row, result.actions))
+    _write_text(os.path.join(out, "notices.jsonl"), _jsonl(_notice_row, result.notices))
     print(f"{len(result.violations)} violations, {len(result.actions)} actions")
     if args.fail_on_violation and result.violations:
         return 1
@@ -307,9 +317,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    """The parser every ``run`` in this process shares: parsing reads it and
+    builds a fresh namespace, so one run's values cannot reach the next."""
+    return build_parser()
+
+
 def run(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except CliError as exc:

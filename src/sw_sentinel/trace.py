@@ -80,13 +80,20 @@ _REQUIRED_PAYLOAD: dict[str, tuple[tuple[str, type], ...]] = {
     "code_tampered": (("source", str),),
 }
 
-_HEADER_KEYS = ("ts", "kind", "origin", "sw_id", "scope")
-
 _CAPABILITY_VALUES = frozenset(capability.value for capability in Capability)
 
 # One encoder for every line: json.dumps with non-default arguments would
 # build a new one per call.
 _LINE_ENCODER = json.JSONEncoder(separators=(",", ":"), ensure_ascii=False)
+
+# One decoder's scanner decodes every line: a stripped line needs none of
+# json.loads' whitespace skipping, and parse_trace words the scanner's
+# failures as json.loads does.
+_SCAN_ONCE = json.JSONDecoder().scan_once
+
+# How many distinct headers one parse remembers as checked. Past it the
+# memory is dropped and refilled from the lines that follow.
+_HEADER_CACHE_SIZE = 4096
 
 
 @lru_cache(maxsize=4096)
@@ -96,7 +103,7 @@ def _check_scope(scope: str) -> None:
     Scope(scope)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TraceEvent:
     """One timestamped occurrence; ``payload`` holds all kind-specific keys."""
 
@@ -121,28 +128,35 @@ class TraceEvent:
         return obj
 
 
-def _validate_obj(obj: Any, line_no: int) -> TraceEvent:
-    if not isinstance(obj, dict):
-        raise MalformedLine("record is not an object", line_no)
-    ts = obj.get("ts")
-    if isinstance(ts, bool) or not isinstance(ts, int):
-        raise MalformedLine("'ts' must be an integer millisecond count", line_no)
-    kind = obj.get("kind")
+def _decode_error(line: str, exc: Exception, line_no: int) -> MalformedLine:
+    """The MalformedLine for a line the scanner rejected, worded as json.loads
+    words it."""
+    if isinstance(exc, json.JSONDecodeError):
+        msg = exc.msg
+    elif isinstance(exc, RecursionError):
+        msg = "nesting too deep"
+    elif line.startswith("\ufeff"):
+        msg = "Unexpected UTF-8 BOM (decode using utf-8-sig)"
+    else:  # StopIteration: no value starts the line
+        msg = "Expecting value"
+    return MalformedLine(f"invalid JSON ({msg})", line_no)
+
+
+def _check_header(kind: Any, origin: Any, sw_id: Any, scope: Any, line_no: int) -> None:
+    """Raise the first failure among a record's header fields, checked in the
+    order kind, origin, sw_id, scope."""
     if not isinstance(kind, str):
         raise MalformedLine("'kind' must be a string", line_no)
     if kind not in EVENT_KINDS:
         raise UnknownEventKind(f"unknown event kind {kind!r}", line_no)
-    origin = obj.get("origin")
     if not isinstance(origin, str) or "://" not in origin:
         raise MalformedLine("'origin' must look like scheme://host[:port]", line_no)
     try:
         Origin.parse(origin)
     except ModelError as exc:
         raise MalformedLine(f"bad origin {origin!r}: {exc}", line_no) from exc
-    sw_id = obj.get("sw_id")
     if sw_id is not None and not isinstance(sw_id, str):
         raise MalformedLine("'sw_id' must be a string", line_no)
-    scope = obj.get("scope")
     if scope is not None and not isinstance(scope, str):
         raise MalformedLine("'scope' must be a string", line_no)
     if scope:  # the engine reads an empty scope as "/"
@@ -150,7 +164,10 @@ def _validate_obj(obj: Any, line_no: int) -> TraceEvent:
             _check_scope(scope)
         except ModelError as exc:
             raise MalformedLine(f"bad scope {scope!r}: {exc}", line_no) from exc
-    payload = {k: v for k, v in obj.items() if k not in _HEADER_KEYS}
+
+
+def _check_payload(kind: str, payload: dict[str, Any], line_no: int) -> None:
+    """Raise the first failure of a record's kind-specific keys."""
     caps = payload.get("capabilities")
     if caps is not None and not (
         isinstance(caps, list)
@@ -165,7 +182,11 @@ def _validate_obj(obj: Any, line_no: int) -> TraceEvent:
             raise MalformedLine(f"{kind}: '{key}' must be {typ.__name__}", line_no)
         if not isinstance(value, typ):
             raise MalformedLine(f"{kind}: missing/invalid '{key}'", line_no)
-    if kind == "fetch_request":
+    if kind == "notification_show":
+        tag = payload.get("tag")
+        if tag is not None and not isinstance(tag, str):  # the engine keys on it
+            raise MalformedLine("notification_show: 'tag' must be a string", line_no)
+    elif kind == "fetch_request":
         url = payload["url"]
         if "://" not in url:
             raise MalformedLine("fetch_request: 'url' must carry scheme and host", line_no)
@@ -173,28 +194,58 @@ def _validate_obj(obj: Any, line_no: int) -> TraceEvent:
             url_registrable_domain(url)  # what the engine and forensics ask of it
         except ValueError as exc:
             raise MalformedLine(f"fetch_request: bad 'url' {url!r}: {exc}", line_no) from exc
-    return TraceEvent(ts=ts, kind=kind, origin=origin, sw_id=sw_id, scope=scope, payload=payload)
 
 
 def parse_trace(lines: Iterable[str]) -> list[TraceEvent]:
-    """Parse line-delimited trace records, enforcing timestamp ordering."""
+    """Parse line-delimited trace records, enforcing timestamp ordering.
+
+    Each line is decoded on its own. The header (kind, origin, sw_id, scope)
+    is checked once per distinct value, and the events of one parse share
+    its strings; the kind-specific keys are checked on every line.
+    """
     events: list[TraceEvent] = []
+    append = events.append
+    headers: dict[tuple, tuple] = {}
     last_ts: Optional[int] = None
     for line_no, line in enumerate(lines, start=1):
         line = line.strip()
         if not line:
             continue
         try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise MalformedLine(f"invalid JSON ({exc.msg})", line_no) from exc
-        event = _validate_obj(obj, line_no)
-        if last_ts is not None and event.ts < last_ts:
-            raise OutOfOrderTimestamp(
-                f"ts {event.ts} precedes previous ts {last_ts}", line_no
-            )
-        last_ts = event.ts
-        events.append(event)
+            obj, end = _SCAN_ONCE(line, 0)
+        except (StopIteration, json.JSONDecodeError, RecursionError) as exc:
+            raise _decode_error(line, exc, line_no) from exc
+        if end != len(line):
+            raise MalformedLine("invalid JSON (Extra data)", line_no)
+        if type(obj) is not dict:
+            raise MalformedLine("record is not an object", line_no)
+        ts = obj.pop("ts", None)
+        if type(ts) is not int:  # a bool is not a timestamp
+            raise MalformedLine("'ts' must be an integer millisecond count", line_no)
+        kind = obj.pop("kind", None)
+        origin = obj.pop("origin", None)
+        sw_id = obj.pop("sw_id", None)
+        scope = obj.pop("scope", None)
+        header = (kind, origin, sw_id, scope)
+        # Only str/None headers are looked up: a list or object is unhashable.
+        checked = headers.get(header) if (
+            type(kind) is str and type(origin) is str
+            and (sw_id is None or type(sw_id) is str)
+            and (scope is None or type(scope) is str)
+        ) else None
+        if checked is None:
+            _check_header(kind, origin, sw_id, scope, line_no)
+            if len(headers) >= _HEADER_CACHE_SIZE:
+                headers.clear()
+            checked = headers[header] = header
+        kind, origin, sw_id, scope = checked
+        _check_payload(kind, obj, line_no)
+        if last_ts is not None and ts < last_ts:
+            raise OutOfOrderTimestamp(f"ts {ts} precedes previous ts {last_ts}", line_no)
+        last_ts = ts
+        if not obj:  # a dict emptied by pop keeps its table; {} holds none
+            obj = {}
+        append(TraceEvent(ts, kind, origin, sw_id, scope, obj))
     return events
 
 

@@ -1,9 +1,13 @@
 import json
+import math
 import os
+import random
 
 import pytest
 
+from sw_sentinel import cli
 from sw_sentinel.cli import run
+from sw_sentinel.policy import ActionEntry, EnforcementAction, Notice, ViolationRecord
 from sw_sentinel.trace import read_trace
 
 
@@ -39,6 +43,18 @@ class TestGen:
         code = run(["gen", "--scenario", "benign", "--param", "oops",
                     "--out", str(tmp_path / "x.jsonl")])
         assert code == 2
+
+    def test_runs_share_one_parser_but_not_their_params(self, tmp_path, monkeypatch):
+        seen = []
+        monkeypatch.setattr(cli, "generate", lambda scenario: seen.append(scenario) or [])
+        out = str(tmp_path / "x.jsonl")
+        assert run(["gen", "--scenario", "ddos", "--param", "req_per_s=2",
+                    "--param", "burst_minutes=1", "--out", out]) == 0
+        assert run(["gen", "--scenario", "benign", "--param", "push_rate=3", "--out", out]) == 0
+        assert run(["gen", "--scenario", "benign", "--out", out]) == 0
+        assert [scenario.params for scenario in seen] == [
+            {"req_per_s": 2, "burst_minutes": 1}, {"push_rate": 3}, {}]
+        assert cli._parser() is cli._parser()
 
 
 class TestPipeline:
@@ -157,9 +173,9 @@ class TestBracketedTraces:
 
 
 class TestHostileFields:
-    """A bad origin port, scope, capability list or fetch URL is a malformed
-    line: both trace readers exit 2 with an ``error:`` line, never a
-    traceback."""
+    """A bad origin port, scope, capability list, fetch URL, notification tag
+    or header type is a malformed line: both trace readers exit 2 with an
+    ``error:`` line, never a traceback."""
 
     @pytest.mark.parametrize("fields", [
         {"origin": "https://a.example:99999"},
@@ -168,8 +184,10 @@ class TestHostileFields:
         {"capabilities": ["telepathy"]},
         {"capabilities": "push"},
         {"kind": "fetch_request", "url": "https://[x/a", "initiator_is_sw": True},
+        {"kind": "notification_show", "notif_id": "n1", "title": "t", "tag": ["x"]},
+        {"sw_id": ["x"]},
     ], ids=["port_range", "port_text", "scope", "cap_unknown", "cap_string",
-            "fetch_url_brackets"])
+            "fetch_url_brackets", "tag_list", "sw_id_list"])
     def test_enforce_and_analyze_exit_two(self, tmp_path, capsys, fields):
         trace = tmp_path / "t.jsonl"
         objs = fetch_trace("register", "install", "activate")
@@ -310,3 +328,34 @@ class TestDownstreamCompatibility:
                         "--out", str(tmp_path / f"{name}-enf")]) == 0
             assert run(["analyze", "--trace", str(trace),
                         "--out", str(tmp_path / f"{name}-rep")]) == 0
+
+
+class TestRowWriter:
+    """The JSONL outputs are written with fixed key order, byte for byte as
+    json.dumps(row, sort_keys=True) writes each row."""
+
+    VALUES = [0, -3, 2**70, 1.5, -0.0, 1e300, math.nan, math.inf, -math.inf, True,
+              "", "plain", 'qu"ote\\', "tab\t", "caf\u00e9 \u2603 \U0001f600", None]
+
+    def test_rows_match_json_dumps(self):
+        rng = random.Random(3)
+        texts = [value for value in self.VALUES if isinstance(value, str)]
+        value, text = (lambda: rng.choice(self.VALUES)), (lambda: rng.choice(texts))
+        actions = [ActionEntry(value(), value(), rng.choice(list(EnforcementAction)), text())
+                   for _ in range(200)]
+        violations = [ViolationRecord(text(), value(), value(), value(), value())
+                      for _ in range(200)]
+        notices = [Notice(value(), value(), text(), text()) for _ in range(200)]
+        cases = [
+            (cli._action_row, actions, [{"ts": a.ts, "sw_id": a.sw_id, "action": a.action.value,
+                                         "reason": a.reason} for a in actions]),
+            (cli._violation_row, violations, [{"ts": v.ts, "sw_id": v.sw_id,
+                                               "policy": v.policy_name, "observed": v.observed,
+                                               "threshold": v.threshold} for v in violations]),
+            (cli._notice_row, notices, [{"ts": n.ts, "sw_id": n.sw_id, "kind": n.kind,
+                                         "detail": n.detail} for n in notices]),
+        ]
+        for row, records, objs in cases:
+            assert cli._jsonl(row, records) == "".join(
+                json.dumps(obj, sort_keys=True) + "\n" for obj in objs)
+            assert cli._jsonl(row, []) == ""

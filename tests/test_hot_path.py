@@ -1,6 +1,7 @@
-"""The per-event path derives each origin, domain and clock key once.
+"""The per-event path derives each header, origin, domain and clock key once.
 
-A trace repeats one origin and a few URLs on every line, so ``Origin.parse``
+A trace repeats one header and a few URLs on every line, so ``parse_trace``
+checks each distinct header once through a bounded cache, ``Origin.parse``
 and the registrable-domain lookups are memoized with a fixed bound, and the
 engine re-keys a worker's clock entry only after a handler changed an input
 of the key. These tests count that work on a seeded DDoS trace, check that
@@ -8,7 +9,10 @@ the caches neither keep failures nor change an answer when they evict, and
 check the engine's clock keys against a fresh computation after every event.
 """
 
+import gc
+import json
 import random
+import time
 
 import pytest
 
@@ -20,6 +24,7 @@ from sw_sentinel.scenarios import Scenario, generate
 from sw_sentinel.trace import TraceEvent, emit_trace, parse_trace
 
 from test_policy_clock import ALL_GENERATORS, CONFIGS, merged_fleet
+from test_trace_reader import reference_parse
 
 
 @pytest.fixture(scope="module")
@@ -28,15 +33,73 @@ def ddos_events():
     return generate(Scenario("ddos", 0, {"req_per_s": 50, "burst_minutes": 2}))
 
 
-def test_origin_parsed_once_per_distinct_origin(ddos_events):
+@pytest.fixture
+def checked_headers(monkeypatch):
+    """Every header ``parse_trace`` hands to its check, in order."""
+    checked = []
+    check_header = trace._check_header
+
+    def counted_check_header(kind, origin, sw_id, scope, line_no):
+        checked.append((kind, origin, sw_id, scope))
+        return check_header(kind, origin, sw_id, scope, line_no)
+
+    monkeypatch.setattr(trace, "_check_header", counted_check_header)
+    return checked
+
+
+def test_parse_checks_each_distinct_header_once(ddos_events, checked_headers):
     model._parse_origin.cache_clear()
     events = parse_trace(emit_trace(ddos_events))
+    headers = {(event.kind, event.origin, event.sw_id, event.scope) for event in events}
+    assert len(checked_headers) == len(set(checked_headers)) == len(headers) < 10
+    # Events with one header share its strings.
+    assert len({id(event.origin) for event in events}) <= len(headers)
     PolicyEngine(default_policies(), "chrome", mode="enforce").run(events)
     forensics.analyze_trace(events)
     info = model._parse_origin.cache_info()
     assert info.misses == len({event.origin for event in events}) == 1
-    # Origin.parse is still called for every line; only its work is shared.
-    assert info.hits + info.misses > len(events)
+
+
+def _header_cycle(distinct, rounds):
+    return [json.dumps({"ts": i, "kind": "sync", "origin": "https://a.example",
+                        "sw_id": f"sw-{i % distinct}"}) for i in range(distinct * rounds)]
+
+
+def test_header_cache_is_bounded(checked_headers, monkeypatch):
+    monkeypatch.setattr(trace, "_HEADER_CACHE_SIZE", 8)
+    assert len(parse_trace(_header_cycle(8, 3))) == 24
+    assert len(checked_headers) == 8
+    checked_headers.clear()
+    events = parse_trace(_header_cycle(9, 3))
+    assert len(checked_headers) > 9  # evicted headers are checked again
+    assert [event.sw_id for event in events] == [f"sw-{i % 9}" for i in range(27)]
+
+
+def test_parse_with_a_new_origin_on_every_line_keeps_pace():
+    """The worst case for the header cache: every line misses it, so the
+    cache keeps evicting. The parse must stay within 10 % of the reader that
+    checks every line. The load on the machine varies, so the fastest runs
+    of each reader are compared, in pairs that alternate which runs first,
+    with garbage collection off as in timeit. The check passes once it holds
+    after three pairs or more, and fails if it still does not after nine."""
+    lines = [f'{{"ts":{i},"kind":"sync","origin":"https://w{i}.example","sw_id":"sw-{i}"}}'
+             for i in range(30_000)]
+    times = {parse_trace: [], reference_parse: []}
+    for pair in range(9):
+        order = (parse_trace, reference_parse) if pair % 2 == 0 else (reference_parse, parse_trace)
+        for reader in order:
+            gc.collect()
+            gc.disable()
+            try:
+                start = time.perf_counter()
+                events = reader(lines)
+                times[reader].append(time.perf_counter() - start)
+            finally:
+                gc.enable()
+            assert len(events) == len(lines)
+        if pair >= 2 and min(times[parse_trace]) <= 1.10 * min(times[reference_parse]):
+            return
+    pytest.fail(f"worst-case parse is more than 10 % slower: {times}")
 
 
 @pytest.mark.parametrize("mode", ["enforce", "simulate"])

@@ -80,8 +80,16 @@ class TestParse:
         {"capabilities": "push"},
         {"capabilities": [1]},
         {"kind": "fetch_request", "url": "https://[x/a", "initiator_is_sw": True},
+        {"kind": "notification_show", "notif_id": "n1", "title": "t", "tag": ["x"]},
+        {"kind": "notification_show", "notif_id": "n1", "title": "t", "tag": 7},
+        {"sw_id": ["x"]},
+        {"scope": {"k": "/"}},
+        {"kind": ["register"]},
+        {"origin": ["https://t.example"]},
     ], ids=["port_range", "port_text", "brackets", "scope", "scope_dotdot",
-            "cap_unknown", "cap_string", "cap_number", "fetch_url_brackets"])
+            "cap_unknown", "cap_string", "cap_number", "fetch_url_brackets",
+            "tag_list", "tag_number", "sw_id_list", "scope_object", "kind_list",
+            "origin_list"])
     def test_bad_field_is_malformed(self, fields):
         obj = {"ts": 0, "kind": "register", "origin": ORIGIN, "sw_id": "sw-1",
                "scope": "/", **fields}
@@ -89,6 +97,12 @@ class TestParse:
             with pytest.raises(MalformedLine) as err:
                 parse_trace(["", json.dumps(obj)])
             assert err.value.line_no == 2
+
+    def test_json_nested_past_the_recursion_limit_is_malformed(self):
+        for text in ("[" * 100_000, '{"a":' * 100_000):
+            with pytest.raises(MalformedLine) as err:
+                parse_trace(['{"ts":0,"kind":"sync","origin":"https://t.example"}', text])
+            assert err.value.line_no == 2 and "nesting too deep" in str(err.value)
 
     def test_good_header_fields_parse(self):
         obj = {"ts": 0, "kind": "register", "origin": "https://t.example:8443",

@@ -1,0 +1,267 @@
+"""The trace reader against a line-by-line reference, on seeded hostile input.
+
+``parse_trace`` checks each distinct header once and decodes through the
+JSON scanner. ``reference_parse`` below is the reader it replaced:
+``json.loads`` and every check on every line. Mutated generator traces must
+give both readers the same events, or the same exception class, line number
+and message. A sample of the mutated traces must also make ``enforce`` and
+``analyze`` return 0, 1 or 2, never raise.
+"""
+
+import json
+import random
+
+import pytest
+
+from sw_sentinel.cli import run
+from sw_sentinel.domains import url_registrable_domain
+from sw_sentinel.model import Capability, ModelError, Origin, Scope
+from sw_sentinel.scenarios import GENERATORS, Scenario, generate
+from sw_sentinel.trace import (
+    EVENT_KINDS,
+    MalformedLine,
+    OutOfOrderTimestamp,
+    TraceError,
+    TraceEvent,
+    UnknownEventKind,
+    emit_trace,
+    parse_trace,
+)
+
+from test_policy_clock import _params, merged_fleet
+
+_HEADER_KEYS = ("ts", "kind", "origin", "sw_id", "scope")
+_CAPABILITY_VALUES = frozenset(capability.value for capability in Capability)
+_REQUIRED_PAYLOAD = {
+    "push": (("push_id", str),),
+    "fetch_request": (("url", str), ("initiator_is_sw", bool)),
+    "notification_show": (("notif_id", str), ("title", str)),
+    "notification_close": (("notif_id", str),),
+    "notification_click": (("notif_id", str),),
+    "permission_grant": (("permission", str),),
+    "update_found": (("version", int),),
+    "code_tampered": (("source", str),),
+}
+
+
+def _reference_validate(obj, line_no):
+    if not isinstance(obj, dict):
+        raise MalformedLine("record is not an object", line_no)
+    ts = obj.get("ts")
+    if isinstance(ts, bool) or not isinstance(ts, int):
+        raise MalformedLine("'ts' must be an integer millisecond count", line_no)
+    kind = obj.get("kind")
+    if not isinstance(kind, str):
+        raise MalformedLine("'kind' must be a string", line_no)
+    if kind not in EVENT_KINDS:
+        raise UnknownEventKind(f"unknown event kind {kind!r}", line_no)
+    origin = obj.get("origin")
+    if not isinstance(origin, str) or "://" not in origin:
+        raise MalformedLine("'origin' must look like scheme://host[:port]", line_no)
+    try:
+        Origin.parse(origin)
+    except ModelError as exc:
+        raise MalformedLine(f"bad origin {origin!r}: {exc}", line_no) from exc
+    sw_id = obj.get("sw_id")
+    if sw_id is not None and not isinstance(sw_id, str):
+        raise MalformedLine("'sw_id' must be a string", line_no)
+    scope = obj.get("scope")
+    if scope is not None and not isinstance(scope, str):
+        raise MalformedLine("'scope' must be a string", line_no)
+    if scope:
+        try:
+            Scope(scope)
+        except ModelError as exc:
+            raise MalformedLine(f"bad scope {scope!r}: {exc}", line_no) from exc
+    payload = {k: v for k, v in obj.items() if k not in _HEADER_KEYS}
+    caps = payload.get("capabilities")
+    if caps is not None and not (
+        isinstance(caps, list)
+        and all(isinstance(cap, str) and cap in _CAPABILITY_VALUES for cap in caps)
+    ):
+        raise MalformedLine(
+            f"'capabilities' must be a list of {sorted(_CAPABILITY_VALUES)}", line_no
+        )
+    for key, typ in _REQUIRED_PAYLOAD.get(kind, ()):
+        value = payload.get(key)
+        if typ is int and isinstance(value, bool):
+            raise MalformedLine(f"{kind}: '{key}' must be {typ.__name__}", line_no)
+        if not isinstance(value, typ):
+            raise MalformedLine(f"{kind}: missing/invalid '{key}'", line_no)
+    # Rule added with the one-pass reader: the engine keys on the tag.
+    tag = payload.get("tag")
+    if kind == "notification_show" and tag is not None and not isinstance(tag, str):
+        raise MalformedLine("notification_show: 'tag' must be a string", line_no)
+    if kind == "fetch_request":
+        url = payload["url"]
+        if "://" not in url:
+            raise MalformedLine("fetch_request: 'url' must carry scheme and host", line_no)
+        try:
+            url_registrable_domain(url)
+        except ValueError as exc:
+            raise MalformedLine(f"fetch_request: bad 'url' {url!r}: {exc}", line_no) from exc
+    return TraceEvent(ts=ts, kind=kind, origin=origin, sw_id=sw_id, scope=scope,
+                      payload=payload)
+
+
+def reference_parse(lines):
+    """Oracle: decode each line with json.loads and run every check on it."""
+    events = []
+    last_ts = None
+    for line_no, line in enumerate(lines, start=1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise MalformedLine(f"invalid JSON ({exc.msg})", line_no) from exc
+        except RecursionError as exc:  # rule added with the one-pass reader
+            raise MalformedLine("invalid JSON (nesting too deep)", line_no) from exc
+        event = _reference_validate(obj, line_no)
+        if last_ts is not None and event.ts < last_ts:
+            raise OutOfOrderTimestamp(
+                f"ts {event.ts} precedes previous ts {last_ts}", line_no
+            )
+        last_ts = event.ts
+        events.append(event)
+    return events
+
+
+def outcome(reader, lines):
+    """The events, or the class, line number and text of the TraceError.
+    Any other exception escapes and fails the test."""
+    try:
+        return reader(lines)
+    except TraceError as exc:
+        return (type(exc), exc.line_no, str(exc))
+
+
+def assert_readers_agree(lines):
+    expected = outcome(reference_parse, lines)
+    assert outcome(parse_trace, lines) == expected, lines
+    return expected
+
+
+# A line of each count-preserving shape: the three decode as a JSON array of
+# exactly three objects, yet each is malformed on its own.
+TRIO = ['{"a":[{}', '{}]}', '{"ts":1},{"ts":2}']
+HOSTILE = [["x"], {"k": "v"}, [], {}, 0, 7, -1.5, True, False, None, "", "x"]
+
+
+def base_traces():
+    """Short traces of every generator, plus a merged fleet with many headers."""
+    rng = random.Random(7)
+    traces = []
+    for name in sorted(GENERATORS):
+        for _ in range(2):
+            events = generate(Scenario(name, rng.randrange(1 << 16), _params(name, rng)))
+            traces.append(list(emit_trace(events[:60])))
+    traces.append(list(emit_trace(merged_fleet(3, workers=5, names=sorted(GENERATORS))[:120])))
+    for lines in traces:
+        for index, line in enumerate(lines):  # let some shows carry a tag
+            if '"kind":"notification_show"' in line and index % 2 and '"tag"' not in line:
+                lines[index] = line[:-1] + ',"tag":"t"}'
+    return traces
+
+
+BASES = base_traces()
+
+
+def mutate(lines, rng):
+    """One line-level mutation of a copy of ``lines``."""
+    lines = list(lines)
+    i = rng.randrange(len(lines))
+    line = lines[i]
+    op = rng.choice(("drop", "dup", "swap", "join", "split", "trio"))
+    if op == "swap":
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError:
+            obj = None
+        if isinstance(obj, dict):
+            key = rng.choice(sorted(obj) + ["tag", "capabilities"])
+            obj[key] = rng.choice(HOSTILE)
+            lines[i] = json.dumps(obj, separators=(",", ":"))
+            return lines
+        op = "drop"
+    if op == "drop" and line:
+        at = rng.randrange(len(line))
+        lines[i] = line[:at] + line[at + 1:]
+    elif op == "dup" and line:
+        at = rng.randrange(len(line))
+        lines[i] = line[:at] + line[at] + line[at:]
+    elif op == "join" and i + 1 < len(lines):
+        lines[i:i + 2] = [line + rng.choice(("", ",", " ")) + lines[i + 1]]
+    elif op == "split" and len(line) > 1:
+        at = rng.randrange(1, len(line))
+        lines[i:i + 1] = [line[:at], line[at:]]
+    elif op == "trio":
+        lines[i:i] = TRIO
+    return lines
+
+
+def test_the_trio_is_three_malformed_lines():
+    assert len(json.loads("[" + ",".join(TRIO) + "]")) == 3
+    for index in range(3):
+        lines = ['{"ts":0,"kind":"sync","origin":"https://a.example"}'] + TRIO[index:]
+        assert assert_readers_agree(lines)[:2] == (MalformedLine, 2)
+
+
+@pytest.mark.parametrize("text", [
+    "\ufeff{}", "{", "}", "{}{}", "{} {}", "{},", "5", "[]", '"x"', "nul", "NaN",
+    '{"ts":1', '{"ts":1,}', '{"ts":01}', '{"ts":1e3}', '{"ts":-0}', "\x0b{}", "{}\x1c",
+    '{"ts":1,"kind":"sync","origin":"https://a.example","ts":"x"}',
+])
+def test_json_edge_lines_agree(text):
+    head = '{"ts":0,"kind":"sync","origin":"https://a.example"}'
+    assert_readers_agree([head, text, head.replace('"ts":0', '"ts":2')])
+
+
+@pytest.mark.parametrize("base", range(len(BASES)))
+def test_unmutated_traces_parse_alike(base):
+    events = assert_readers_agree(BASES[base])
+    assert isinstance(events, list) and len(events) == len(BASES[base])
+
+
+def test_every_field_swap_agrees():
+    """Each header and payload field of one line of every kind, swapped for
+    each hostile JSON value, in a trace where its header was already seen."""
+    samples = {}
+    for lines in BASES:
+        for index, line in enumerate(lines):
+            kind = json.loads(line)["kind"]
+            if index and (kind not in samples or '"tag"' in line):
+                samples[kind] = (lines[index - 1], line)
+    assert len(samples) >= 12
+    rejected = 0
+    for before, line in samples.values():
+        obj = json.loads(line)
+        for key in sorted(obj) + ["tag", "capabilities", "extra"]:
+            for value in HOSTILE:
+                swapped = json.dumps({**obj, key: value}, separators=(",", ":"))
+                result = assert_readers_agree([before, line, swapped])
+                rejected += not isinstance(result, list)
+    assert rejected > 300
+
+
+def test_seeded_mutations_agree(tmp_path, capsys):
+    rng = random.Random(2024)
+    outcomes = {"events": 0, "errors": 0}
+    cli_runs = 0
+    for round_no in range(1_500):
+        lines = rng.choice(BASES)
+        for _ in range(rng.randint(1, 2)):
+            lines = mutate(lines, rng)
+        result = assert_readers_agree(lines)
+        outcomes["events" if isinstance(result, list) else "errors"] += 1
+        if round_no % 30 == 0:
+            trace = tmp_path / "t.jsonl"
+            trace.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+            for command in ("enforce", "analyze"):
+                assert run([command, "--trace", str(trace),
+                            "--out", str(tmp_path / command)]) in (0, 1, 2)
+            cli_runs += 1
+    capsys.readouterr()
+    assert min(outcomes.values()) > 100, outcomes
+    assert cli_runs == 50
