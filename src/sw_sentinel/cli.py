@@ -82,7 +82,9 @@ def _write_text(path: str, text: str) -> None:
 
 
 def _write_trace_file(path: str, events) -> None:
-    _write_text(path, "".join(line + "\n" for line in emit_trace(events)))
+    # The trailing "" ends the last line with a newline and leaves no text
+    # for no events; the list is freed before the text is written.
+    _write_text(path, "\n".join([*emit_trace(events), ""]))
 
 
 # The JSONL outputs are written key by key in sorted order, in the text that
@@ -191,6 +193,21 @@ def _cmd_enforce(args: argparse.Namespace) -> int:
     return 0
 
 
+def _check_metadata(path: str, metadata: Any) -> None:
+    """Raise CliError unless ``metadata`` maps each sw_id to an object whose
+    ``import_domains``, when present, is a list of strings."""
+    if type(metadata) is not dict:
+        raise CliError(f"invalid metadata {path}: expected an object keyed by sw_id")
+    for sw_id, meta in metadata.items():
+        if type(meta) is not dict:
+            raise CliError(f"invalid metadata {path}: {sw_id!r} must map to an object")
+        domains = meta.get("import_domains", [])
+        if type(domains) is not list or not all(type(d) is str for d in domains):
+            raise CliError(
+                f"invalid metadata {path}: {sw_id!r}: 'import_domains' must be a list of strings"
+            )
+
+
 def _cmd_analyze(args: argparse.Namespace) -> int:
     events = _read_trace_checked(args.trace)
     metadata = {}
@@ -200,6 +217,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
                 metadata = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise CliError(f"cannot read metadata {args.meta}: {exc}") from exc
+        _check_metadata(args.meta, metadata)
     try:
         reports = forensics.analyze_trace(events, metadata)
     except UnbalancedBrackets as exc:
@@ -245,13 +263,18 @@ def _cmd_csp_audit(args: argparse.Namespace) -> int:
                 line = line.strip()
                 if not line:
                     continue
+                where = f"{args.corpus}:{line_no}"
                 try:
                     obj = json.loads(line)
                 except json.JSONDecodeError as exc:
-                    raise CliError(
-                        f"{args.corpus}:{line_no}: invalid JSON ({exc.msg})"
-                    ) from exc
-                corpus.append((obj.get("url", ""), obj.get("headers", {})))
+                    raise CliError(f"{where}: invalid JSON ({exc.msg})") from exc
+                if type(obj) is not dict:
+                    raise CliError(f"{where}: record is not an object")
+                headers = obj.get("headers", {})
+                if type(headers) is not dict or not all(
+                        type(value) is str for value in headers.values()):
+                    raise CliError(f"{where}: 'headers' must be an object of strings")
+                corpus.append((obj.get("url", ""), headers))
     except OSError as exc:
         raise CliError(f"cannot read corpus {args.corpus}: {exc}") from exc
     summary = csp_mod.audit_headers(corpus)

@@ -141,7 +141,11 @@ def analyze_trace(
         # Background third-party fetches per activation.
         first_party = {registrable_domain(Origin.parse(sw_events[0].origin).host)}
         first_party |= set(meta.get("import_domains", ()))
+        # A worker fetch is itself activity, so an activation holds it. The
+        # fetches come in ts order, and so do the activations' ends, so one
+        # forward pointer finds the first activation that holds each fetch.
         counts = [0] * len(activations)
+        index = 0
         for event in sw_events:
             if event.kind != "fetch_request" or not event.get("initiator_is_sw"):
                 continue
@@ -150,10 +154,9 @@ def analyze_trace(
             )
             if verdict != BACKGROUND_THIRD_PARTY:
                 continue
-            for index, (begin, end) in enumerate(activations):
-                if begin <= event.ts <= end:
-                    counts[index] += 1
-                    break
+            while activations[index][1] < event.ts:
+                index += 1
+            counts[index] += 1
         report.bg_third_party_fetches_per_activation = counts
 
         # Programmatic close deltas paired by notif_id.

@@ -143,6 +143,16 @@ class SwState(Enum):
 # States from which a worker can control pages / receive events.
 CONTROLLING_STATES = frozenset({SwState.ACTIVATED, SwState.RUNNING, SwState.IDLE})
 
+# The members apply_lifecycle_event compares with, bound once: a member looked
+# up on an Enum class costs 0.1 to 0.25 us in CPython 3.11. The tuples are
+# searched by identity, with no call to the Enum's Python __hash__.
+_INSTALLING, _WAITING, _ACTIVATED = SwState.INSTALLING, SwState.WAITING, SwState.ACTIVATED
+_RUNNING, _IDLE = SwState.RUNNING, SwState.IDLE
+_TERMINATED, _DEREGISTERED = SwState.TERMINATED, SwState.DEREGISTERED
+_ACTIVATE_FROM = (_INSTALLING, _WAITING)
+_WAKE_FROM = (_INSTALLING, _ACTIVATED, _IDLE, _TERMINATED)
+_STOP_FROM = (_RUNNING, _IDLE, _ACTIVATED, _INSTALLING, _WAITING)
+
 LIFECYCLE_EVENTS = frozenset(
     {
         "install_done",
@@ -204,42 +214,29 @@ def apply_lifecycle_event(record: SwRecord, event_kind: str, now: int = 0) -> Sw
         raise IllegalTransition(f"unknown lifecycle event {event_kind!r}")
     state = record.state
 
-    if state is SwState.DEREGISTERED:
+    if state is _DEREGISTERED:
         raise IllegalTransition("deregistered workers never transition again")
 
     if event_kind == "deregister":
-        record.state = SwState.DEREGISTERED
+        record.state = _DEREGISTERED
     elif event_kind == "update_found":
         record.version += 1
-        record.state = SwState.INSTALLING
-    elif event_kind == "install_done" and state is SwState.INSTALLING:
-        record.state = (
-            SwState.WAITING if record.has_pending_predecessor else SwState.ACTIVATED
-        )
-    elif event_kind == "activate" and state in (SwState.INSTALLING, SwState.WAITING):
-        record.state = SwState.ACTIVATED
-    elif event_kind in ("skip_waiting", "predecessor_gone") and state is SwState.WAITING:
+        record.state = _INSTALLING
+    elif event_kind == "install_done" and state is _INSTALLING:
+        record.state = _WAITING if record.has_pending_predecessor else _ACTIVATED
+    elif event_kind == "activate" and state in _ACTIVATE_FROM:
+        record.state = _ACTIVATED
+    elif event_kind in ("skip_waiting", "predecessor_gone") and state is _WAITING:
         record.has_pending_predecessor = False
-        record.state = SwState.ACTIVATED
-    elif event_kind == "event_arrived" and state in (
-        SwState.INSTALLING,
-        SwState.ACTIVATED,
-        SwState.IDLE,
-        SwState.TERMINATED,
-    ):
-        record.state = SwState.RUNNING
-    elif event_kind == "event_done" and state is SwState.RUNNING:
-        record.state = SwState.IDLE
-    elif event_kind == "idle_timeout" and state is SwState.IDLE:
-        record.state = SwState.TERMINATED
-    elif event_kind in ("hard_timeout", "terminate") and state in (
-        SwState.RUNNING,
-        SwState.IDLE,
-        SwState.ACTIVATED,
-        SwState.INSTALLING,
-        SwState.WAITING,
-    ):
-        record.state = SwState.TERMINATED
+        record.state = _ACTIVATED
+    elif event_kind == "event_arrived" and state in _WAKE_FROM:
+        record.state = _RUNNING
+    elif event_kind == "event_done" and state is _RUNNING:
+        record.state = _IDLE
+    elif event_kind == "idle_timeout" and state is _IDLE:
+        record.state = _TERMINATED
+    elif event_kind in ("hard_timeout", "terminate") and state in _STOP_FROM:
+        record.state = _TERMINATED
     else:
         raise IllegalTransition(f"{event_kind} not legal from {state.value}")
     return record.state

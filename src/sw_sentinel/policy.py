@@ -125,6 +125,7 @@ class EnforcementAction(Enum):
 
 
 # Bound once, as _RUNNING is: the action paths pass and compare these often.
+_LOW, _MEDIUM, _HIGH = Severity.LOW, Severity.MEDIUM, Severity.HIGH
 _LOG_ONLY, _THROTTLE = EnforcementAction.LOG_ONLY, EnforcementAction.THROTTLE_EVENT
 _TERMINATE, _DEREGISTER = EnforcementAction.TERMINATE_SW, EnforcementAction.DEREGISTER_SW
 
@@ -499,19 +500,19 @@ class PolicyEngine:
         if day != st.ladder_day:
             st.ladder_day, st.lows_today, st.mediums_today = day, 0, 0
         spec = self.config.get(violation.policy_name)
-        effective = spec.severity if spec is not None else Severity.MEDIUM
-        if effective is Severity.LOW:
+        effective = spec.severity if spec is not None else _MEDIUM
+        if effective is _LOW:
             st.lows_today += 1
             if st.lows_today >= PROMOTE_AFTER:
-                st.lows_today, effective = 0, Severity.MEDIUM
-        if effective is Severity.MEDIUM:
+                st.lows_today, effective = 0, _MEDIUM
+        if effective is _MEDIUM:
             st.mediums_today += 1
             if st.mediums_today >= PROMOTE_AFTER:
-                st.mediums_today, effective = 0, Severity.HIGH
+                st.mediums_today, effective = 0, _HIGH
         record.severity_level = max(record.severity_level, effective.rank)
-        if effective is Severity.LOW:
+        if effective is _LOW:
             return (_LOG_ONLY,)
-        if effective is Severity.MEDIUM:
+        if effective is _MEDIUM:
             return (_TERMINATE,)
         score = self.engagement_for(str(record.origin)).value_at(violation.ts)
         if score < self.config.deregister_engagement_threshold:

@@ -28,7 +28,7 @@ from .policy import (
     ViolationRecord,
 )
 from .model import SwState
-from .trace import TraceEvent
+from .trace import TraceEvent, new_event
 
 IDLE_TIMEOUT_MS = 30_000
 TRACKING_SERVER = "https://tracking.example"
@@ -55,8 +55,7 @@ class SplitMix64:
 
 def _mk(ts: int, kind: str, origin: str, sw_id: Optional[str] = None,
         scope: Optional[str] = None, **payload: Any) -> TraceEvent:
-    return TraceEvent(ts=ts, kind=kind, origin=origin, sw_id=sw_id, scope=scope,
-                      payload=payload)
+    return new_event(TraceEvent, (ts, kind, origin, sw_id, scope, payload))
 
 
 def _idle_terminates(activity_ts: Sequence[int], settle_ms: int, origin: str,

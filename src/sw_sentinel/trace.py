@@ -9,9 +9,11 @@ Timestamps are non-decreasing within a trace.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from bisect import bisect_right
 from functools import lru_cache
-from typing import Any, Iterable, Iterator, Mapping, Optional
+from operator import itemgetter
+from types import MappingProxyType
+from typing import Any, Iterable, Iterator, Mapping, NamedTuple, Optional
 
 from .domains import url_registrable_domain
 from .model import Capability, ModelError, Origin, Scope
@@ -82,9 +84,13 @@ _REQUIRED_PAYLOAD: dict[str, tuple[tuple[str, type], ...]] = {
 
 _CAPABILITY_VALUES = frozenset(capability.value for capability in Capability)
 
-# One encoder for every line: json.dumps with non-default arguments would
-# build a new one per call.
+# One encoder for the values emit_trace does not write itself: json.dumps
+# with non-default arguments would build a new one per call.
 _LINE_ENCODER = json.JSONEncoder(separators=(",", ":"), ensure_ascii=False)
+_json_str = json.encoder.encode_basestring
+# Keys that to_obj writes ahead of the payload; a payload key among them
+# takes that key's place in the line.
+_HEADER_KEYS = frozenset({"ts", "kind", "origin", "sw_id", "scope"})
 
 # One decoder's scanner decodes every line: a stripped line needs none of
 # json.loads' whitespace skipping, and parse_trace words the scanner's
@@ -103,16 +109,24 @@ def _check_scope(scope: str) -> None:
     Scope(scope)
 
 
-@dataclass(frozen=True, slots=True)
-class TraceEvent:
-    """One timestamped occurrence; ``payload`` holds all kind-specific keys."""
+# The payload of an event built without one. It is shared, so it is read-only.
+_NO_PAYLOAD: Mapping[str, Any] = MappingProxyType({})
+
+
+class TraceEvent(NamedTuple):
+    """One timestamped occurrence; ``payload`` holds all kind-specific keys.
+
+    An immutable record that costs a tuple to build: its fields cannot be
+    assigned, and an event built without a payload gets the shared read-only
+    empty mapping.
+    """
 
     ts: int
     kind: str
     origin: str
     sw_id: Optional[str] = None
     scope: Optional[str] = None
-    payload: Mapping[str, Any] = field(default_factory=dict)
+    payload: Mapping[str, Any] = _NO_PAYLOAD
 
     def get(self, key: str, default: Any = None) -> Any:
         return self.payload.get(key, default)
@@ -126,6 +140,12 @@ class TraceEvent:
         for key in sorted(self.payload):
             obj[key] = self.payload[key]
         return obj
+
+
+# new_event(TraceEvent, (ts, kind, origin, sw_id, scope, payload)) builds an
+# event without the Python frame of the class's generated __new__, at half
+# its cost; the reader and the generators build one per line.
+new_event = tuple.__new__
 
 
 def _decode_error(line: str, exc: Exception, line_no: int) -> MalformedLine:
@@ -178,6 +198,8 @@ def _check_payload(kind: str, payload: dict[str, Any], line_no: int) -> None:
         )
     for key, typ in _REQUIRED_PAYLOAD.get(kind, ()):
         value = payload.get(key)
+        if type(value) is typ:  # what every well-formed line holds
+            continue
         if typ is int and isinstance(value, bool):
             raise MalformedLine(f"{kind}: '{key}' must be {typ.__name__}", line_no)
         if not isinstance(value, typ):
@@ -227,12 +249,12 @@ def parse_trace(lines: Iterable[str]) -> list[TraceEvent]:
         sw_id = obj.pop("sw_id", None)
         scope = obj.pop("scope", None)
         header = (kind, origin, sw_id, scope)
-        # Only str/None headers are looked up: a list or object is unhashable.
-        checked = headers.get(header) if (
-            type(kind) is str and type(origin) is str
-            and (sw_id is None or type(sw_id) is str)
-            and (scope is None or type(scope) is str)
-        ) else None
+        # A remembered header holds only str and None, which no other JSON
+        # value equals; a list or object field is unhashable.
+        try:
+            checked = headers.get(header)
+        except TypeError:
+            checked = None
         if checked is None:
             _check_header(kind, origin, sw_id, scope, line_no)
             if len(headers) >= _HEADER_CACHE_SIZE:
@@ -245,20 +267,79 @@ def parse_trace(lines: Iterable[str]) -> list[TraceEvent]:
         last_ts = ts
         if not obj:  # a dict emptied by pop keeps its table; {} holds none
             obj = {}
-        append(TraceEvent(ts, kind, origin, sw_id, scope, obj))
+        append(new_event(TraceEvent, (ts, kind, origin, sw_id, scope, obj)))
     return events
 
 
+def _value_text(value: Any) -> str:
+    """The text _LINE_ENCODER gives ``value``, written directly for the
+    types a trace holds most."""
+    kind = type(value)
+    if kind is str:
+        return _json_str(value)
+    if kind is int:
+        return int.__repr__(value)
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if value is None:
+        return "null"
+    return _LINE_ENCODER.encode(value)
+
+
+def _header_text(kind: Any, origin: Any, sw_id: Any, scope: Any) -> str:
+    text = ',"kind":' + _value_text(kind) + ',"origin":' + _value_text(origin)
+    if sw_id is not None:
+        text += ',"sw_id":' + _value_text(sw_id)
+    if scope is not None:
+        text += ',"scope":' + _value_text(scope)
+    return text
+
+
 def emit_trace(events: Iterable[TraceEvent]) -> Iterator[str]:
-    """Serialize events to canonical lines; inverse of parse_trace."""
+    """Serialize events to canonical lines; inverse of parse_trace.
+
+    Each line is the text ``_LINE_ENCODER.encode(event.to_obj())`` gives,
+    written from pieces: the header text of each distinct (kind, origin,
+    sw_id, scope) and each payload key's text are made once per call, with
+    no dict and no sort of the header. A payload with a key that is not a
+    string, or that names a header field, takes the to_obj path.
+    """
+    headers: dict[tuple, str] = {}
+    keys: dict[str, str] = {}
     last_ts: Optional[int] = None
     for event in events:
-        if last_ts is not None and event.ts < last_ts:
-            raise InvariantViolation(
-                f"events out of order: ts {event.ts} after {last_ts}"
-            )
-        last_ts = event.ts
-        yield _LINE_ENCODER.encode(event.to_obj())
+        ts, kind, origin, sw_id, scope, payload = event
+        if last_ts is not None and ts < last_ts:
+            raise InvariantViolation(f"events out of order: ts {ts} after {last_ts}")
+        last_ts = ts
+        header = (kind, origin, sw_id, scope)
+        try:
+            head = headers[header]
+        except (KeyError, TypeError):  # not seen yet, or an unhashable field
+            head = _header_text(kind, origin, sw_id, scope)
+            # Only str/None fields are remembered: 1 and True are equal keys
+            # with different texts.
+            if (type(kind) is str and type(origin) is str
+                    and (sw_id is None or type(sw_id) is str)
+                    and (scope is None or type(scope) is str)):
+                if len(headers) >= _HEADER_CACHE_SIZE:
+                    headers.clear()
+                headers[header] = head
+        line = '{"ts":' + _value_text(ts) + head
+        if payload:
+            for key in sorted(payload):
+                key_text = keys.get(key)
+                if key_text is None:
+                    if type(key) is not str or key in _HEADER_KEYS:
+                        line = _LINE_ENCODER.encode(event.to_obj())[:-1]  # "}" follows
+                        break
+                    if len(keys) >= _HEADER_CACHE_SIZE:
+                        keys.clear()
+                    key_text = keys[key] = "," + _json_str(key) + ":"
+                line += key_text + _value_text(payload[key])
+        yield line + "}"
 
 
 def read_trace(path: str) -> list[TraceEvent]:
@@ -305,6 +386,8 @@ def bracket_intervals(
     return out
 
 
+_span_start = itemgetter(0)
+
 FOREGROUND = "foreground"
 BACKGROUND_FIRST_PARTY = "background_first_party"
 BACKGROUND_THIRD_PARTY = "background_third_party"
@@ -321,16 +404,20 @@ def classify_background_fetch(
     Foreground when its timestamp lies inside any fetch-handler bracket of
     the same worker; otherwise background, split by whether the request URL's
     registrable domain belongs to the first-party set (worker origin plus
-    importScripts domains). Pass precomputed ``intervals`` when classifying
-    many fetches from one trace.
+    importScripts domains). Pass precomputed ``intervals``, as
+    bracket_intervals returns them, when classifying many fetches from one
+    trace: a worker's intervals are sorted and disjoint, so only the last
+    one starting at or before the fetch can hold it.
     """
     if fetch_event.kind != "fetch_request" or not fetch_event.get("initiator_is_sw"):
         raise ValueError("classify_background_fetch expects a worker-initiated fetch_request")
     if intervals is None:
         intervals = bracket_intervals(events)
-    for start, end in intervals.get(fetch_event.sw_id or "", []):
-        if start <= fetch_event.ts <= end:
-            return FOREGROUND
+    spans = intervals.get(fetch_event.sw_id or "", ())
+    ts = fetch_event.ts
+    index = bisect_right(spans, ts, key=_span_start)
+    if index and ts <= spans[index - 1][1]:
+        return FOREGROUND
     domain = url_registrable_domain(fetch_event.get("url", ""))
     if domain in first_party_domains:
         return BACKGROUND_FIRST_PARTY

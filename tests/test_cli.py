@@ -204,10 +204,14 @@ POLICY = {"name": "push_per_hour", "severity": "low", "threshold": 2,
 
 
 class TestHostileArguments:
-    """A malformed policy file or generator parameter is a usage error:
-    exit 2 with an ``error:`` line, never a traceback and exit 1."""
+    """A malformed policy, metadata or corpus file, or generator parameter, is
+    a usage error: exit 2 with an ``error:`` line, never a traceback and
+    exit 1."""
 
-    @pytest.mark.parametrize("argv,policy_text", [
+    # The option each command reads the row's file through.
+    FILE_FLAG = {"analyze": "--meta", "csp-audit": "--corpus"}
+
+    @pytest.mark.parametrize("argv,file_text", [
         (["enforce"], json.dumps([{**POLICY, "threshold": 0}])),
         (["enforce"], json.dumps([{**POLICY, "severity": "dire"}])),
         (["enforce"], json.dumps({"policies": [POLICY],
@@ -224,23 +228,32 @@ class TestHostileArguments:
           "--param", "burst_minutes=1"], None),
         (["gen", "--scenario", "ddos", "--param", "req_per_s=-1",
           "--param", "burst_minutes=1"], None),
+        (["analyze"], "[1]"),
+        (["analyze"], json.dumps({"sw-1": {"import_domains": 5}})),
+        (["csp-audit"], "[1]\n"),
+        (["csp-audit"], json.dumps({"url": "https://a.example", "headers": 5}) + "\n"),
     ], ids=["threshold_zero", "severity", "engagement_text", "policies_number",
             "allow_list_number", "spec_number", "not_json", "simulate_policies",
             "simulate_unknown_param", "simulate_missing_param", "simulate_negative_param",
-            "gen_negative_param"])
-    def test_exits_two_with_an_error_line(self, tmp_path, capsys, argv, policy_text):
-        if argv[0] == "enforce":
+            "gen_negative_param", "meta_list", "meta_import_domains_number",
+            "corpus_line_list", "corpus_headers_number"])
+    def test_exits_two_with_an_error_line(self, tmp_path, capsys, argv, file_text):
+        if argv[0] in ("enforce", "analyze"):
             trace = tmp_path / "t.jsonl"
             write_lines(trace, fetch_trace("register", "install", "activate"))
             argv = argv + ["--trace", str(trace)]
-        if policy_text is not None:
-            policy = tmp_path / "p.json"
-            policy.write_text(policy_text)
-            argv = argv + ["--policies", str(policy)]
+        if file_text is not None:
+            path = tmp_path / "input.json"
+            path.write_text(file_text)
+            argv = argv + [self.FILE_FLAG.get(argv[0], "--policies"), str(path)]
         out = tmp_path / ("out.jsonl" if argv[0] == "gen" else "out")
-        assert run(argv + ["--out", str(out)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and "Traceback" not in err
+        if argv[0] != "csp-audit":
+            argv = argv + ["--out", str(out)]
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+        if argv[0] == "csp-audit":
+            assert f"{path}:1: " in captured.err and captured.out == ""
         assert not out.exists()
 
 

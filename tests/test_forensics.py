@@ -19,7 +19,18 @@ from sw_sentinel.scenarios import (
     gen_webbot,
     generate,
 )
-from sw_sentinel.trace import TraceEvent
+from sw_sentinel.domains import registrable_domain, url_registrable_domain
+from sw_sentinel.model import Origin
+from sw_sentinel.trace import (
+    BACKGROUND_FIRST_PARTY,
+    BACKGROUND_THIRD_PARTY,
+    FOREGROUND,
+    TraceEvent,
+    bracket_intervals,
+    classify_background_fetch,
+)
+
+from test_policy_clock import ALL_GENERATORS, merged_fleet
 
 HOUR = 3_600_000
 DAY = 86_400_000
@@ -233,6 +244,64 @@ class TestAnalyzeTrace:
                 expected.notification_close_deltas_s
             )
             assert got.right_censored_activation == expected.right_censored_activation
+
+
+    @staticmethod
+    def _with_edge_fetches(events, rng):
+        """Add worker fetches on the very ts of bracket starts and ends and of
+        terminates, where a bracket or an activation ends as the next begins."""
+        out = []
+        for event in events:
+            out.append(event)
+            if (event.kind in ("fetch_event_start", "fetch_event_end", "terminate")
+                    and rng.random() < 0.5):
+                url = rng.choice(["https://third.example/x", event.origin + "/own",
+                                  "https://imported.example/lib"])
+                out.append(TraceEvent(event.ts, "fetch_request", event.origin, event.sw_id,
+                                      event.scope, {"url": url, "initiator_is_sw": True}))
+        return out
+
+    @staticmethod
+    def _linear_verdict(intervals, fetch, first_party):
+        """The classifier as a scan over every bracket of the worker."""
+        for start, end in intervals.get(fetch.sw_id, []):
+            if start <= fetch.ts <= end:
+                return FOREGROUND
+        if url_registrable_domain(fetch.get("url")) in first_party:
+            return BACKGROUND_FIRST_PARTY
+        return BACKGROUND_THIRD_PARTY
+
+    def test_fetch_verdicts_and_counts_match_linear_scans_on_generator_traces(self):
+        rng = random.Random(808)
+        traces = [merged_fleet(seed, rng.randint(3, 12), ALL_GENERATORS, near_midnight=False)
+                  for seed in range(8)]
+        traces.append(generate(Scenario("tracking_library", 0, {"page_visits": 300})))
+        for events in traces:
+            events = self._with_edge_fetches(events, rng)
+            workers = sorted({e.sw_id for e in events if e.sw_id is not None})
+            meta = {sw: {"import_domains": ["imported.example"]}
+                    for sw in workers if rng.random() < 0.5}
+            intervals = bracket_intervals(events)
+            reports = analyze_trace(events, meta)
+            assert sorted(reports) == workers
+            fetches = 0
+            for sw in workers:
+                sw_events = [e for e in events if e.sw_id == sw]
+                imports = meta.get(sw, {}).get("import_domains", [])
+                first_party = {registrable_domain(Origin.parse(sw_events[0].origin).host),
+                               *imports}
+                for event in sw_events:
+                    if event.kind == "fetch_request" and event.get("initiator_is_sw"):
+                        fetches += 1
+                        assert (classify_background_fetch(events, event, first_party,
+                                                          intervals=intervals)
+                                == self._linear_verdict(intervals, event, first_party))
+                expected = self._brute_force(events, sw, imports)
+                assert (reports[sw].bg_third_party_fetches_per_activation
+                        == expected.bg_third_party_fetches_per_activation)
+                assert (reports[sw].exec_minutes_per_activation
+                        == pytest.approx(expected.exec_minutes_per_activation))
+            assert fetches
 
 
 class TestSummarize:

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from sw_sentinel.scenarios import Scenario, generate
 from sw_sentinel.trace import (
     BACKGROUND_FIRST_PARTY,
     BACKGROUND_THIRD_PARTY,
@@ -19,6 +20,8 @@ from sw_sentinel.trace import (
     emit_trace,
     parse_trace,
 )
+
+from test_policy_clock import ALL_GENERATORS, _params
 
 ORIGIN = "https://t.example"
 
@@ -177,6 +180,105 @@ class TestEmit:
         rng = random.Random(5)
         events = self._random_trace(rng, 10_000)
         assert parse_trace(emit_trace(events)) == events
+
+
+def _dumps_line(event):
+    """The canonical line as json.dumps writes it: the emit oracle."""
+    return json.dumps(event.to_obj(), separators=(",", ":"), ensure_ascii=False)
+
+
+HOSTILE_TEXT = ['caf\u00e9 \u2603 \U0001f600', 'tab\tnl\nnul\x00bell\x07del\x7f',
+                'quote " and back\\slash', "\u2028\u2029\ud800", ""]
+
+
+def _hostile_events():
+    events = []
+    ts = 0
+    for text in HOSTILE_TEXT:
+        for sw_id, scope in ((text, text), (None, None), (text, None), (None, "/" + text)):
+            ts += 1
+            events.append(TraceEvent(ts, "push", "https://" + text + ".example", sw_id, scope,
+                                     {"push_id": text, text: text, "k\"\\": [text]}))
+        events.append(TraceEvent(ts, text, text, text, text, {"push_id": text}))
+    values = [float("nan"), float("inf"), float("-inf"), -0.0, 0.0, 1.5, 1e300,
+              10**30, -(10**30), True, False, 1, 0, None, [], {}, [1, [True, None], {"a": 1}],
+              {"z": {"y": [1.0, "x\n"]}, "a": None}, {1: "one", 2.5: "x", None: 0, True: 1}]
+    for value in values:
+        ts += 1
+        events.append(TraceEvent(ts, "update_found", ORIGIN, "sw-1", "/", {"version": value}))
+        events.append(TraceEvent(ts, "terminate", ORIGIN, "sw-1", "/", {"v": value, "a": 1}))
+    for payload in ({}, {1: "int key"}, {None: "null key"}, {2.5: "x", 3.5: "y"},
+                    {True: "true key"}, {"ts": 99, "kind": "x", "sw_id": "override"},
+                    {"scope": "/s", "zz": 1}, {"origin": "o", "aa": 2}):
+        ts += 1
+        events.append(TraceEvent(ts, "terminate", ORIGIN, None, None, payload))
+        events.append(TraceEvent(ts, "terminate", ORIGIN, "sw-1", "/", payload))
+    # Equal but differently written header fields, emitted in one call.
+    for header in ((1, 1, None, None), (True, True, None, None), (1.0, 1.0, None, None),
+                   ("push", ORIGIN, 1, 0), ("push", ORIGIN, True, False),
+                   (["push"], {"o": 1}, [None], {"s": [1.5]})):
+        ts += 1
+        events.append(TraceEvent(ts, *header, {"n": 1}))
+    events.append(TraceEvent(True, "push", ORIGIN))  # a bool ts is written as true
+    return sorted(events, key=lambda event: event.ts)
+
+
+class TestEmitOracle:
+    """emit_trace writes its lines from pieces; each must be the line
+    json.dumps writes for the event's to_obj."""
+
+    def test_generator_traces(self):
+        for name in ALL_GENERATORS:
+            for seed in range(3):
+                rng = random.Random(seed)
+                events = generate(Scenario(name, seed, _params(name, rng)))
+                assert list(emit_trace(events)) == [_dumps_line(e) for e in events]
+
+    def test_hostile_events(self):
+        events = _hostile_events()
+        assert list(emit_trace(events)) == [_dumps_line(e) for e in events]
+        # Once more in reverse header order: what one call remembers of a
+        # header or key must not leak into an equal one written otherwise.
+        events = [e._replace(ts=i) for i, e in enumerate(reversed(events))]
+        assert list(emit_trace(events)) == [_dumps_line(e) for e in events]
+
+    def test_unwritable_values_raise_as_json_does(self):
+        for payload in ({"v": object()}, {"a": 1, 2: "mixed keys"}):
+            event = TraceEvent(0, "push", ORIGIN, payload=payload)
+            with pytest.raises(TypeError):
+                _dumps_line(event)
+            with pytest.raises(TypeError):
+                list(emit_trace([event]))
+
+
+class TestRecord:
+    def test_fields_in_order(self):
+        assert TraceEvent._fields == ("ts", "kind", "origin", "sw_id", "scope", "payload")
+
+    def test_assignment_raises(self):
+        event = ev(0, "push", push_id="a")
+        for name in TraceEvent._fields + ("extra",):
+            with pytest.raises(AttributeError):
+                setattr(event, name, None)
+        assert event == ev(0, "push", push_id="a")
+
+    def test_events_without_payload_share_no_mutable_dict(self):
+        first = TraceEvent(0, "terminate", ORIGIN)
+        second = TraceEvent(1, "terminate", ORIGIN, "sw-1", "/")
+        with pytest.raises(TypeError):
+            first.payload["leak"] = 1
+        assert second.get("leak") is None and dict(second.payload) == {}
+        assert second.to_obj() == {"ts": 1, "kind": "terminate", "origin": ORIGIN,
+                                   "sw_id": "sw-1", "scope": "/"}
+
+    def test_keyword_and_positional_construction_agree(self):
+        payload = {"url": "https://x.example/", "initiator_is_sw": True}
+        by_keyword = TraceEvent(ts=5, kind="fetch_request", origin=ORIGIN, sw_id="sw-1",
+                                scope="/", payload=payload)
+        assert by_keyword == TraceEvent(5, "fetch_request", ORIGIN, "sw-1", "/", payload)
+        assert by_keyword.get("url") == "https://x.example/"
+        assert TraceEvent(ts=0, kind="terminate", origin=ORIGIN) == TraceEvent(
+            0, "terminate", ORIGIN, None, None, {})
 
 
 class TestBrackets:
