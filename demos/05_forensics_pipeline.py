@@ -24,9 +24,8 @@ reports = {}
 metadata = {}
 for i in range(45):
     rate = rng.randint(1, 9)
-    events = gen_benign(i, {"push_rate": rate, "exec_min_per_day": rng.randint(5, 60),
-                            "fetches_per_activation": rng.randint(0, 3)},
-                        duration_ms=6 * HOUR)
+    events = gen_benign(i, push_rate=rate, exec_min_per_day=rng.randint(5, 60),
+                        fetches_per_activation=rng.randint(0, 3), duration_ms=6 * HOUR)
     report = analyze_trace(events)["sw-benign"]
     reports[f"sw-{i}"] = report
     metadata[f"sw-{i}"] = {"rank": 100 + i * 90}

@@ -24,7 +24,6 @@ from .trace import (
     emit_trace,
     parse_trace,
     read_trace,
-    write_trace,
 )
 from .policy import (
     BrowserProfile,

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import io
 import json
 import os
 import sys
@@ -81,7 +82,7 @@ def _write_text(path: str, text: str) -> None:
         raise
 
 
-def _write_trace_file(path: str, events) -> None:
+def _write_events(path: str, events) -> None:
     # The trailing "" ends the last line with a newline and leaves no text
     # for no events; the list is freed before the text is written.
     _write_text(path, "\n".join([*emit_trace(events), ""]))
@@ -138,7 +139,7 @@ def _generate(args: argparse.Namespace) -> list[TraceEvent]:
 
 def _cmd_gen(args: argparse.Namespace) -> int:
     events = _generate(args)
-    _write_trace_file(args.out, events)
+    _write_events(args.out, events)
     print(f"wrote {len(events)} events to {args.out}")
     return 0
 
@@ -147,8 +148,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     events = _generate(args)
     result = simulate(events, _load_config(args.policies), args.profile)
     out = args.out
-    _write_trace_file(os.path.join(out, "delivered.jsonl"), result.delivered_events)
-    _write_trace_file(os.path.join(out, "suppressed.jsonl"), result.suppressed_events)
+    _write_events(os.path.join(out, "delivered.jsonl"), result.delivered_events)
+    _write_events(os.path.join(out, "suppressed.jsonl"), result.suppressed_events)
     _write_text(os.path.join(out, "actions.jsonl"), _jsonl(_action_row, result.actions))
     _write_text(os.path.join(out, "violations.jsonl"),
                 _jsonl(_violation_row, result.violations))
@@ -231,7 +232,10 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         values: list[float] = []
         for report in reports.values():
             values.extend(getattr(report, field_name))
-        forensics.export_cdf(values, os.path.join(args.out, f"cdf_{metric}.csv"))
+        # csv ends rows with "\r\n"; a StringIO keeps them as written.
+        text = io.StringIO()
+        forensics.export_cdf(values, text)
+        _write_text(os.path.join(args.out, f"cdf_{metric}.csv"), text.getvalue())
     print(f"analyzed {len(reports)} workers into {args.out}")
     return 0
 

@@ -12,11 +12,11 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Mapping, Optional, Sequence
+from typing import Any, Iterable, Mapping, Optional, Sequence, TextIO
 
 from .domains import registrable_domain
 from .model import Origin
-from .policy import DAY_MS, HOUR_MS
+from .policy import DAY_MS, HOUR_MS, day_segments
 from .trace import (
     BACKGROUND_THIRD_PARTY,
     TraceEvent,
@@ -130,12 +130,8 @@ def analyze_trace(
         # Execution split across virtual days, zero-filled over the trace span.
         day_totals = [0.0] * ((trace_end - t0) // DAY_MS + 1)
         for begin, end in activations:
-            cursor = begin
-            while cursor < end:
-                day = (cursor - t0) // DAY_MS
-                segment_end = min(end, t0 + (day + 1) * DAY_MS)
-                day_totals[day] += (segment_end - cursor) / 60_000
-                cursor = segment_end
+            for day, ms in day_segments(begin, end, t0):
+                day_totals[day] += ms / 60_000
         report.exec_minutes_per_day = day_totals
 
         # Background third-party fetches per activation.
@@ -255,12 +251,10 @@ def summarize(
     return out
 
 
-def export_cdf(values: Sequence[float], out) -> list[tuple[float, float]]:
+def export_cdf(values: Sequence[float], out: TextIO) -> list[tuple[float, float]]:
     """Write (value, cumulative_fraction) CSV rows for the sorted unique
-    values; the final fraction is exactly 1.0. Returns the rows.
-
-    ``out`` is a path or a writable text file object.
-    """
+    values to the text file ``out``; the final fraction is exactly 1.0.
+    Returns the rows."""
     rows: list[tuple[float, float]] = []
     if values:
         ordered = sorted(values)
@@ -273,17 +267,8 @@ def export_cdf(values: Sequence[float], out) -> list[tuple[float, float]]:
                 index += 1
                 seen += 1
             rows.append((value, seen / n))
-
-    def write(fh) -> None:
-        writer = csv.writer(fh)
-        writer.writerow(["value", "cumulative_fraction"])
-        for value, fraction in rows:
-            writer.writerow([repr(value) if isinstance(value, float) else value,
-                             repr(fraction)])
-
-    if hasattr(out, "write"):
-        write(out)
-    else:
-        with open(out, "w", newline="", encoding="utf-8") as fh:
-            write(fh)
+    writer = csv.writer(out)
+    writer.writerow(["value", "cumulative_fraction"])
+    for value, fraction in rows:
+        writer.writerow([repr(value) if isinstance(value, float) else value, repr(fraction)])
     return rows

@@ -185,13 +185,11 @@ class SwRecord:
     script_url: str
     state: SwState = SwState.INSTALLING
     capabilities: Optional[frozenset[Capability]] = None
-    registered_at: int = 0
     push_subscribed: bool = False
     silent_push_count: int = 0
     severity_level: int = 0
     version: int = 1
     has_pending_predecessor: bool = False
-    code_tampered: bool = False
 
     @property
     def unrestricted(self) -> bool:
@@ -203,7 +201,7 @@ def check_capability(record: SwRecord, requested: Capability) -> bool:
     return record.capabilities is None or requested in record.capabilities
 
 
-def apply_lifecycle_event(record: SwRecord, event_kind: str, now: int = 0) -> SwState:
+def apply_lifecycle_event(record: SwRecord, event_kind: str) -> SwState:
     """Advance the lifecycle state machine; raises IllegalTransition otherwise.
 
     Terminated workers may be woken again by ``event_arrived`` (a push or
@@ -271,7 +269,6 @@ class SwRegistry:
         script_url: str,
         capabilities: Optional[frozenset[Capability]] = None,
         has_existing_controller: bool = False,
-        now: int = 0,
         sw_id: Optional[str] = None,
     ) -> SwRecord:
         """Register a worker; activates immediately unless a controller exists.
@@ -300,10 +297,9 @@ class SwRegistry:
             scope=scope,
             script_url=script_url,
             capabilities=capabilities,
-            registered_at=now,
             has_pending_predecessor=has_existing_controller,
         )
-        apply_lifecycle_event(record, "install_done", now)
+        apply_lifecycle_event(record, "install_done")
         self._records[key] = record
         return record
 

@@ -44,13 +44,14 @@ from __future__ import annotations
 
 import heapq
 import json
+import sys
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 from importlib import resources
 from operator import attrgetter
-from typing import Any, Iterable, Mapping, NamedTuple, Optional, Sequence
+from typing import Any, Iterator, NamedTuple, Optional, Sequence
 
 from .domains import registrable_domain, url_registrable_domain
 from .model import (Capability, Origin, Scope, SwRecord, SwState,
@@ -246,8 +247,10 @@ def _parse_spec(obj: Any) -> PolicySpec:
     threshold = obj["threshold"]
     if isinstance(threshold, bool) or not isinstance(threshold, (int, float)):
         raise BadThreshold(f"threshold must be a number: {threshold!r}")
-    if threshold <= 0:
-        raise BadThreshold(f"threshold must be > 0: {threshold!r}")
+    # The clock rules read the threshold as minutes, in milliseconds: that
+    # value must be a finite float too. NaN fails every comparison.
+    if not 0 < threshold * 60_000 <= sys.float_info.max:
+        raise BadThreshold(f"threshold must be > 0 and finite: {threshold!r}")
     duration = obj["duration_in_minutes"]
     if isinstance(duration, bool) or not isinstance(duration, int) or duration < 0:
         raise PolicyConfigError(f"bad duration_in_minutes: {duration!r}")
@@ -283,7 +286,8 @@ def load_policies(config_text: str | bytes | None = None) -> PolicyConfig:
         raise PolicyConfigError(f"policies must be an array: {items!r}")
     if not isinstance(allow_list, list) or not all(isinstance(o, str) for o in allow_list):
         raise PolicyConfigError(f"allow_list must be an array of origins: {allow_list!r}")
-    if isinstance(threshold, bool) or not isinstance(threshold, (int, float)):
+    if (isinstance(threshold, bool) or not isinstance(threshold, (int, float))
+            or not abs(threshold) <= sys.float_info.max):
         raise PolicyConfigError(f"bad deregister_engagement_threshold: {threshold!r}")
     specs: list[PolicySpec] = []
     for spec in map(_parse_spec, items):
@@ -321,20 +325,41 @@ class Decision:
 
 
 @dataclass
-class EngineRun:
+class SimulationResult:
     """A whole trace judged in order: the events partitioned by delivery,
-    plus every decision's actions, violations and notices, merged in order."""
+    every decision's actions, violations and notices merged in order, and
+    each worker's final state and running intervals."""
 
-    delivered: list[TraceEvent] = field(default_factory=list)
-    suppressed: list[TraceEvent] = field(default_factory=list)
+    delivered_events: list[TraceEvent] = field(default_factory=list)
+    suppressed_events: list[TraceEvent] = field(default_factory=list)
     actions: list[ActionEntry] = field(default_factory=list)
     violations: list[ViolationRecord] = field(default_factory=list)
     notices: list[Notice] = field(default_factory=list)
+    final_states: dict[str, SwState] = field(default_factory=dict)
+    running_intervals: dict[str, list[tuple[int, int]]] = field(default_factory=dict)
 
     def merge(self, decision: Decision) -> None:
         self.actions.extend(decision.actions)
         self.violations.extend(decision.violations)
         self.notices.extend(decision.notices)
+
+    def running_ms(self, sw_id: str) -> int:
+        return sum(end - start for start, end in self.running_intervals.get(sw_id, []))
+
+    def max_continuous_ms(self, sw_id: str) -> int:
+        intervals = self.running_intervals.get(sw_id, [])
+        return max((end - start for start, end in intervals), default=0)
+
+
+def day_segments(start: int, end: int, t0: int) -> Iterator[tuple[int, int]]:
+    """Split the span [start, end) at the virtual midnights counted from
+    ``t0``: each virtual day it touches, with its milliseconds in that day."""
+    day = (start - t0) // DAY_MS
+    while start < end:
+        day_end = t0 + (day + 1) * DAY_MS
+        yield day, min(end, day_end) - start
+        start = day_end
+        day += 1
 
 
 _Crossing = tuple[int, str, Any, float]  # see _next_crossing
@@ -380,20 +405,15 @@ class PolicyEngine:
     def __init__(
         self,
         config: Optional[PolicyConfig] = None,
-        profile: BrowserProfile | str = "chrome",
+        profile: str = "chrome",
         mode: str = "simulate",
-        import_domains: Optional[Mapping[str, Iterable[str]]] = None,
     ) -> None:
         if mode not in ("simulate", "enforce"):
             raise ValueError(f"unknown engine mode {mode!r}")
         self.config = config if config is not None else default_policies()
-        self.profile = PROFILES[profile] if isinstance(profile, str) else profile
+        self.profile = PROFILES[profile]
         self.mode = mode
-        self._import_domains = {
-            sw: frozenset(doms) for sw, doms in (import_domains or {}).items()
-        }
         self._t0: Optional[int] = None
-        self._last_ts: int = 0
         self._states: dict[str, _SwEngineState] = {}
         # min-heap of (wake_ts, order, stamp, state); see ``advance``
         self._heap: list[tuple[int, int, int, _SwEngineState]] = []
@@ -412,24 +432,14 @@ class PolicyEngine:
     def states(self) -> dict[str, SwState]:
         return {sw: st.record.state for sw, st in self._states.items()}
 
-    def run_intervals(self, sw_id: str, end_ts: Optional[int] = None) -> list[tuple[int, int]]:
-        """Closed running intervals; an interval still open is right-censored
-        at ``end_ts`` (or the last seen timestamp)."""
-        st = self._states[sw_id]
-        intervals = list(st.run_intervals)
-        if st.record.state is _RUNNING:
-            intervals.append((st.activation_start, end_ts if end_ts is not None else self._last_ts))
-        return intervals
-
     def window_counts(self, sw_id: str, policy_name: str) -> dict[int, int]:
         """Per-key event counts for one worker and counting policy."""
         counts = self._states[sw_id].counts
         return {key: count for (name, key), count in counts.items() if name == policy_name}
 
     def _new_state(self, record: SwRecord) -> _SwEngineState:
-        domains = {registrable_domain(record.origin.host)}
-        domains |= self._import_domains.get(record.sw_id, frozenset())
-        return _SwEngineState(record=record, first_party=frozenset(domains))
+        return _SwEngineState(record=record,
+                              first_party=frozenset({registrable_domain(record.origin.host)}))
 
     def _add_state(self, st: _SwEngineState) -> None:
         """Insert a worker's state, or replace the state of its sw_id. A
@@ -459,7 +469,6 @@ class PolicyEngine:
                 capabilities=(
                     frozenset(Capability(c) for c in caps) if caps is not None else None
                 ),
-                registered_at=event.ts,
                 # Traces that begin mid-life imply the subscription exists;
                 # fresh registrations wait for a permission grant.
                 push_subscribed=event.kind != "register",
@@ -570,7 +579,7 @@ class PolicyEngine:
             self._stop(st, ts)
         elif action is _DEREGISTER:
             self._stop(st, ts)
-            apply_lifecycle_event(st.record, "deregister", ts)
+            apply_lifecycle_event(st.record, "deregister")
 
     # -- running intervals --------------------------------------------------
 
@@ -578,7 +587,7 @@ class PolicyEngine:
         state = st.record.state
         if state is _RUNNING or state is _DEREGISTERED:
             return
-        apply_lifecycle_event(st.record, "event_arrived", ts)
+        apply_lifecycle_event(st.record, "event_arrived")
         st.activation_start = ts
         st.activation += 1
         st.update_chain = st.chain_capped = False
@@ -590,24 +599,13 @@ class PolicyEngine:
             return
         start = st.activation_start
         st.run_intervals.append((start, ts))
-        self._accrue_exec(st, start, ts)
-        apply_lifecycle_event(st.record, "terminate", ts)
+        for day, ms in day_segments(start, ts, self._t0 or 0):
+            st.day_exec_ms[day] = st.day_exec_ms.get(day, 0) + ms
+        apply_lifecycle_event(st.record, "terminate")
         st.update_chain = False
         st.dirty = True
         if self.mode == "simulate":
             st.bracket_depth = 0  # the closed loop kills open fetch handlers
-
-    def _accrue_exec(self, st: _SwEngineState, start: int, end: int) -> None:
-        # Split a closed running interval across virtual-day boundaries.
-        t0 = self._t0 or 0
-        day = (start - t0) // DAY_MS
-        cursor = start
-        while cursor < end:
-            day_end = t0 + (day + 1) * DAY_MS
-            segment_end = min(end, day_end)
-            st.day_exec_ms[day] = st.day_exec_ms.get(day, 0) + (segment_end - cursor)
-            cursor = segment_end
-            day += 1
 
     # -- clock advance: execution caps and silent-push deadlines -----------
 
@@ -642,7 +640,6 @@ class PolicyEngine:
             out.actions.sort(key=lambda entry: entry.ts)
             out.violations.sort(key=lambda violation: violation.ts)
             out.notices.sort(key=lambda notice: notice.ts)
-        self._last_ts = max(self._last_ts, now)
         return out
 
     def _wake_key(self, st: _SwEngineState, now: int) -> Optional[int]:
@@ -770,7 +767,6 @@ class PolicyEngine:
         if self._t0 is None:
             self._t0 = event.ts
         out = self.advance(event.ts)
-        self._last_ts = event.ts
         kind = event.kind
 
         if kind == "page_visit":
@@ -853,7 +849,6 @@ class PolicyEngine:
             st.update_check_suppressed = False
             return
         st.update_check_delivered = False
-        st.record.version += 1
         if st.record.state is _RUNNING:
             # Self-update chain: anchor at the activation it is extending.
             if not st.update_chain:
@@ -956,19 +951,23 @@ class PolicyEngine:
             return
         self._stop(st, event.ts)
 
-    def _on_code_tampered(self, st: _SwEngineState, event: TraceEvent, out: Decision) -> None:
-        st.record.code_tampered = True
-
-    def finish(self, end_ts: Optional[int] = None) -> Decision:
+    def finish(self, end_ts: int) -> Decision:
         """Flush deadlines/caps up to the end of the observed trace."""
-        return self.advance(end_ts if end_ts is not None else self._last_ts)
+        return self.advance(end_ts)
 
-    def run(self, events: Sequence[TraceEvent]) -> EngineRun:
-        """Judge each event in order, then flush the clock to the last one."""
-        result = EngineRun()
+    def run(self, events: Sequence[TraceEvent]) -> SimulationResult:
+        """Judge each event in order, then flush the clock to the last one,
+        where a worker still running is right-censored."""
+        result = SimulationResult()
         for event in events:
             decision = self.on_event(event)
             result.merge(decision)
-            (result.delivered if decision.deliver else result.suppressed).append(event)
-        result.merge(self.finish(events[-1].ts if events else 0))
+            (result.delivered_events if decision.deliver else result.suppressed_events).append(event)
+        end_ts = events[-1].ts if events else 0
+        result.merge(self.finish(end_ts))
+        for sw_id, st in self._states.items():
+            result.final_states[sw_id] = st.record.state
+            intervals = result.running_intervals[sw_id] = list(st.run_intervals)
+            if st.record.state is _RUNNING:
+                intervals.append((st.activation_start, end_ts))
         return result

@@ -18,19 +18,12 @@ import math
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Mapping, Optional, Sequence
 
-from .policy import (
-    DAY_MS,
-    HOUR_MS,
-    ActionEntry,
-    Notice,
-    PolicyConfig,
-    PolicyEngine,
-    ViolationRecord,
-)
-from .model import SwState
+from .policy import DAY_MS, HOUR_MS, PolicyConfig, PolicyEngine, SimulationResult
 from .trace import TraceEvent, new_event
 
 IDLE_TIMEOUT_MS = 30_000
+# How long a generated worker's handler runs after its last activity.
+HANDLER_MS = 500
 TRACKING_SERVER = "https://tracking.example"
 
 
@@ -114,7 +107,6 @@ def gen_push_flood(
     silent: bool = False,
     renew_after: Optional[int] = None,
     duration_ms: int = 3 * HOUR_MS,
-    handler_ms: int = 500,
 ) -> list[TraceEvent]:
     """Push events uniformly jittered within each hour slot.
 
@@ -153,7 +145,7 @@ def gen_push_flood(
                 _mk(ts + 350, "permission_grant", origin, permission="notifications")
             )
     events.extend(
-        _idle_terminates(activity, handler_ms + IDLE_TIMEOUT_MS, origin, sw, scope)
+        _idle_terminates(activity, HANDLER_MS + IDLE_TIMEOUT_MS, origin, sw, scope)
     )
     return _sorted(events)
 
@@ -212,7 +204,7 @@ def gen_notification_hider(seed: int, duration_ms: int = 600_000) -> list[TraceE
         activity.extend((ts, ts + 40, ts + 140))
         ts += 60_000
     events.extend(
-        _idle_terminates(activity, 500 + IDLE_TIMEOUT_MS, origin, sw, scope)
+        _idle_terminates(activity, HANDLER_MS + IDLE_TIMEOUT_MS, origin, sw, scope)
     )
     return _sorted(events)
 
@@ -237,7 +229,7 @@ def gen_tag_reuser(seed: int, n_pushes: int) -> list[TraceEvent]:
         )
         activity.extend((ts, ts + 40))
     events.extend(
-        _idle_terminates(activity, 500 + IDLE_TIMEOUT_MS, origin, sw, scope)
+        _idle_terminates(activity, HANDLER_MS + IDLE_TIMEOUT_MS, origin, sw, scope)
     )
     return _sorted(events)
 
@@ -264,23 +256,17 @@ def gen_tracking_library(seed: int, page_visits: int) -> list[TraceEvent]:
         )
         activity.extend((ts + 10, ts + 20, ts + 30, ts + 500))
     events.extend(
-        _idle_terminates(activity, 500 + IDLE_TIMEOUT_MS, origin, sw, scope)
+        _idle_terminates(activity, HANDLER_MS + IDLE_TIMEOUT_MS, origin, sw, scope)
     )
     return _sorted(events)
 
 
-DEFAULT_BENIGN_PROFILE = {
-    "push_rate": 2,
-    "exec_min_per_day": 10,
-    "fetches_per_activation": 1,
-}
-
-
 def gen_benign(
     seed: int,
-    profile: Optional[Mapping[str, Any]] = None,
+    push_rate: int = 2,
+    exec_min_per_day: float = 10,
+    fetches_per_activation: int = 1,
     duration_ms: int = DAY_MS,
-    **overrides: Any,
 ) -> list[TraceEvent]:
     """A worker whose statistics sit at or below the default thresholds.
 
@@ -288,13 +274,9 @@ def gen_benign(
     allocated so the daily execution total equals exec_min_per_day exactly.
     """
     del seed  # even spacing; deterministic by construction
-    params = dict(DEFAULT_BENIGN_PROFILE)
-    if profile:
-        params.update(profile)
-    params.update(overrides)
-    push_rate = int(params["push_rate"])
-    exec_min_per_day = float(params["exec_min_per_day"])
-    fetches = int(params["fetches_per_activation"])
+    push_rate = int(push_rate)
+    exec_min_per_day = float(exec_min_per_day)
+    fetches = int(fetches_per_activation)
 
     origin, sw, scope = "https://goodapp.example", "sw-benign", "/"
     events = [
@@ -352,9 +334,6 @@ class Scenario:
     params: Mapping[str, Any] = field(default_factory=dict)
     duration_ms: Optional[int] = None
 
-    def generate(self) -> list[TraceEvent]:
-        return generate(self)
-
 
 def generate(scenario: Scenario) -> list[TraceEvent]:
     if scenario.name not in GENERATORS:
@@ -368,49 +347,13 @@ def generate(scenario: Scenario) -> list[TraceEvent]:
     return GENERATORS[scenario.name](scenario.seed, **kwargs)
 
 
-@dataclass
-class SimulationResult:
-    """Partition of the unconstrained generation plus everything the engine
-    decided along the way."""
-
-    delivered_events: list[TraceEvent]
-    suppressed_events: list[TraceEvent]
-    actions: list[ActionEntry]
-    violations: list[ViolationRecord]
-    notices: list[Notice]
-    final_states: dict[str, SwState]
-    running_intervals: dict[str, list[tuple[int, int]]]
-
-    def running_ms(self, sw_id: str) -> int:
-        return sum(end - start for start, end in self.running_intervals.get(sw_id, []))
-
-    def max_continuous_ms(self, sw_id: str) -> int:
-        intervals = self.running_intervals.get(sw_id, [])
-        return max((end - start for start, end in intervals), default=0)
-
-
 def simulate(
     scenario: Scenario | Iterable[TraceEvent],
     policies: Optional[PolicyConfig] = None,
     browser_profile: str = "chrome",
-    import_domains: Optional[Mapping[str, Iterable[str]]] = None,
 ) -> SimulationResult:
     """Closed loop: offer each generated event to the engine in order; events
     the engine refuses (throttled, or from a terminated/deregistered worker)
     land in ``suppressed_events`` and never affect later state."""
-    events = scenario.generate() if isinstance(scenario, Scenario) else list(scenario)
-    engine = PolicyEngine(policies, browser_profile, mode="simulate",
-                          import_domains=import_domains)
-    run = engine.run(events)
-    end_ts = events[-1].ts if events else 0
-    return SimulationResult(
-        delivered_events=run.delivered,
-        suppressed_events=run.suppressed,
-        actions=run.actions,
-        violations=run.violations,
-        notices=run.notices,
-        final_states=engine.states(),
-        running_intervals={
-            sw_id: engine.run_intervals(sw_id, end_ts) for sw_id in engine.states()
-        },
-    )
+    events = generate(scenario) if isinstance(scenario, Scenario) else list(scenario)
+    return PolicyEngine(policies, browser_profile, mode="simulate").run(events)

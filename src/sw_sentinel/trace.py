@@ -88,8 +88,7 @@ _CAPABILITY_VALUES = frozenset(capability.value for capability in Capability)
 # with non-default arguments would build a new one per call.
 _LINE_ENCODER = json.JSONEncoder(separators=(",", ":"), ensure_ascii=False)
 _json_str = json.encoder.encode_basestring
-# Keys that to_obj writes ahead of the payload; a payload key among them
-# takes that key's place in the line.
+# The header fields' names, which no payload key may reuse.
 _HEADER_KEYS = frozenset({"ts", "kind", "origin", "sw_id", "scope"})
 
 # One decoder's scanner decodes every line: a stripped line needs none of
@@ -303,8 +302,9 @@ def emit_trace(events: Iterable[TraceEvent]) -> Iterator[str]:
     Each line is the text ``_LINE_ENCODER.encode(event.to_obj())`` gives,
     written from pieces: the header text of each distinct (kind, origin,
     sw_id, scope) and each payload key's text are made once per call, with
-    no dict and no sort of the header. A payload with a key that is not a
-    string, or that names a header field, takes the to_obj path.
+    no dict and no sort of the header. A payload key that is not a string,
+    or that names a header field, would not parse back to its event: it
+    raises InvariantViolation.
     """
     headers: dict[tuple, str] = {}
     keys: dict[str, str] = {}
@@ -333,8 +333,8 @@ def emit_trace(events: Iterable[TraceEvent]) -> Iterator[str]:
                 key_text = keys.get(key)
                 if key_text is None:
                     if type(key) is not str or key in _HEADER_KEYS:
-                        line = _LINE_ENCODER.encode(event.to_obj())[:-1]  # "}" follows
-                        break
+                        raise InvariantViolation(
+                            f"payload key {key!r} is not a string or names a header field")
                     if len(keys) >= _HEADER_CACHE_SIZE:
                         keys.clear()
                     key_text = keys[key] = "," + _json_str(key) + ":"
@@ -345,12 +345,6 @@ def emit_trace(events: Iterable[TraceEvent]) -> Iterator[str]:
 def read_trace(path: str) -> list[TraceEvent]:
     with open(path, encoding="utf-8") as fh:
         return parse_trace(fh)
-
-
-def write_trace(path: str, events: Iterable[TraceEvent]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for line in emit_trace(events):
-            fh.write(line + "\n")
 
 
 def bracket_intervals(

@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import os
@@ -138,6 +139,28 @@ class TestPipeline:
             ))
         assert outs[0] == outs[1]
 
+    def test_failed_cdf_write_leaves_previous_file_whole(self, tmp_path, monkeypatch):
+        trace, rep = tmp_path / "t.jsonl", tmp_path / "rep"
+        assert run(["gen", "--scenario", "benign", "--out", str(trace)]) == 0
+        assert run(["analyze", "--trace", str(trace), "--out", str(rep)]) == 0
+        before = {path.name: path.read_bytes() for path in rep.iterdir()}
+        real_writer = csv.writer
+
+        class FailingWriter:
+            """Writes the header row, then fails as a full disk would."""
+
+            def __init__(self, fh):
+                self._writer = real_writer(fh)
+
+            def writerow(self, row):
+                self._writer.writerow(row)
+                raise OSError("disk full")
+
+        monkeypatch.setattr(csv, "writer", FailingWriter)
+        with pytest.raises(OSError):
+            run(["analyze", "--trace", str(trace), "--out", str(rep)])
+        assert {path.name: path.read_bytes() for path in rep.iterdir()} == before
+
 
 def write_lines(path, objs):
     path.write_text("".join(json.dumps(obj) + "\n" for obj in objs))
@@ -201,6 +224,10 @@ class TestHostileFields:
 
 POLICY = {"name": "push_per_hour", "severity": "low", "threshold": 2,
           "duration_in_minutes": 60}
+EXEC = {"name": "exec_per_activation", "severity": "medium", "threshold": 5,
+        "duration_in_minutes": 0}
+DAY = {"name": "exec_per_day", "severity": "medium", "threshold": 90,
+       "duration_in_minutes": 1440}
 
 
 class TestHostileArguments:
@@ -220,6 +247,15 @@ class TestHostileArguments:
         (["enforce"], json.dumps({"policies": [POLICY], "allow_list": 7})),
         (["enforce"], "[5]"),
         (["enforce"], "not json"),
+        (["enforce"], json.dumps([{**EXEC, "threshold": math.inf}])),
+        (["enforce"], json.dumps([{**DAY, "threshold": math.nan}])),
+        (["enforce"], json.dumps([{**EXEC, "threshold": 1e308}])),
+        (["enforce"], json.dumps([{**POLICY, "threshold": math.nan}])),
+        (["enforce"], json.dumps({"policies": [POLICY],
+                                  "deregister_engagement_threshold": math.nan})),
+        (["simulate", "--scenario", "benign"], json.dumps([{**DAY, "threshold": math.inf}])),
+        (["simulate", "--scenario", "benign"], json.dumps([{**EXEC, "threshold": math.nan}])),
+        (["simulate", "--scenario", "benign"], json.dumps([{**DAY, "threshold": 1e308}])),
         (["simulate", "--scenario", "benign"], "[5]"),
         (["simulate", "--scenario", "push_flood", "--param", "pushes_per_hour=20",
           "--param", "bogus=3"], None),
@@ -228,14 +264,18 @@ class TestHostileArguments:
           "--param", "burst_minutes=1"], None),
         (["gen", "--scenario", "ddos", "--param", "req_per_s=-1",
           "--param", "burst_minutes=1"], None),
+        (["gen", "--scenario", "benign", "--param", "bogus=1"], None),
         (["analyze"], "[1]"),
         (["analyze"], json.dumps({"sw-1": {"import_domains": 5}})),
         (["csp-audit"], "[1]\n"),
         (["csp-audit"], json.dumps({"url": "https://a.example", "headers": 5}) + "\n"),
     ], ids=["threshold_zero", "severity", "engagement_text", "policies_number",
-            "allow_list_number", "spec_number", "not_json", "simulate_policies",
-            "simulate_unknown_param", "simulate_missing_param", "simulate_negative_param",
-            "gen_negative_param", "meta_list", "meta_import_domains_number",
+            "allow_list_number", "spec_number", "not_json", "threshold_infinity",
+            "threshold_nan", "threshold_1e308", "threshold_nan_counting", "engagement_nan",
+            "simulate_threshold_infinity", "simulate_threshold_nan", "simulate_threshold_1e308",
+            "simulate_policies", "simulate_unknown_param", "simulate_missing_param",
+            "simulate_negative_param", "gen_negative_param", "gen_benign_unknown_param",
+            "meta_list", "meta_import_domains_number",
             "corpus_line_list", "corpus_headers_number"])
     def test_exits_two_with_an_error_line(self, tmp_path, capsys, argv, file_text):
         if argv[0] in ("enforce", "analyze"):

@@ -192,7 +192,7 @@ class TestLifecycle:
 
     def test_idle_timeout_terminates(self):
         rec = make_record(state=SwState.IDLE)
-        assert apply_lifecycle_event(rec, "idle_timeout", now=30_000) is SwState.TERMINATED
+        assert apply_lifecycle_event(rec, "idle_timeout") is SwState.TERMINATED
 
     def test_event_done_from_terminated_is_illegal(self):
         rec = make_record(state=SwState.TERMINATED)

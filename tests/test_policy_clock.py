@@ -37,7 +37,6 @@ class ScanEngine(PolicyEngine):
             return out
         for st in list(self._states.values()):
             self._advance_sw(st, now, out)
-        self._last_ts = max(self._last_ts, now)
         out.actions.sort(key=lambda entry: entry.ts)
         out.violations.sort(key=lambda violation: violation.ts)
         out.notices.sort(key=lambda notice: notice.ts)
@@ -110,17 +109,15 @@ def merged_fleet(seed, workers, names, near_midnight=True):
 
 
 def _judge(engine_cls, events, config, profile, mode):
-    engine = engine_cls(config, profile, mode=mode)
-    run = engine.run(events)
-    end_ts = events[-1].ts
+    run = engine_cls(config, profile, mode=mode).run(events)
     return {
-        "delivered": run.delivered,
-        "suppressed": run.suppressed,
+        "delivered": run.delivered_events,
+        "suppressed": run.suppressed_events,
         "actions": run.actions,
         "violations": run.violations,
         "notices": run.notices,
-        "states": engine.states(),
-        "intervals": {sw: engine.run_intervals(sw, end_ts) for sw in engine.states()},
+        "states": run.final_states,
+        "intervals": run.running_intervals,
     }
 
 
