@@ -13,6 +13,7 @@ from .model import (
     Scope,
     SwRecord,
     SwRegistry,
+    SwSentinelError,
     SwState,
     apply_lifecycle_event,
     check_capability,

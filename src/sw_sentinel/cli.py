@@ -19,7 +19,7 @@ from typing import Any, Callable, Iterable, Optional
 
 from . import csp as csp_mod
 from . import forensics
-from .model import ModelError, Origin
+from .model import ModelError, Origin, SwSentinelError
 from .policy import (ActionEntry, Notice, PolicyConfig, PolicyConfigError, PolicyEngine, PROFILES,
                      ViolationRecord, load_policies)
 from .scenarios import GENERATORS, Scenario, generate, simulate
@@ -28,7 +28,7 @@ from .trace import TraceError, TraceEvent, UnbalancedBrackets, emit_trace, read_
 ENV_CONFIG = "SW_SENTINEL_CONFIG"
 
 
-class CliError(Exception):
+class CliError(SwSentinelError):
     """IO/validation failure reported as exit code 2."""
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import Any, Iterable, Mapping, Optional, Sequence, TextIO
 
 from .domains import registrable_domain
-from .model import Origin
+from .model import Origin, SwSentinelError
 from .policy import DAY_MS, HOUR_MS, day_segments
 from .trace import (
     BACKGROUND_THIRD_PARTY,
@@ -25,7 +25,7 @@ from .trace import (
 )
 
 
-class EmptyInput(Exception):
+class EmptyInput(SwSentinelError):
     pass
 
 

@@ -17,7 +17,11 @@ from typing import Optional
 from urllib.parse import urlsplit
 
 
-class ModelError(Exception):
+class SwSentinelError(Exception):
+    """Base of every exception the package defines."""
+
+
+class ModelError(SwSentinelError):
     """Base for domain-model failures."""
 
 

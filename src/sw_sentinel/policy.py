@@ -48,15 +48,14 @@ import sys
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import cached_property
 from importlib import resources
 from operator import attrgetter
 from typing import Any, Iterator, NamedTuple, Optional, Sequence
 
 from .domains import registrable_domain, url_registrable_domain
-from .model import (Capability, Origin, Scope, SwRecord, SwState,
+from .model import (Capability, Origin, Scope, SwRecord, SwSentinelError, SwState,
                     apply_lifecycle_event, check_capability)
-from .trace import TraceEvent, UnbalancedBrackets
+from .trace import TraceEvent, UnbalancedBrackets, new_record
 
 TICK_MS = 1_000
 HOUR_MS = 3_600_000
@@ -92,7 +91,7 @@ RULES: dict[str, Rule] = {
 }
 
 
-class PolicyConfigError(Exception):
+class PolicyConfigError(SwSentinelError):
     pass
 
 
@@ -141,8 +140,7 @@ class PolicySpec:
     duration_in_minutes: int
 
 
-@dataclass(frozen=True)
-class ViolationRecord:
+class ViolationRecord(NamedTuple):
     """A threshold transgression.
 
     For count/time ceilings ``observed > threshold`` holds. The notification
@@ -157,16 +155,14 @@ class ViolationRecord:
     threshold: float
 
 
-@dataclass(frozen=True)
-class ActionEntry:
+class ActionEntry(NamedTuple):
     ts: int
     sw_id: str
     action: EnforcementAction
     reason: str
 
 
-@dataclass(frozen=True)
-class Notice:
+class Notice(NamedTuple):
     """Profile-level side effect that is not an enforcement action proper
     (default notifications, subscription revocation/renewal)."""
 
@@ -219,13 +215,9 @@ class PolicyConfig:
     allow_list: frozenset[str] = frozenset()
     deregister_engagement_threshold: float = 5.0
 
-    @cached_property
-    def _by_name(self) -> dict[str, PolicySpec]:
-        # Reversed, so that the first spec of a name wins, as a scan would.
-        return {spec.name: spec for spec in reversed(self.specs)}
-
     def get(self, name: str) -> Optional[PolicySpec]:
-        return self._by_name.get(name)
+        """The first spec named ``name``, or None."""
+        return next((spec for spec in self.specs if spec.name == name), None)
 
 
 _TEMPLATE_KEYS = {"name", "severity", "threshold", "duration_in_minutes"}
@@ -316,12 +308,20 @@ REQUIRED_CAPABILITY: dict[str, Capability] = {
 }
 
 
-@dataclass
+@dataclass(slots=True, init=False)
 class Decision:
+    """Whether an event is delivered, and what judging it or the clock caused."""
+
     deliver: bool
-    actions: list[ActionEntry] = field(default_factory=list)
-    violations: list[ViolationRecord] = field(default_factory=list)
-    notices: list[Notice] = field(default_factory=list)
+    actions: list[ActionEntry]
+    violations: list[ViolationRecord]
+    notices: list[Notice]
+
+    def __init__(self, deliver: bool) -> None:
+        self.deliver = deliver
+        self.actions = []
+        self.violations = []
+        self.notices = []
 
 
 @dataclass
@@ -337,11 +337,6 @@ class SimulationResult:
     notices: list[Notice] = field(default_factory=list)
     final_states: dict[str, SwState] = field(default_factory=dict)
     running_intervals: dict[str, list[tuple[int, int]]] = field(default_factory=dict)
-
-    def merge(self, decision: Decision) -> None:
-        self.actions.extend(decision.actions)
-        self.violations.extend(decision.violations)
-        self.notices.extend(decision.notices)
 
     def running_ms(self, sw_id: str) -> int:
         return sum(end - start for start, end in self.running_intervals.get(sw_id, []))
@@ -412,7 +407,11 @@ class PolicyEngine:
             raise ValueError(f"unknown engine mode {mode!r}")
         self.config = config if config is not None else default_policies()
         self.profile = PROFILES[profile]
-        self.mode = mode
+        self._closed_loop = mode == "simulate"
+        # Once per engine, a subclass's handlers included; unbound, so no cycle.
+        self._specs = {name: self.config.get(name) for name in RULES}
+        cls = type(self)
+        self._handlers = {name[4:]: getattr(cls, name) for name in dir(cls) if name[:4] == "_on_"}
         self._t0: Optional[int] = None
         self._states: dict[str, _SwEngineState] = {}
         # min-heap of (wake_ts, order, stamp, state); see ``advance``
@@ -424,7 +423,7 @@ class PolicyEngine:
 
     def register_record(self, record: SwRecord) -> None:
         """Pre-register a worker (used by tests and the capability grid)."""
-        self._add_state(self._new_state(record))
+        self._add_state(record)
 
     def record(self, sw_id: str) -> SwRecord:
         return self._states[sw_id].record
@@ -437,45 +436,35 @@ class PolicyEngine:
         counts = self._states[sw_id].counts
         return {key: count for (name, key), count in counts.items() if name == policy_name}
 
-    def _new_state(self, record: SwRecord) -> _SwEngineState:
-        return _SwEngineState(record=record,
-                              first_party=frozenset({registrable_domain(record.origin.host)}))
-
-    def _add_state(self, st: _SwEngineState) -> None:
+    def _add_state(self, record: SwRecord) -> _SwEngineState:
         """Insert a worker's state, or replace the state of its sw_id. A
         replacement keeps the registration order of the state it replaces,
         as ``_states`` keeps its key's position. A new state has no deadline
         until its first handler runs, so it is not put on the clock heap."""
-        old = self._states.get(st.record.sw_id)
-        if old is None:
-            st.order = len(self._states)
-        else:
-            st.order = old.order
+        st = _SwEngineState(record=record,
+                            first_party=frozenset({registrable_domain(record.origin.host)}))
+        old = self._states.get(record.sw_id)
+        st.order = len(self._states) if old is None else old.order
+        if old is not None:
             old.stamp = -1  # its heap entries go stale
-        self._states[st.record.sw_id] = st
-
-    def _state_for(self, event: TraceEvent) -> _SwEngineState:
-        sw_id = event.sw_id or ""
-        st = self._states.get(sw_id)
-        if st is None:
-            origin = Origin.parse(event.origin)
-            caps = event.get("capabilities")
-            record = SwRecord(
-                sw_id=sw_id,
-                origin=origin,
-                scope=Scope(event.scope or "/"),
-                script_url=f"{origin}/sw.js",
-                state=SwState.INSTALLING if event.kind == "register" else SwState.ACTIVATED,
-                capabilities=(
-                    frozenset(Capability(c) for c in caps) if caps is not None else None
-                ),
-                # Traces that begin mid-life imply the subscription exists;
-                # fresh registrations wait for a permission grant.
-                push_subscribed=event.kind != "register",
-            )
-            st = self._new_state(record)
-            self._add_state(st)
+        self._states[record.sw_id] = st
         return st
+
+    def _first_sight(self, event: TraceEvent) -> _SwEngineState:
+        """Register the worker of an event whose sw_id is not yet known."""
+        origin = Origin.parse(event.origin)
+        caps = event.get("capabilities")
+        return self._add_state(SwRecord(
+            sw_id=event.sw_id,
+            origin=origin,
+            scope=Scope(event.scope or "/"),
+            script_url=f"{origin}/sw.js",
+            state=SwState.INSTALLING if event.kind == "register" else SwState.ACTIVATED,
+            capabilities=None if caps is None else frozenset(map(Capability, caps)),
+            # Traces that begin mid-life imply the subscription exists;
+            # fresh registrations wait for a permission grant.
+            push_subscribed=event.kind != "register",
+        ))
 
     # -- time -------------------------------------------------------------
 
@@ -539,7 +528,8 @@ class PolicyEngine:
             if (name, key) in st.violated:
                 return
             st.violated.add((name, key))
-        violation = ViolationRecord(name, st.record.sw_id, ts, observed, spec.threshold)
+        violation = new_record(ViolationRecord,
+                               (name, st.record.sw_id, ts, observed, spec.threshold))
         out.violations.append(violation)
         actions = self.escalate(st.record, violation)
         if RULES[name].stops and _TERMINATE not in actions:
@@ -565,15 +555,13 @@ class PolicyEngine:
             self._violate(st, spec, key, ts, count, out)
         return throttles and self._refuse(out)
 
-    def _apply_action(
-        self, st: _SwEngineState, ts: int, action: EnforcementAction, reason: str,
-        out: Decision,
-    ) -> None:
+    def _apply_action(self, st: _SwEngineState, ts: int, action: EnforcementAction,
+                      reason: str, out: Decision) -> None:
         """The one applier: every action is reported, and only the closed
         loop stops or deregisters the worker. A throttle is carried out
         where its event is judged, through ``_refuse``."""
-        out.actions.append(ActionEntry(ts, st.record.sw_id, action, reason))
-        if self.mode != "simulate":
+        out.actions.append(new_record(ActionEntry, (ts, st.record.sw_id, action, reason)))
+        if not self._closed_loop:
             return
         if action is _TERMINATE:
             self._stop(st, ts)
@@ -604,7 +592,7 @@ class PolicyEngine:
         apply_lifecycle_event(st.record, "terminate")
         st.update_chain = False
         st.dirty = True
-        if self.mode == "simulate":
+        if self._closed_loop:
             st.bracket_depth = 0  # the closed loop kills open fetch handlers
 
     # -- clock advance: execution caps and silent-push deadlines -----------
@@ -622,10 +610,10 @@ class PolicyEngine:
         costs one ``_advance_sw`` call that does nothing. Due workers run in
         registration order, as a scan over every worker would.
         """
-        out = Decision(deliver=True)
-        if self._t0 is None:
-            return out
         heap = self._heap
+        if not heap or heap[0][0] > now:
+            return Decision(True)
+        out = Decision(True)
         due = []
         while heap and heap[0][0] <= now:
             _wake_ts, _order, stamp, st = heapq.heappop(heap)
@@ -692,7 +680,7 @@ class PolicyEngine:
                 break
             ts, reason, key, observed = crossing
             if key is not None:
-                self._violate(st, self.config.get(reason), key, ts, observed, out)
+                self._violate(st, self._specs[reason], key, ts, observed, out)
                 continue
             if reason == "self_update_cap":
                 st.chain_capped = True
@@ -706,7 +694,7 @@ class PolicyEngine:
         reason, key, observed). The reason is a rule's name, whose key is
         None when the crossing only stops the worker, or the self-update cap."""
         candidates: list[_Crossing] = []
-        spec = self.config.get("exec_per_activation")
+        spec = self._specs["exec_per_activation"]
         if spec is not None and (spec.name, st.activation) not in st.violated:
             ts = self._tick_after(st.activation_start + int(spec.threshold * 60_000))
             if ts <= now:
@@ -724,7 +712,7 @@ class PolicyEngine:
         return min(candidates) if candidates else None
 
     def _day_crossing(self, st: _SwEngineState, now: int) -> Optional[_Crossing]:
-        spec = self.config.get("exec_per_day")
+        spec = self._specs["exec_per_day"]
         if spec is None:
             return None
         name, budget_ms = spec.name, int(spec.threshold * 60_000)
@@ -736,7 +724,7 @@ class PolicyEngine:
             live_start = max(st.activation_start, day_start)
             if (name, day) in st.violated:
                 # Only meaningful in closed loop; open loop reported already.
-                if self.mode == "simulate":
+                if self._closed_loop:
                     crossing = self._tick_after(live_start)
                     if crossing <= min(now, day_start + DAY_MS):
                         return crossing, name, None, 0.0
@@ -756,9 +744,8 @@ class PolicyEngine:
         limit = self.profile.silent_push_limit
         if limit is not None and st.record.push_subscribed and st.record.silent_push_count >= limit:
             st.record.push_subscribed = False
-            out.notices.append(
-                Notice(ts, sw_id, "revoke_subscription", f"silent pushes reached {limit}")
-            )
+            out.notices.append(Notice(ts, sw_id, "revoke_subscription",
+                                      f"silent pushes reached {limit}"))
 
     # -- main event entry point --------------------------------------------
 
@@ -780,15 +767,13 @@ class PolicyEngine:
                     st.record.push_subscribed = True
                     st.record.silent_push_count = 0
                     if renewed:
-                        out.notices.append(
-                            Notice(event.ts, st.record.sw_id, "subscription_renewed",
-                                   event.get("permission", "notifications"))
-                        )
+                        out.notices.append(Notice(event.ts, st.record.sw_id, "subscription_renewed",
+                                                  event.get("permission", "notifications")))
             return out
         if event.sw_id is None:
             return out
 
-        st = self._state_for(event)
+        st = self._states.get(event.sw_id) or self._first_sight(event)
         record = st.record
 
         if record.state is _DEREGISTERED:
@@ -801,9 +786,9 @@ class PolicyEngine:
             self._apply_action(st, event.ts, _THROTTLE, f"capability:{needed.value}", out)
             return out
 
-        handler = getattr(self, f"_on_{kind}", None)
+        handler = self._handlers.get(kind)
         if handler is not None:
-            handler(st, event, out)
+            handler(self, st, event, out)
             if st.dirty:
                 self._reschedule(st, event.ts)
         return out
@@ -813,7 +798,7 @@ class PolicyEngine:
         happen. ``simulate`` suppresses it and returns True, so the handler
         stops; ``enforce`` returns False, and the handler carries on with the
         recorded event as fact."""
-        if self.mode == "simulate":
+        if self._closed_loop:
             out.deliver = False
             return True
         return False
@@ -862,11 +847,10 @@ class PolicyEngine:
     def _on_push(self, st: _SwEngineState, event: TraceEvent, out: Decision) -> None:
         record = st.record
         if not record.push_subscribed and self._refuse(out):
-            out.notices.append(
-                Notice(event.ts, record.sw_id, "push_dropped", "subscription revoked")
-            )
+            out.notices.append(Notice(event.ts, record.sw_id, "push_dropped",
+                                      "subscription revoked"))
             return
-        spec = self.config.get("push_per_hour")
+        spec = self._specs["push_per_hour"]
         if (spec is not None and event.origin not in self.config.allow_list
                 and self._count(st, spec, self._slot(event.ts, spec.duration_in_minutes),
                                 event.ts, out)):
@@ -888,24 +872,23 @@ class PolicyEngine:
         if st.bracket_depth == 0:
             if self._refuse(out):
                 return  # its start was suppressed with the worker
-            raise UnbalancedBrackets(
-                f"fetch_event_end at ts {event.ts} without open start for {event.sw_id!r}"
-            )
+            raise UnbalancedBrackets(f"fetch_event_end at ts {event.ts} without open start"
+                                     f" for {event.sw_id!r}")
         st.bracket_depth -= 1
         if st.bracket_depth == 0:
             st.last_bracket_end = event.ts
 
     def _on_fetch_request(self, st: _SwEngineState, event: TraceEvent, out: Decision) -> None:
-        if not event.get("initiator_is_sw"):
+        if not event.payload.get("initiator_is_sw"):
             return  # page-initiated; not worker execution
         if st.record.state is not _RUNNING and self._refuse(out):
             return
         self._wake(st, event.ts)  # open loop: the recorded event shows it running
         if st.bracket_depth > 0 or event.ts == st.last_bracket_end:
             return  # foreground: inside a fetch handler, or at its end
-        if url_registrable_domain(event.get("url", "")) in st.first_party:
+        if url_registrable_domain(event.payload.get("url", "")) in st.first_party:
             return
-        spec = self.config.get("bg_fetch_per_activation")
+        spec = self._specs["bg_fetch_per_activation"]
         if spec is not None:
             self._count(st, spec, st.activation, event.ts, out)
 
@@ -921,7 +904,7 @@ class PolicyEngine:
             replaced = [notif_id for notif_id, (_ts, seen) in st.visible.items() if seen == tag]
             for notif_id in replaced:
                 del st.visible[notif_id]
-            spec = self.config.get("tag_reuse")
+            spec = self._specs["tag_reuse"]
             if replaced and spec is not None:
                 self._count(st, spec, (tag, self._slot(event.ts, spec.duration_in_minutes)),
                             event.ts, out)
@@ -940,7 +923,7 @@ class PolicyEngine:
         if shown is None:
             self._refuse(out)
             return
-        spec = self.config.get("notif_min_visible")
+        spec = self._specs["notif_min_visible"]
         delta_s = (event.ts - shown[0]) / 1_000
         if not by_user and spec is not None and delta_s < spec.threshold:
             self._violate(st, spec, None, event.ts, delta_s, out)
@@ -959,12 +942,20 @@ class PolicyEngine:
         """Judge each event in order, then flush the clock to the last one,
         where a worker still running is right-censored."""
         result = SimulationResult()
+        on_event = self.on_event
+        actions, violations, notices = result.actions, result.violations, result.notices
+        delivered, suppressed = result.delivered_events, result.suppressed_events
         for event in events:
-            decision = self.on_event(event)
-            result.merge(decision)
-            (result.delivered_events if decision.deliver else result.suppressed_events).append(event)
+            decision = on_event(event)
+            actions += decision.actions
+            violations += decision.violations
+            notices += decision.notices
+            (delivered if decision.deliver else suppressed).append(event)
         end_ts = events[-1].ts if events else 0
-        result.merge(self.finish(end_ts))
+        flushed = self.finish(end_ts)
+        actions += flushed.actions
+        violations += flushed.violations
+        notices += flushed.notices
         for sw_id, st in self._states.items():
             result.final_states[sw_id] = st.record.state
             intervals = result.running_intervals[sw_id] = list(st.run_intervals)

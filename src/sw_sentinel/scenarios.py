@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from typing import Any, Iterable, Mapping, Optional, Sequence
 
 from .policy import DAY_MS, HOUR_MS, PolicyConfig, PolicyEngine, SimulationResult
-from .trace import TraceEvent, new_event
+from .trace import TraceEvent, new_record
 
 IDLE_TIMEOUT_MS = 30_000
 # How long a generated worker's handler runs after its last activity.
@@ -48,7 +48,7 @@ class SplitMix64:
 
 def _mk(ts: int, kind: str, origin: str, sw_id: Optional[str] = None,
         scope: Optional[str] = None, **payload: Any) -> TraceEvent:
-    return new_event(TraceEvent, (ts, kind, origin, sw_id, scope, payload))
+    return new_record(TraceEvent, (ts, kind, origin, sw_id, scope, payload))
 
 
 def _idle_terminates(activity_ts: Sequence[int], settle_ms: int, origin: str,

@@ -16,10 +16,10 @@ from types import MappingProxyType
 from typing import Any, Iterable, Iterator, Mapping, NamedTuple, Optional
 
 from .domains import url_registrable_domain
-from .model import Capability, ModelError, Origin, Scope
+from .model import Capability, ModelError, Origin, Scope, SwSentinelError
 
 
-class TraceError(Exception):
+class TraceError(SwSentinelError):
     """Base class for trace-format failures; carries the 1-based line number."""
 
     def __init__(self, message: str, line_no: int = 0):
@@ -39,11 +39,11 @@ class UnknownEventKind(TraceError):
     pass
 
 
-class InvariantViolation(Exception):
+class InvariantViolation(SwSentinelError):
     """Events handed to emit_trace broke a trace invariant."""
 
 
-class UnbalancedBrackets(Exception):
+class UnbalancedBrackets(SwSentinelError):
     """A fetch_event_end arrived without an open fetch_event_start."""
 
 
@@ -141,10 +141,10 @@ class TraceEvent(NamedTuple):
         return obj
 
 
-# new_event(TraceEvent, (ts, kind, origin, sw_id, scope, payload)) builds an
-# event without the Python frame of the class's generated __new__, at half
-# its cost; the reader and the generators build one per line.
-new_event = tuple.__new__
+# new_record(TraceEvent, (ts, kind, origin, sw_id, scope, payload)) builds a
+# NamedTuple record without the Python frame of its generated __new__, at half
+# its cost; the reader, the generators and the engine build many.
+new_record = tuple.__new__
 
 
 def _decode_error(line: str, exc: Exception, line_no: int) -> MalformedLine:
@@ -266,7 +266,7 @@ def parse_trace(lines: Iterable[str]) -> list[TraceEvent]:
         last_ts = ts
         if not obj:  # a dict emptied by pop keeps its table; {} holds none
             obj = {}
-        append(new_event(TraceEvent, (ts, kind, origin, sw_id, scope, obj)))
+        append(new_record(TraceEvent, (ts, kind, origin, sw_id, scope, obj)))
     return events
 
 
@@ -329,7 +329,11 @@ def emit_trace(events: Iterable[TraceEvent]) -> Iterator[str]:
                 headers[header] = head
         line = '{"ts":' + _value_text(ts) + head
         if payload:
-            for key in sorted(payload):
+            try:
+                payload_keys = sorted(payload)
+            except TypeError:  # keys of types that do not compare: not all str
+                raise InvariantViolation(f"payload keys of mixed types: {list(payload)!r}")
+            for key in payload_keys:
                 key_text = keys.get(key)
                 if key_text is None:
                     if type(key) is not str or key in _HEADER_KEYS:

@@ -19,7 +19,7 @@ import pytest
 from sw_sentinel import domains, forensics, model, trace
 from sw_sentinel.domains import registrable_domain, url_registrable_domain
 from sw_sentinel.model import ModelError, Origin
-from sw_sentinel.policy import PROFILES, PolicyEngine, default_policies
+from sw_sentinel.policy import PROFILES, RULES, PolicyConfig, PolicyEngine, default_policies
 from sw_sentinel.scenarios import Scenario, generate
 from sw_sentinel.trace import TraceEvent, emit_trace, parse_trace
 
@@ -124,6 +124,25 @@ def test_handlers_rekey_the_clock_only_when_a_key_input_changed(
     # from handlers that changed an input of the key, which few events do.
     from_handlers = calls["reschedule"] - calls["advance_sw"]
     assert 0 < from_handlers < len(ddos_events) // 100
+
+
+@pytest.mark.parametrize("mode", ["enforce", "simulate"])
+def test_rule_specs_are_looked_up_once_per_engine(monkeypatch, mode):
+    """The engine asks the config for each rule's spec when it is built, and
+    ``escalate`` asks once per violation, never per event: beyond one call per
+    violation, a run over a trace ten times as long asks as often."""
+    calls = []
+    get = PolicyConfig.get
+    monkeypatch.setattr(PolicyConfig, "get",
+                        lambda self, name: calls.append(name) or get(self, name))
+    per_engine = []
+    for minutes in (1, 10):
+        events = generate(Scenario("ddos", 0, {"req_per_s": 20, "burst_minutes": minutes}))
+        calls.clear()
+        result = PolicyEngine(default_policies(), "chrome", mode=mode).run(events)
+        assert len(result.violations) < len(events) // 100
+        per_engine.append(len(calls) - len(result.violations))
+    assert per_engine == [len(RULES), len(RULES)]
 
 
 class KeyCheckEngine(PolicyEngine):

@@ -1,7 +1,11 @@
+import importlib
+import inspect
+import pkgutil
 import random
 
 import pytest
 
+import sw_sentinel
 from sw_sentinel.model import (
     CacheNamespace,
     Capability,
@@ -14,6 +18,7 @@ from sw_sentinel.model import (
     Scope,
     SwRecord,
     SwRegistry,
+    SwSentinelError,
     SwState,
     apply_lifecycle_event,
     check_capability,
@@ -287,3 +292,16 @@ class TestCacheNamespace:
         ns = CacheNamespace()
         rec = make_record(caps=frozenset({Capability.PUSH}))
         assert not ns.cache_access(rec, Scope("/"), "https://a.example/x", "read")
+
+
+def test_every_package_exception_derives_from_the_one_base():
+    """A caller can catch every error the package defines with one except."""
+    assert sw_sentinel.SwSentinelError is SwSentinelError
+    defined = []
+    for module_info in pkgutil.iter_modules(sw_sentinel.__path__):
+        module = importlib.import_module(f"sw_sentinel.{module_info.name}")
+        for _name, cls in inspect.getmembers(module, inspect.isclass):
+            if cls.__module__ == module.__name__ and issubclass(cls, BaseException):
+                defined.append(cls)
+    assert len(defined) >= 17
+    assert [cls for cls in defined if not issubclass(cls, SwSentinelError)] == []

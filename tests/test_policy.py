@@ -6,11 +6,14 @@ import pytest
 
 from sw_sentinel.model import Capability, Origin, Scope, SwRecord, SwState
 from sw_sentinel.policy import (
+    ActionEntry,
     BadThreshold,
     DEFAULT_NOTIFICATION_TITLE,
+    Decision,
     DuplicateName,
     EnforcementAction,
     EngagementScore,
+    Notice,
     PolicyConfig,
     PolicyConfigError,
     PolicyEngine,
@@ -509,6 +512,19 @@ class TestEscalation:
             actions = engine.escalate(record, self._violation(n, "exec_per_day"))
             assert EnforcementAction.DEREGISTER_SW not in actions
 
+    def test_severity_comes_from_the_config_for_any_spec_name(self):
+        """A hand-built config may name a spec outside ``RULES``; escalate
+        reads its severity from the config, and only a name the config lacks
+        falls back to medium."""
+        config = PolicyConfig((PolicySpec("custom", Severity.LOW, 1, 0),))
+        engine = engine_with(config)
+        engine._t0 = 0
+        record = engine.record("sw-1")
+        assert engine.escalate(record, self._violation(1, "custom")) == (
+            EnforcementAction.LOG_ONLY,)
+        assert engine.escalate(record, self._violation(2, "unnamed")) == (
+            EnforcementAction.TERMINATE_SW,)
+
     def test_severity_level_monotone_over_random_sequences(self):
         rng = random.Random(15)
         policies = ["push_per_hour", "bg_fetch_per_activation", "exec_per_day",
@@ -621,3 +637,61 @@ class TestModeContract:
                 self._judge("enforce", config, subscribed, prelude, event)
         else:
             assert self._judge("enforce", config, subscribed, prelude, event).deliver
+
+
+class TestRecords:
+    """Actions, violations and notices are immutable tuple records; a
+    decision is a slotted record that compares by value."""
+
+    RECORDS = {
+        ActionEntry: ("ts", "sw_id", "action", "reason"),
+        ViolationRecord: ("policy_name", "sw_id", "ts", "observed", "threshold"),
+        Notice: ("ts", "sw_id", "kind", "detail"),
+    }
+
+    @pytest.mark.parametrize("record_type", list(RECORDS), ids=lambda t: t.__name__)
+    def test_fields_keep_their_names_and_order(self, record_type):
+        fields = self.RECORDS[record_type]
+        assert record_type._fields == fields
+        values = tuple(f"v{index}" for index in range(len(fields)))
+        record = record_type(*values)
+        assert record == record_type(**dict(zip(fields, values)))
+        assert [getattr(record, name) for name in fields] == list(values)
+        for name in fields + ("extra",):
+            with pytest.raises(AttributeError):
+                setattr(record, name, None)
+        assert record == record_type(*values)
+
+    def test_engine_records_are_built_with_their_types(self):
+        engine = engine_with(PolicyConfig((PolicySpec("push_per_hour", Severity.LOW, 1, 60),)),
+                             mode="enforce")
+        result = engine.run([ev(0, "push", push_id="a"), ev(10, "push", push_id="b"),
+                             ev(20_000, "sync")])
+        assert {type(a) for a in result.actions} == {ActionEntry}
+        assert result.actions[0] == ActionEntry(10, "sw-1", EnforcementAction.THROTTLE_EVENT,
+                                                "push_per_hour")
+        assert type(result.violations[0]) is ViolationRecord
+        assert result.violations[0].observed == 2
+        assert {type(n) for n in result.notices} == {Notice}
+
+    def test_decision_compares_by_value(self):
+        first, second = Decision(deliver=True), Decision(True)
+        assert first == second and first.actions == [] and first.actions is not second.actions
+        second.notices.append(Notice(0, "sw-1", "k", "d"))
+        assert first != second
+        assert Decision(deliver=False) != Decision(deliver=True)
+        with pytest.raises(AttributeError):
+            first.extra = 1  # slotted
+
+    def test_a_subclass_handler_override_is_called(self):
+        seen = []
+
+        class CountingEngine(PolicyEngine):
+            def _on_push(self, st, event, out):
+                seen.append(event.ts)
+                super()._on_push(st, event, out)
+
+        engine = CountingEngine(default_policies(), "chrome", mode="enforce")
+        engine.register_record(fresh_record())
+        engine.run([ev(0, "push", push_id="a"), ev(5, "sync"), ev(9, "push", push_id="b")])
+        assert seen == [0, 9]

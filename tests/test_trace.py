@@ -240,12 +240,11 @@ class TestEmitOracle:
         assert list(emit_trace(events)) == [_dumps_line(e) for e in events]
 
     def test_unwritable_values_raise_as_json_does(self):
-        for payload in ({"v": object()}, {"a": 1, 2: "mixed keys"}):
-            event = TraceEvent(0, "push", ORIGIN, payload=payload)
-            with pytest.raises(TypeError):
-                _dumps_line(event)
-            with pytest.raises(TypeError):
-                list(emit_trace([event]))
+        event = TraceEvent(0, "push", ORIGIN, payload={"v": object()})
+        with pytest.raises(TypeError):
+            _dumps_line(event)
+        with pytest.raises(TypeError):
+            list(emit_trace([event]))
 
     def test_keys_that_would_not_parse_back_raise(self):
         """A payload key that is not a string, or that names a header field,
@@ -254,7 +253,8 @@ class TestEmitOracle:
         written = TraceEvent(0, "terminate", ORIGIN, payload={"aa": 1, "zz": 2})
         for payload in ({1: "int key"}, {None: "null key"}, {2.5: "x", 3.5: "y"},
                         {True: "true key"}, {"ts": 99, "kind": "x", "sw_id": "override"},
-                        {"scope": "/s", "zz": 1}, {"origin": "o", "aa": 2}):
+                        {"scope": "/s", "zz": 1}, {"origin": "o", "aa": 2},
+                        {"a": 1, 2: "mixed keys"}):
             for sw_id, scope in ((None, None), ("sw-1", "/")):
                 event = TraceEvent(1, "terminate", ORIGIN, sw_id, scope, payload)
                 with pytest.raises(InvariantViolation):
