@@ -96,8 +96,8 @@ _HEADER_KEYS = frozenset({"ts", "kind", "origin", "sw_id", "scope"})
 # failures as json.loads does.
 _SCAN_ONCE = json.JSONDecoder().scan_once
 
-# How many distinct headers one parse remembers as checked. Past it the
-# memory is dropped and refilled from the lines that follow.
+# How many distinct headers, and how many line bodies, one parse remembers as
+# checked. Past it the memory is dropped and refilled from the lines that follow.
 _HEADER_CACHE_SIZE = 4096
 
 
@@ -220,18 +220,48 @@ def _check_payload(kind: str, payload: dict[str, Any], line_no: int) -> None:
 def parse_trace(lines: Iterable[str]) -> list[TraceEvent]:
     """Parse line-delimited trace records, enforcing timestamp ordering.
 
-    Each line is decoded on its own. The header (kind, origin, sw_id, scope)
-    is checked once per distinct value, and the events of one parse share
-    its strings; the kind-specific keys are checked on every line.
+    A line that starts ``{"ts":<canonical digits>,`` is split there; the rest
+    of it, its body, is decoded and checked once per distinct text, and the
+    events of one body share its header strings and its read-only payload.
+    Other lines are decoded on their own: the header (kind, origin, sw_id,
+    scope) is checked once per distinct value, the kind-specific keys on
+    every line. A parse whose first lines rarely repeat a body stops
+    remembering bodies. Every payload is a read-only mapping.
     """
     events: list[TraceEvent] = []
     append = events.append
     headers: dict[tuple, tuple] = {}
+    # Body text -> (kind, origin, sw_id, scope, payload); None once dropped.
+    bodies: Optional[dict[str, tuple]] = {}
+    hits = misses = 0
     last_ts: Optional[int] = None
     for line_no, line in enumerate(lines, start=1):
         line = line.strip()
         if not line:
             continue
+        body = None
+        if bodies is not None:
+            head, _, body = line.partition(",")
+            digits = head[6:]
+            # A hit needs the ts JSON reads: canonical ASCII digits after
+            # '{"ts":'. Other lines go to the decoder, as does a new body with
+            # a second "ts" key, plain or escaped, since the last key wins.
+            if not (head.startswith('{"ts":') and digits.isdigit() and digits.isascii()
+                    and (digits[0] != "0" or digits == "0")):
+                body = None
+            elif (entry := bodies.get(body)) is not None:
+                hits += 1
+                ts = int(digits)
+                if last_ts is not None and ts < last_ts:
+                    raise OutOfOrderTimestamp(f"ts {ts} precedes previous ts {last_ts}", line_no)
+                last_ts = ts
+                append(new_record(TraceEvent, (ts,) + entry))
+                continue
+            elif '"ts"' in body or "\\" in body:
+                body = None
+            misses += 1
+            if misses >= 256 and hits < misses:  # bodies rarely repeat here
+                bodies = body = None
         try:
             obj, end = _SCAN_ONCE(line, 0)
         except (StopIteration, json.JSONDecodeError, RecursionError) as exc:
@@ -264,9 +294,12 @@ def parse_trace(lines: Iterable[str]) -> list[TraceEvent]:
         if last_ts is not None and ts < last_ts:
             raise OutOfOrderTimestamp(f"ts {ts} precedes previous ts {last_ts}", line_no)
         last_ts = ts
-        if not obj:  # a dict emptied by pop keeps its table; {} holds none
-            obj = {}
-        append(new_record(TraceEvent, (ts, kind, origin, sw_id, scope, obj)))
+        payload = MappingProxyType(obj) if obj else _NO_PAYLOAD
+        if body is not None:
+            if len(bodies) >= _HEADER_CACHE_SIZE:
+                bodies.clear()
+            bodies[body] = (kind, origin, sw_id, scope, payload)
+        append(new_record(TraceEvent, (ts, kind, origin, sw_id, scope, payload)))
     return events
 
 

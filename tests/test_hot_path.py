@@ -1,12 +1,14 @@
 """The per-event path derives each header, origin, domain and clock key once.
 
 A trace repeats one header and a few URLs on every line, so ``parse_trace``
-checks each distinct header once through a bounded cache, ``Origin.parse``
-and the registrable-domain lookups are memoized with a fixed bound, and the
-engine re-keys a worker's clock entry only after a handler changed an input
-of the key. These tests count that work on a seeded DDoS trace, check that
-the caches neither keep failures nor change an answer when they evict, and
-check the engine's clock keys against a fresh computation after every event.
+decodes each distinct line body and checks each distinct header once through
+bounded caches (and stops remembering bodies that do not repeat),
+``Origin.parse`` and the registrable-domain lookups are memoized with a fixed
+bound, and the engine re-keys a worker's clock entry only after a handler
+changed an input of the key. These tests count that work on a seeded DDoS
+trace, check that the caches neither keep failures nor change an answer when
+they evict, and check the engine's clock keys against a fresh computation
+after every event.
 """
 
 import gc
@@ -24,7 +26,7 @@ from sw_sentinel.scenarios import Scenario, generate
 from sw_sentinel.trace import TraceEvent, emit_trace, parse_trace
 
 from test_policy_clock import ALL_GENERATORS, CONFIGS, merged_fleet
-from test_trace_reader import reference_parse
+from test_trace_reader import onepass_parse, reference_parse
 
 
 @pytest.fixture(scope="module")
@@ -75,18 +77,15 @@ def test_header_cache_is_bounded(checked_headers, monkeypatch):
     assert [event.sw_id for event in events] == [f"sw-{i % 9}" for i in range(27)]
 
 
-def test_parse_with_a_new_origin_on_every_line_keeps_pace():
-    """The worst case for the header cache: every line misses it, so the
-    cache keeps evicting. The parse must stay within 10 % of the reader that
-    checks every line. The load on the machine varies, so the fastest runs
-    of each reader are compared, in pairs that alternate which runs first,
-    with garbage collection off as in timeit. The check passes once it holds
-    after three pairs or more, and fails if it still does not after nine."""
-    lines = [f'{{"ts":{i},"kind":"sync","origin":"https://w{i}.example","sw_id":"sw-{i}"}}'
-             for i in range(30_000)]
-    times = {parse_trace: [], reference_parse: []}
+def _assert_parse_keeps_pace(lines, reference):
+    """``parse_trace`` must stay within 10 % of ``reference`` on ``lines``.
+    The load on the machine varies, so the fastest runs of each reader are
+    compared, in pairs that alternate which runs first, with garbage
+    collection off as in timeit. The check passes once it holds after three
+    pairs or more, and fails if it still does not after nine."""
+    times = {parse_trace: [], reference: []}
     for pair in range(9):
-        order = (parse_trace, reference_parse) if pair % 2 == 0 else (reference_parse, parse_trace)
+        order = (parse_trace, reference) if pair % 2 == 0 else (reference, parse_trace)
         for reader in order:
             gc.collect()
             gc.disable()
@@ -97,9 +96,47 @@ def test_parse_with_a_new_origin_on_every_line_keeps_pace():
             finally:
                 gc.enable()
             assert len(events) == len(lines)
-        if pair >= 2 and min(times[parse_trace]) <= 1.10 * min(times[reference_parse]):
+            del events  # freed here, not inside the next reader's timing
+        if pair >= 2 and min(times[parse_trace]) <= 1.10 * min(times[reference]):
             return
     pytest.fail(f"worst-case parse is more than 10 % slower: {times}")
+
+
+def test_parse_with_a_new_origin_on_every_line_keeps_pace():
+    """The worst case for the header cache: every line misses it, so the
+    cache keeps evicting. The parse must stay within 10 % of the reader that
+    checks every line."""
+    lines = [f'{{"ts":{i},"kind":"sync","origin":"https://w{i}.example","sw_id":"sw-{i}"}}'
+             for i in range(30_000)]
+    _assert_parse_keeps_pace(lines, reference_parse)
+
+
+def test_parse_with_a_new_body_on_every_line_keeps_pace_with_the_one_pass_reader():
+    """The worst case for the body cache: a push flood whose every line
+    holds a new push_id or notif_id, so no body repeats. The parse must stop
+    remembering bodies and stay within 10 % of the reader that decodes every
+    line and checks each distinct header once."""
+    lines = list(emit_trace(generate(Scenario(
+        "push_flood", 0, {"pushes_per_hour": 15_000, "duration_ms": 3_600_000}))))
+    assert len({line.partition(",")[2] for line in lines}) == len(lines) == 30_003
+    _assert_parse_keeps_pace(lines, onepass_parse)
+
+
+def test_parse_decodes_each_distinct_body_once(ddos_events, monkeypatch):
+    decoded = []
+    scan_once = trace._SCAN_ONCE
+
+    def counted_scan_once(line, index):
+        decoded.append(line)
+        return scan_once(line, index)
+
+    monkeypatch.setattr(trace, "_SCAN_ONCE", counted_scan_once)
+    lines = list(emit_trace(ddos_events))
+    events = parse_trace(lines)
+    assert events == reference_parse(lines)
+    bodies = {line.partition(",")[2] for line in lines}
+    assert len(decoded) == len(bodies) < 10
+    assert len({id(event.payload) for event in events}) < 10
 
 
 @pytest.mark.parametrize("mode", ["enforce", "simulate"])

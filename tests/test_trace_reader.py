@@ -1,11 +1,13 @@
-"""The trace reader against a line-by-line reference, on seeded hostile input.
+"""The trace reader against line-by-line references, on seeded hostile input.
 
-``parse_trace`` checks each distinct header once and decodes through the
-JSON scanner. ``reference_parse`` below is the reader it replaced:
-``json.loads`` and every check on every line. Mutated generator traces must
-give both readers the same events, or the same exception class, line number
-and message. A sample of the mutated traces must also make ``enforce`` and
-``analyze`` return 0, 1 or 2, never raise.
+``parse_trace`` decodes and checks each distinct line body once and reads
+the ``ts`` in front of it from the text. Two readers it replaced are kept as
+references: ``reference_parse``, ``json.loads`` and every check on every
+line, and ``onepass_parse``, one scanner pass per line with each distinct
+header checked once. Mutated generator traces must give all three readers
+the same events, or the same exception class, line number and message. A
+sample of the mutated traces must also make ``enforce`` and ``analyze``
+return 0, 1 or 2, never raise.
 """
 
 import json
@@ -18,13 +20,19 @@ from sw_sentinel.domains import url_registrable_domain
 from sw_sentinel.model import Capability, ModelError, Origin, Scope
 from sw_sentinel.scenarios import GENERATORS, Scenario, generate
 from sw_sentinel.trace import (
+    _HEADER_CACHE_SIZE,
+    _SCAN_ONCE,
     EVENT_KINDS,
     MalformedLine,
     OutOfOrderTimestamp,
     TraceError,
     TraceEvent,
     UnknownEventKind,
+    _check_header,
+    _check_payload,
+    _decode_error,
     emit_trace,
+    new_record,
     parse_trace,
 )
 
@@ -128,6 +136,54 @@ def reference_parse(lines):
     return events
 
 
+def onepass_parse(lines):
+    """Oracle: the reader before line bodies were remembered. Each line is
+    decoded by the scanner and its kind-specific keys are checked; each
+    distinct header is checked once. Payloads are dicts."""
+    events = []
+    append = events.append
+    headers = {}
+    last_ts = None
+    for line_no, line in enumerate(lines, start=1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            obj, end = _SCAN_ONCE(line, 0)
+        except (StopIteration, json.JSONDecodeError, RecursionError) as exc:
+            raise _decode_error(line, exc, line_no) from exc
+        if end != len(line):
+            raise MalformedLine("invalid JSON (Extra data)", line_no)
+        if type(obj) is not dict:
+            raise MalformedLine("record is not an object", line_no)
+        ts = obj.pop("ts", None)
+        if type(ts) is not int:
+            raise MalformedLine("'ts' must be an integer millisecond count", line_no)
+        kind = obj.pop("kind", None)
+        origin = obj.pop("origin", None)
+        sw_id = obj.pop("sw_id", None)
+        scope = obj.pop("scope", None)
+        header = (kind, origin, sw_id, scope)
+        try:
+            checked = headers.get(header)
+        except TypeError:
+            checked = None
+        if checked is None:
+            _check_header(kind, origin, sw_id, scope, line_no)
+            if len(headers) >= _HEADER_CACHE_SIZE:
+                headers.clear()
+            checked = headers[header] = header
+        kind, origin, sw_id, scope = checked
+        _check_payload(kind, obj, line_no)
+        if last_ts is not None and ts < last_ts:
+            raise OutOfOrderTimestamp(f"ts {ts} precedes previous ts {last_ts}", line_no)
+        last_ts = ts
+        if not obj:
+            obj = {}
+        append(new_record(TraceEvent, (ts, kind, origin, sw_id, scope, obj)))
+    return events
+
+
 def outcome(reader, lines):
     """The events, or the class, line number and text of the TraceError.
     Any other exception escapes and fails the test."""
@@ -139,6 +195,7 @@ def outcome(reader, lines):
 
 def assert_readers_agree(lines):
     expected = outcome(reference_parse, lines)
+    assert outcome(onepass_parse, lines) == expected, lines
     assert outcome(parse_trace, lines) == expected, lines
     return expected
 
@@ -173,7 +230,7 @@ def mutate(lines, rng):
     lines = list(lines)
     i = rng.randrange(len(lines))
     line = lines[i]
-    op = rng.choice(("drop", "dup", "swap", "join", "split", "trio"))
+    op = rng.choice(("drop", "dup", "swap", "join", "split", "trio", "retime"))
     if op == "swap":
         try:
             obj = json.loads(line)
@@ -198,6 +255,14 @@ def mutate(lines, rng):
         lines[i:i + 1] = [line[:at], line[at:]]
     elif op == "trio":
         lines[i:i] = TRIO
+    elif op == "retime" and i:
+        # An earlier line's body under the ts of the line it replaces (a hit
+        # where the body was remembered), another ts, or a broken one.
+        body = lines[rng.randrange(i)].partition(",")[2]
+        ts = rng.choice((line.partition(",")[0][6:],) * 6 + (
+            "0", str(rng.randrange(10**9)), "01", "-1", "-0", "1e3", "2.5", "\u00b2",
+            "\u0663", " 7", "7 ", '"7"'))
+        lines[i] = rng.choice(('{"ts":',) * 4 + ('{ "ts":', '{"ts" :')) + ts + "," + body
     return lines
 
 
@@ -216,6 +281,57 @@ def test_the_trio_is_three_malformed_lines():
 def test_json_edge_lines_agree(text):
     head = '{"ts":0,"kind":"sync","origin":"https://a.example"}'
     assert_readers_agree([head, text, head.replace('"ts":0', '"ts":2')])
+
+
+SEEN = ('{"ts":5,"kind":"push","origin":"https://a.example","sw_id":"sw-1","scope":"/",'
+        '"push_id":"p1"}')
+BODY = SEEN.partition(",")[2]
+
+
+@pytest.mark.parametrize("line", [
+    *('{"ts":' + ts + "," + BODY for ts in (
+        "01", "00", "-1", "-0", "1e3", "6E0", "6.0", "²", "٣", "6 ", " 6", "6\t")),
+    '{ "ts":6,' + BODY, '{"ts" :6,' + BODY, '{"tS":6,' + BODY, '  {"ts":6,' + BODY + " ",
+    '{"kind":"push","ts":6,' + BODY.replace('"kind":"push",', ""),
+    '{"ts":6,}', '{"ts":6,' + BODY[:-1] + ',}', '{"ts":6,' + BODY + ",",
+    '{"ts":6,' + BODY[:-1] + ',"ts":5}', '{"ts":6,' + BODY[:-1] + ',"t\\u0073":5}',
+    '{"ts":4,' + BODY, '{"ts":5,' + BODY, '{"ts":0,' + BODY, '{"ts":70000000000,' + BODY,
+])
+def test_a_remembered_body_under_a_hostile_prefix_or_tail_agrees(line):
+    """The body of the first two lines is remembered; the third line brings
+    it back behind a ts that JSON does not read as the canonical digits, with
+    a tail that changes the object, or out of order."""
+    assert_readers_agree([SEEN, SEEN, line, '{"ts":9,' + BODY])
+
+
+@pytest.mark.parametrize("key", ['"ts"', '"t\\u0073"'])
+def test_a_body_with_a_second_ts_key_is_never_remembered(key):
+    body = BODY[:-1] + "," + key + ":7}"
+    events = assert_readers_agree(['{"ts":5,' + body, '{"ts":8,' + body, '{"ts":6,' + body])
+    assert [event.ts for event in events] == [7, 7, 7]
+
+
+def test_an_out_of_order_ts_on_a_remembered_body_is_reported_as_before():
+    result = assert_readers_agree([SEEN, '{"ts":6,' + BODY, '{"ts":4,' + BODY])
+    assert result == (OutOfOrderTimestamp, 3, "line 3: ts 4 precedes previous ts 6")
+
+
+def test_payloads_are_shared_read_only_mappings():
+    miss, hit, unremembered = parse_trace(
+        [SEEN, '{"ts":6,' + BODY, '{"ts":7,' + BODY[:-1] + ',"title":"\\"x\\""}'])
+    assert hit.payload is miss.payload
+    # No body repeats in the first lines, so the parse stops remembering
+    # bodies: the last two lines no longer share a payload.
+    distinct = [f'{{"ts":{i},"kind":"push","origin":"https://a.example","push_id":"p{i}"}}'
+                for i in range(600)]
+    stopped = parse_trace(distinct + distinct[-1:])
+    assert stopped[-1].payload == stopped[-2].payload
+    assert stopped[-1].payload is not stopped[-2].payload
+    for event in (miss, hit, unremembered, stopped[0], stopped[-1]):
+        with pytest.raises(TypeError):
+            event.payload["push_id"] = "x"
+        assert event == event._replace(payload=dict(event.payload))
+    assert [miss, hit] == reference_parse([SEEN, '{"ts":6,' + BODY])
 
 
 @pytest.mark.parametrize("base", range(len(BASES)))
