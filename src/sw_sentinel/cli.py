@@ -13,7 +13,6 @@ import io
 import json
 import os
 import sys
-import tempfile
 from functools import lru_cache
 from typing import Any, Callable, Iterable, Optional
 
@@ -69,11 +68,13 @@ def _load_config(path: Optional[str]) -> PolicyConfig:
 
 
 def _write_text(path: str, text: str) -> None:
+    """Write ``path`` atomically, with the mode open(path, "w") gives a file."""
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".sw-sentinel-")
+    tmp = os.path.join(directory, f".sw-sentinel-{os.urandom(8).hex()}")
+    fh = open(tmp, "x", encoding="utf-8")  # "x": never a file another writer made
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+        with fh:
             fh.write(text)
         os.replace(tmp, path)
     except BaseException:
@@ -106,24 +107,36 @@ def _json_text(value: Any) -> str:
     return _VALUE_ENCODER.encode(value)
 
 
-def _action_row(a: ActionEntry) -> str:
-    return (f'{{"action": {_json_str(a.action.value)}, "reason": {_json_str(a.reason)}, '
-            f'"sw_id": {_json_text(a.sw_id)}, "ts": {_json_text(a.ts)}}}\n')
+def _action_row(a: ActionEntry, prefixes: dict[tuple, str]) -> str:
+    ts, sw_id, action, reason = a
+    # A str or None sw_id only: 1 and True are equal keys with other texts.
+    key = (action, reason, sw_id) if sw_id is None or type(sw_id) is str else None
+    prefix = prefixes.get(key)
+    if prefix is None:
+        prefix = (f'{{"action": {_json_str(action.value)}, "reason": {_json_str(reason)}, '
+                  f'"sw_id": {_json_text(sw_id)}, "ts": ')
+        if key is not None:
+            prefixes[key] = prefix
+    return f"{prefix}{ts}}}\n" if type(ts) is int else prefix + _json_text(ts) + "}\n"
 
 
-def _violation_row(v: ViolationRecord) -> str:
+def _violation_row(v: ViolationRecord, prefixes: dict[tuple, str]) -> str:
     return (f'{{"observed": {_json_text(v.observed)}, "policy": {_json_str(v.policy_name)}, '
             f'"sw_id": {_json_text(v.sw_id)}, "threshold": {_json_text(v.threshold)}, '
             f'"ts": {_json_text(v.ts)}}}\n')
 
 
-def _notice_row(n: Notice) -> str:
+def _notice_row(n: Notice, prefixes: dict[tuple, str]) -> str:
     return (f'{{"detail": {_json_str(n.detail)}, "kind": {_json_str(n.kind)}, '
             f'"sw_id": {_json_text(n.sw_id)}, "ts": {_json_text(n.ts)}}}\n')
 
 
-def _jsonl(row: Callable[[Any], str], records: Iterable[Any]) -> str:
-    return "".join(map(row, records))
+def _jsonl(row: Callable[[Any, dict], str], records: Iterable[Any]) -> str:
+    """The rows of ``records``. The rows of one call share a dict in which a
+    row writer may keep its text up to ``"ts": `` per distinct rest of a row:
+    action rows do, as a flood repeats them; the few other rows are whole."""
+    prefixes: dict[tuple, str] = {}
+    return "".join([row(record, prefixes) for record in records])
 
 
 def _generate(args: argparse.Namespace) -> list[TraceEvent]:

@@ -16,10 +16,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from operator import itemgetter
+from types import MappingProxyType
 from typing import Any, Iterable, Mapping, Optional, Sequence
 
 from .policy import DAY_MS, HOUR_MS, PolicyConfig, PolicyEngine, SimulationResult
-from .trace import TraceEvent, new_record
+from .trace import _NO_PAYLOAD, TraceEvent, new_record
 
 IDLE_TIMEOUT_MS = 30_000
 # How long a generated worker's handler runs after its last activity.
@@ -47,8 +49,15 @@ class SplitMix64:
 
 
 def _mk(ts: int, kind: str, origin: str, sw_id: Optional[str] = None,
-        scope: Optional[str] = None, **payload: Any) -> TraceEvent:
+        scope: Optional[str] = None, payload: Mapping[str, Any] = _NO_PAYLOAD) -> TraceEvent:
     return new_record(TraceEvent, (ts, kind, origin, sw_id, scope, payload))
+
+
+def _ro(**payload: Any) -> Mapping[str, Any]:
+    return MappingProxyType(payload)  # read-only, over a dict nothing else holds
+
+
+_GRANT = _ro(permission="notifications")
 
 
 def _idle_terminates(activity_ts: Sequence[int], settle_ms: int, origin: str,
@@ -64,7 +73,7 @@ def _idle_terminates(activity_ts: Sequence[int], settle_ms: int, origin: str,
 
 
 def _sorted(events: list[TraceEvent]) -> list[TraceEvent]:
-    events.sort(key=lambda e: e.ts)  # stable: same-ts events keep logical order
+    events.sort(key=itemgetter(0))  # by ts; stable: same-ts events keep logical order
     return events
 
 
@@ -90,7 +99,7 @@ def gen_webbot(seed: int, duration_ms: int = 600_000) -> list[TraceEvent]:
             t += 25_000
             version += 1
             events.append(_mk(t, "update_check", origin, sw, scope))
-            events.append(_mk(t, "update_found", origin, sw, scope, version=version))
+            events.append(_mk(t, "update_found", origin, sw, scope, _ro(version=version)))
             events.append(_mk(t, "install", origin, sw, scope))
             events.append(_mk(t, "activate", origin, sw, scope))
 
@@ -118,7 +127,7 @@ def gen_push_flood(
     origin, sw, scope = "https://pushmill.example", "sw-pushflood", "/"
     events = [
         _mk(0, "register", origin, sw, scope),
-        _mk(0, "permission_grant", origin, permission="notifications"),
+        _mk(0, "permission_grant", origin, payload=_GRANT),
     ]
     push_ts: list[int] = []
     slot_start = 0
@@ -132,18 +141,14 @@ def gen_push_flood(
 
     activity: list[int] = []
     for idx, ts in enumerate(push_ts, start=1):
-        events.append(_mk(ts, "push", origin, sw, scope, push_id=f"p{idx:05d}"))
+        events.append(_mk(ts, "push", origin, sw, scope, _ro(push_id=f"p{idx:05d}")))
         activity.append(ts)
         if not silent:
-            events.append(
-                _mk(ts + 200, "notification_show", origin, sw, scope,
-                    notif_id=f"n{idx:05d}", title="Fresh update")
-            )
+            events.append(_mk(ts + 200, "notification_show", origin, sw, scope,
+                              _ro(notif_id=f"n{idx:05d}", title="Fresh update")))
             activity.append(ts + 200)
         if renew_after is not None and idx % renew_after == 0:
-            events.append(
-                _mk(ts + 350, "permission_grant", origin, permission="notifications")
-            )
+            events.append(_mk(ts + 350, "permission_grant", origin, payload=_GRANT))
     events.extend(
         _idle_terminates(activity, HANDLER_MS + IDLE_TIMEOUT_MS, origin, sw, scope)
     )
@@ -163,16 +168,13 @@ def gen_ddos(
     start = 1_000
     events = [
         _mk(0, "register", origin, sw, scope),
-        _mk(0, "permission_grant", origin, permission="notifications"),
-        _mk(start, "push", origin, sw, scope, push_id="p00001"),
+        _mk(0, "permission_grant", origin, payload=_GRANT),
+        _mk(start, "push", origin, sw, scope, _ro(push_id="p00001")),
     ]
-    for second in range(burst_minutes * 60):
-        base = start + second * 1_000
-        for i in range(req_per_s):
-            events.append(
-                _mk(base + (i * 1_000) // req_per_s, "fetch_request", origin, sw,
-                    scope, url=target, initiator_is_sw=True)
-            )
+    fetch = _ro(url=target, initiator_is_sw=True)
+    events += [new_record(TraceEvent, (start + second * 1_000 + (i * 1_000) // req_per_s,
+                                       "fetch_request", origin, sw, scope, fetch))
+               for second in range(burst_minutes * 60) for i in range(req_per_s)]
     last = start + burst_minutes * 60_000
     events.append(_mk(last + IDLE_TIMEOUT_MS, "terminate", origin, sw, scope))
     return _sorted(events)
@@ -185,22 +187,18 @@ def gen_notification_hider(seed: int, duration_ms: int = 600_000) -> list[TraceE
     origin, sw, scope = "https://hushpush.example", "sw-hider", "/"
     events = [
         _mk(0, "register", origin, sw, scope),
-        _mk(0, "permission_grant", origin, permission="notifications"),
+        _mk(0, "permission_grant", origin, payload=_GRANT),
     ]
     activity = []
     idx = 0
     ts = 1_000
     while ts < duration_ms:
         idx += 1
-        events.append(_mk(ts, "push", origin, sw, scope, push_id=f"p{idx:05d}"))
-        events.append(
-            _mk(ts + 40, "notification_show", origin, sw, scope,
-                notif_id=f"nh{idx:05d}", title="nothing to see")
-        )
-        events.append(
-            _mk(ts + 140, "notification_close", origin, sw, scope,
-                notif_id=f"nh{idx:05d}", by_user=False)
-        )
+        events.append(_mk(ts, "push", origin, sw, scope, _ro(push_id=f"p{idx:05d}")))
+        events.append(_mk(ts + 40, "notification_show", origin, sw, scope,
+                          _ro(notif_id=f"nh{idx:05d}", title="nothing to see")))
+        events.append(_mk(ts + 140, "notification_close", origin, sw, scope,
+                          _ro(notif_id=f"nh{idx:05d}", by_user=False)))
         activity.extend((ts, ts + 40, ts + 140))
         ts += 60_000
     events.extend(
@@ -216,17 +214,15 @@ def gen_tag_reuser(seed: int, n_pushes: int) -> list[TraceEvent]:
     origin, sw, scope = "https://samenote.example", "sw-tagreuse", "/"
     events = [
         _mk(0, "register", origin, sw, scope),
-        _mk(0, "permission_grant", origin, permission="notifications"),
+        _mk(0, "permission_grant", origin, payload=_GRANT),
     ]
     activity = []
     for idx in range(1, n_pushes + 1):
         ts = 1_000 + (idx - 1) * 60_000
-        events.append(_mk(ts, "push", origin, sw, scope, push_id=f"p{idx:05d}"))
-        events.append(
-            _mk(ts + 40, "notification_show", origin, sw, scope,
-                notif_id=f"tr{idx:05d}", title="Same Notification!",
-                tag="notification-update-tag")
-        )
+        events.append(_mk(ts, "push", origin, sw, scope, _ro(push_id=f"p{idx:05d}")))
+        events.append(_mk(ts + 40, "notification_show", origin, sw, scope,
+                          _ro(notif_id=f"tr{idx:05d}", title="Same Notification!",
+                              tag="notification-update-tag")))
         activity.extend((ts, ts + 40))
     events.extend(
         _idle_terminates(activity, HANDLER_MS + IDLE_TIMEOUT_MS, origin, sw, scope)
@@ -240,20 +236,16 @@ def gen_tracking_library(seed: int, page_visits: int) -> list[TraceEvent]:
     del seed
     origin, sw, scope = "https://host-site.example", "sw-tracking", "/"
     events = [_mk(0, "register", origin, sw, scope)]
+    tracking = _ro(url=f"{TRACKING_SERVER}/tracking_url", initiator_is_sw=True)
     activity = []
     for visit in range(page_visits):
         ts = 1_000 + visit * 10_000
         events.append(_mk(ts, "page_visit", origin))
         events.append(_mk(ts + 10, "fetch_event_start", origin, sw, scope))
-        events.append(
-            _mk(ts + 20, "fetch_request", origin, sw, scope,
-                url=f"{origin}/page{visit}.html", initiator_is_sw=True)
-        )
+        events.append(_mk(ts + 20, "fetch_request", origin, sw, scope,
+                          _ro(url=f"{origin}/page{visit}.html", initiator_is_sw=True)))
         events.append(_mk(ts + 30, "fetch_event_end", origin, sw, scope))
-        events.append(
-            _mk(ts + 500, "fetch_request", origin, sw, scope,
-                url=f"{TRACKING_SERVER}/tracking_url", initiator_is_sw=True)
-        )
+        events.append(_mk(ts + 500, "fetch_request", origin, sw, scope, tracking))
         activity.extend((ts + 10, ts + 20, ts + 30, ts + 500))
     events.extend(
         _idle_terminates(activity, HANDLER_MS + IDLE_TIMEOUT_MS, origin, sw, scope)
@@ -281,9 +273,10 @@ def gen_benign(
     origin, sw, scope = "https://goodapp.example", "sw-benign", "/"
     events = [
         _mk(0, "register", origin, sw, scope),
-        _mk(0, "permission_grant", origin, permission="notifications"),
+        _mk(0, "permission_grant", origin, payload=_GRANT),
         _mk(0, "page_visit", origin),
     ]
+    beacon = _ro(url="https://cdn-assets.example/beacon", initiator_is_sw=True)
     push_ts: list[int] = []
     slot_start = 0
     while slot_start < duration_ms:
@@ -299,16 +292,11 @@ def gen_benign(
         # Exact cumulative allocation: each day's activations sum to budget.
         k = (idx - 1) % pushes_per_day
         alloc = (k + 1) * day_budget_ms // pushes_per_day - k * day_budget_ms // pushes_per_day
-        events.append(_mk(ts, "push", origin, sw, scope, push_id=f"p{idx:05d}"))
-        events.append(
-            _mk(ts + 150, "notification_show", origin, sw, scope,
-                notif_id=f"nb{idx:05d}", title="Daily digest")
-        )
+        events.append(_mk(ts, "push", origin, sw, scope, _ro(push_id=f"p{idx:05d}")))
+        events.append(_mk(ts + 150, "notification_show", origin, sw, scope,
+                          _ro(notif_id=f"nb{idx:05d}", title="Daily digest")))
         for j in range(fetches):
-            events.append(
-                _mk(ts + 300 + j * 50, "fetch_request", origin, sw, scope,
-                    url="https://cdn-assets.example/beacon", initiator_is_sw=True)
-            )
+            events.append(_mk(ts + 300 + j * 50, "fetch_request", origin, sw, scope, beacon))
         events.append(_mk(ts + max(alloc, 1_000), "terminate", origin, sw, scope))
     return _sorted(events)
 

@@ -117,7 +117,10 @@ class TraceEvent(NamedTuple):
 
     An immutable record that costs a tuple to build: its fields cannot be
     assigned, and an event built without a payload gets the shared read-only
-    empty mapping.
+    empty mapping. Every payload the package makes, parsed or generated, is
+    a read-only mapping over a dict nothing else holds, so it never changes:
+    emit_trace writes the text of a repeated one once. A caller's own dict
+    payload is written afresh on every line.
     """
 
     ts: int
@@ -152,6 +155,8 @@ def _decode_error(line: str, exc: Exception, line_no: int) -> MalformedLine:
     words it."""
     if isinstance(exc, json.JSONDecodeError):
         msg = exc.msg
+    elif isinstance(exc, ValueError):  # an integer past CPython's int-size limit
+        msg = str(exc)
     elif isinstance(exc, RecursionError):
         msg = "nesting too deep"
     elif line.startswith("\ufeff"):
@@ -251,7 +256,10 @@ def parse_trace(lines: Iterable[str]) -> list[TraceEvent]:
                 body = None
             elif (entry := bodies.get(body)) is not None:
                 hits += 1
-                ts = int(digits)
+                try:
+                    ts = int(digits)
+                except ValueError as exc:  # more digits than int() converts
+                    raise _decode_error(line, exc, line_no) from exc
                 if last_ts is not None and ts < last_ts:
                     raise OutOfOrderTimestamp(f"ts {ts} precedes previous ts {last_ts}", line_no)
                 last_ts = ts
@@ -264,7 +272,7 @@ def parse_trace(lines: Iterable[str]) -> list[TraceEvent]:
                 bodies = body = None
         try:
             obj, end = _SCAN_ONCE(line, 0)
-        except (StopIteration, json.JSONDecodeError, RecursionError) as exc:
+        except (StopIteration, ValueError, RecursionError) as exc:
             raise _decode_error(line, exc, line_no) from exc
         if end != len(line):
             raise MalformedLine("invalid JSON (Extra data)", line_no)
@@ -333,34 +341,58 @@ def emit_trace(events: Iterable[TraceEvent]) -> Iterator[str]:
     """Serialize events to canonical lines; inverse of parse_trace.
 
     Each line is the text ``_LINE_ENCODER.encode(event.to_obj())`` gives,
-    written from pieces: the header text of each distinct (kind, origin,
-    sw_id, scope) and each payload key's text are made once per call, with
-    no dict and no sort of the header. A payload key that is not a string,
-    or that names a header field, would not parse back to its event: it
-    raises InvariantViolation.
+    written from pieces made once per call: the text of each distinct header
+    and payload key, and all after ``ts`` of a line whose header and
+    read-only payload came before (a dict payload, which may change, is
+    written every time; a call whose first bodies rarely repeat stops
+    remembering them). A payload key that is not a string, or that names a
+    header field, would not parse back to its event: it raises
+    InvariantViolation.
     """
     headers: dict[tuple, str] = {}
     keys: dict[str, str] = {}
+    # (id(payload), *header) -> (payload, text after ts), None once dropped.
+    # Holding the payload keeps its id from going to another object.
+    bodies: Optional[dict[tuple, tuple]] = {}
+    hits = misses = 0
     last_ts: Optional[int] = None
     for event in events:
         ts, kind, origin, sw_id, scope, payload = event
         if last_ts is not None and ts < last_ts:
             raise InvariantViolation(f"events out of order: ts {ts} after {last_ts}")
         last_ts = ts
+        line = f'{{"ts":{ts}' if type(ts) is int else '{"ts":' + _value_text(ts)
+        body_key = None
+        if bodies is not None and type(payload) is MappingProxyType:
+            body_key = (id(payload), kind, origin, sw_id, scope)
+            try:
+                entry = bodies.get(body_key)
+            except TypeError:  # an unhashable header field is never remembered
+                entry = body_key = None
+            if entry is not None:
+                hits += 1
+                yield line + entry[1]
+                continue
+            misses += 1
+            if misses >= 256 and hits < misses:  # bodies rarely repeat here
+                bodies = body_key = None
         header = (kind, origin, sw_id, scope)
         try:
             head = headers[header]
         except (KeyError, TypeError):  # not seen yet, or an unhashable field
             head = _header_text(kind, origin, sw_id, scope)
-            # Only str/None fields are remembered: 1 and True are equal keys
-            # with different texts.
+            # Only str/None fields, and bodies under them, are remembered:
+            # 1 and True are equal keys with different texts.
             if (type(kind) is str and type(origin) is str
                     and (sw_id is None or type(sw_id) is str)
                     and (scope is None or type(scope) is str)):
                 if len(headers) >= _HEADER_CACHE_SIZE:
                     headers.clear()
                 headers[header] = head
-        line = '{"ts":' + _value_text(ts) + head
+            else:
+                body_key = None
+        # A line whose body is not remembered grows in place from its ts.
+        body = head if body_key is not None else line + head
         if payload:
             try:
                 payload_keys = sorted(payload)
@@ -375,8 +407,16 @@ def emit_trace(events: Iterable[TraceEvent]) -> Iterator[str]:
                     if len(keys) >= _HEADER_CACHE_SIZE:
                         keys.clear()
                     key_text = keys[key] = "," + _json_str(key) + ":"
-                line += key_text + _value_text(payload[key])
-        yield line + "}"
+                value = payload[key]
+                body += key_text + (_json_str(value) if type(value) is str else _value_text(value))
+        body += "}"
+        if body_key is None:
+            yield body
+            continue
+        if len(bodies) >= _HEADER_CACHE_SIZE:
+            bodies.clear()
+        bodies[body_key] = (payload, body)
+        yield line + body
 
 
 def read_trace(path: str) -> list[TraceEvent]:

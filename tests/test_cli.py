@@ -57,6 +57,26 @@ class TestGen:
             {"req_per_s": 2, "burst_minutes": 1}, {"push_rate": 3}, {}]
         assert cli._parser() is cli._parser()
 
+    @pytest.mark.parametrize("umask", [0o022, 0o077, 0o002], ids=oct)
+    def test_outputs_take_their_mode_from_the_umask(self, tmp_path, umask):
+        """Every output is created as open(path, "w") would create it, and
+        no temporary file is left beside it."""
+        trace, out = tmp_path / "t.jsonl", tmp_path / "out"
+        old = os.umask(umask)
+        try:
+            assert run(["gen", "--scenario", "benign", "--out", str(trace)]) == 0
+            assert run(["gen", "--scenario", "benign", "--out", str(trace)]) == 0  # replaced
+            assert run(["simulate", "--scenario", "webbot", "--out", str(out / "sim")]) == 0
+            assert run(["enforce", "--trace", str(trace), "--out", str(out / "enf")]) == 0
+            assert run(["analyze", "--trace", str(trace), "--out", str(out / "ana")]) == 0
+        finally:
+            os.umask(old)
+        written = [trace, *(path for path in out.rglob("*") if path.is_file())]
+        assert len(written) == 1 + 6 + 3 + 6
+        for path in written:
+            assert path.stat().st_mode & 0o777 == 0o666 & ~umask, path
+        assert not [path for path in tmp_path.rglob(".sw-sentinel-*")]
+
 
 class TestPipeline:
     def test_gen_enforce_analyze_chain(self, tmp_path):
@@ -220,6 +240,27 @@ class TestHostileFields:
             assert run([command, "--trace", str(trace), "--out", str(tmp_path / command)]) == 2
             err = capsys.readouterr().err
             assert err.startswith("error: invalid trace") and "line 2" in err
+
+    @pytest.mark.parametrize("where", ["first_ts", "remembered_ts", "version"])
+    def test_integers_past_the_digit_limit_exit_two(self, tmp_path, capsys, where):
+        """CPython will not convert an integer of more than 4,300 digits; a
+        trace line holding one is malformed, on the line the reader decodes
+        and on one whose body it remembered."""
+        huge = "9" * 5_000
+        sync = ',"kind":"sync","origin":"https://a.example","sw_id":"sw-1","scope":"/"}'
+        found = ',"kind":"update_found","origin":"https://a.example","version":'
+        lines, bad_line = {
+            "first_ts": (['{"ts":' + huge + sync], 1),
+            "remembered_ts": (['{"ts":1' + sync, '{"ts":2' + sync, '{"ts":' + huge + sync], 3),
+            "version": (['{"ts":1' + sync, '{"ts":2' + found + huge + "}"], 2),
+        }[where]
+        trace = tmp_path / "t.jsonl"
+        trace.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+        for command in ("enforce", "analyze"):
+            assert run([command, "--trace", str(trace), "--out", str(tmp_path / command)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: invalid trace") and f"line {bad_line}:" in err
+            assert "4300 digits" in err
 
 
 POLICY = {"name": "push_per_hour", "severity": "low", "threshold": 2,
@@ -412,3 +453,20 @@ class TestRowWriter:
             assert cli._jsonl(row, records) == "".join(
                 json.dumps(obj, sort_keys=True) + "\n" for obj in objs)
             assert cli._jsonl(row, []) == ""
+
+    def test_action_rows_with_repeated_prefixes(self):
+        """Action rows repeat all but their ts. A str or None sw_id may share
+        the text before it; 1, True and 1.0 are equal keys with other texts,
+        and a list is unhashable: each must still be written as json writes it."""
+        throttle, terminate = EnforcementAction.THROTTLE_EVENT, EnforcementAction.TERMINATE_SW
+        keys = [(throttle, "a", "sw-1"), (throttle, "a", None), (terminate, "a", "sw-1"),
+                (throttle, "b", "sw-1"), (throttle, "a", "1"), (throttle, "a", 1),
+                (throttle, "a", True), (throttle, "a", 1.0), (throttle, "a", ["sw-1"]),
+                (throttle, "a", math.nan)]
+        rng = random.Random(4)
+        for order in (keys * 3, [rng.choice(keys) for _ in range(500)]):
+            actions = [ActionEntry(ts, sw_id, action, reason)
+                       for ts, (action, reason, sw_id) in enumerate(order)]
+            assert cli._jsonl(cli._action_row, actions) == "".join(
+                json.dumps({"ts": a.ts, "sw_id": a.sw_id, "action": a.action.value,
+                            "reason": a.reason}, sort_keys=True) + "\n" for a in actions)

@@ -3,18 +3,21 @@
 A trace repeats one header and a few URLs on every line, so ``parse_trace``
 decodes each distinct line body and checks each distinct header once through
 bounded caches (and stops remembering bodies that do not repeat),
-``Origin.parse`` and the registrable-domain lookups are memoized with a fixed
-bound, and the engine re-keys a worker's clock entry only after a handler
-changed an input of the key. These tests count that work on a seeded DDoS
-trace, check that the caches neither keep failures nor change an answer when
-they evict, and check the engine's clock keys against a fresh computation
-after every event.
+``emit_trace`` writes the text of each distinct header and read-only payload
+once under the same rules, ``Origin.parse`` and the registrable-domain
+lookups are memoized with a fixed bound, and the engine re-keys a worker's
+clock entry only after a handler changed an input of the key. These tests
+count that work on a seeded DDoS trace, check that the caches neither keep
+failures nor change an answer when they evict, check that the worst case of
+each cache keeps pace with the code it replaced, and check the engine's clock
+keys against a fresh computation after every event.
 """
 
 import gc
 import json
 import random
 import time
+from types import MappingProxyType
 
 import pytest
 
@@ -23,7 +26,8 @@ from sw_sentinel.domains import registrable_domain, url_registrable_domain
 from sw_sentinel.model import ModelError, Origin
 from sw_sentinel.policy import PROFILES, RULES, PolicyConfig, PolicyEngine, default_policies
 from sw_sentinel.scenarios import Scenario, generate
-from sw_sentinel.trace import TraceEvent, emit_trace, parse_trace
+from sw_sentinel.trace import (_HEADER_CACHE_SIZE, _HEADER_KEYS, InvariantViolation, TraceEvent,
+                                _header_text, _json_str, _value_text, emit_trace, parse_trace)
 
 from test_policy_clock import ALL_GENERATORS, CONFIGS, merged_fleet
 from test_trace_reader import onepass_parse, reference_parse
@@ -77,29 +81,30 @@ def test_header_cache_is_bounded(checked_headers, monkeypatch):
     assert [event.sw_id for event in events] == [f"sw-{i % 9}" for i in range(27)]
 
 
-def _assert_parse_keeps_pace(lines, reference):
-    """``parse_trace`` must stay within 10 % of ``reference`` on ``lines``.
-    The load on the machine varies, so the fastest runs of each reader are
-    compared, in pairs that alternate which runs first, with garbage
-    collection off as in timeit. The check passes once it holds after three
-    pairs or more, and fails if it still does not after nine."""
-    times = {parse_trace: [], reference: []}
+def _assert_keeps_pace(subject, reference, data, bound):
+    """``subject(data)`` must take at most ``bound`` times as long as
+    ``reference(data)``. The load on the machine varies, so the fastest runs
+    of each are compared, in pairs that alternate which runs first, with
+    garbage collection off as in timeit. The check passes once it holds after
+    three pairs or more, and fails if it still does not after nine."""
+    times = {subject: [], reference: []}
     for pair in range(9):
-        order = (parse_trace, reference) if pair % 2 == 0 else (reference, parse_trace)
-        for reader in order:
+        order = (subject, reference) if pair % 2 == 0 else (reference, subject)
+        for fn in order:
             gc.collect()
             gc.disable()
             try:
                 start = time.perf_counter()
-                events = reader(lines)
-                times[reader].append(time.perf_counter() - start)
+                result = fn(data)
+                times[fn].append(time.perf_counter() - start)
             finally:
                 gc.enable()
-            assert len(events) == len(lines)
-            del events  # freed here, not inside the next reader's timing
-        if pair >= 2 and min(times[parse_trace]) <= 1.10 * min(times[reference]):
+            assert len(result) == len(data)
+            del result  # freed here, not inside the next run's timing
+        if pair >= 2 and min(times[subject]) <= bound * min(times[reference]):
             return
-    pytest.fail(f"worst-case parse is more than 10 % slower: {times}")
+    pytest.fail(f"{subject.__name__} is more than {bound - 1:.0%} slower than "
+                f"{reference.__name__}: {times}")
 
 
 def test_parse_with_a_new_origin_on_every_line_keeps_pace():
@@ -108,7 +113,7 @@ def test_parse_with_a_new_origin_on_every_line_keeps_pace():
     checks every line."""
     lines = [f'{{"ts":{i},"kind":"sync","origin":"https://w{i}.example","sw_id":"sw-{i}"}}'
              for i in range(30_000)]
-    _assert_parse_keeps_pace(lines, reference_parse)
+    _assert_keeps_pace(parse_trace, reference_parse, lines, 1.10)
 
 
 def test_parse_with_a_new_body_on_every_line_keeps_pace_with_the_one_pass_reader():
@@ -119,7 +124,7 @@ def test_parse_with_a_new_body_on_every_line_keeps_pace_with_the_one_pass_reader
     lines = list(emit_trace(generate(Scenario(
         "push_flood", 0, {"pushes_per_hour": 15_000, "duration_ms": 3_600_000}))))
     assert len({line.partition(",")[2] for line in lines}) == len(lines) == 30_003
-    _assert_parse_keeps_pace(lines, onepass_parse)
+    _assert_keeps_pace(parse_trace, onepass_parse, lines, 1.10)
 
 
 def test_parse_decodes_each_distinct_body_once(ddos_events, monkeypatch):
@@ -137,6 +142,124 @@ def test_parse_decodes_each_distinct_body_once(ddos_events, monkeypatch):
     bodies = {line.partition(",")[2] for line in lines}
     assert len(decoded) == len(bodies) < 10
     assert len({id(event.payload) for event in events}) < 10
+
+
+def piecewise_emit(events):
+    """The writer before line bodies were remembered: each line is written
+    from the cached text of its header and payload keys."""
+    headers = {}
+    keys = {}
+    last_ts = None
+    for event in events:
+        ts, kind, origin, sw_id, scope, payload = event
+        if last_ts is not None and ts < last_ts:
+            raise InvariantViolation(f"events out of order: ts {ts} after {last_ts}")
+        last_ts = ts
+        header = (kind, origin, sw_id, scope)
+        try:
+            head = headers[header]
+        except (KeyError, TypeError):
+            head = _header_text(kind, origin, sw_id, scope)
+            if (type(kind) is str and type(origin) is str
+                    and (sw_id is None or type(sw_id) is str)
+                    and (scope is None or type(scope) is str)):
+                if len(headers) >= _HEADER_CACHE_SIZE:
+                    headers.clear()
+                headers[header] = head
+        line = '{"ts":' + _value_text(ts) + head
+        if payload:
+            try:
+                payload_keys = sorted(payload)
+            except TypeError:
+                raise InvariantViolation(f"payload keys of mixed types: {list(payload)!r}")
+            for key in payload_keys:
+                key_text = keys.get(key)
+                if key_text is None:
+                    if type(key) is not str or key in _HEADER_KEYS:
+                        raise InvariantViolation(
+                            f"payload key {key!r} is not a string or names a header field")
+                    if len(keys) >= _HEADER_CACHE_SIZE:
+                        keys.clear()
+                    key_text = keys[key] = "," + _json_str(key) + ":"
+                line += key_text + _value_text(payload[key])
+        yield line + "}"
+
+
+def emit_lines(events):
+    return list(emit_trace(events))
+
+
+def piecewise_emit_lines(events):
+    return list(piecewise_emit(events))
+
+
+@pytest.fixture
+def rendered_payloads(monkeypatch):
+    """Every non-empty payload ``emit_trace`` writes out as text, in order:
+    writing one sorts its keys once."""
+    rendered = []
+    monkeypatch.setattr(trace, "sorted", raising=False,
+                        value=lambda payload: rendered.append(payload) or sorted(payload))
+    return rendered
+
+
+def _distinct_bodies(events):
+    return {(id(event.payload),) + event[1:5]: event.payload for event in events}
+
+
+def test_emit_renders_each_distinct_body_once(ddos_events, rendered_payloads):
+    """Each distinct (header, read-only payload) is written out once per
+    call, for generated events and for the events parsed back from them."""
+    for events in (ddos_events, parse_trace(emit_trace(ddos_events))):
+        rendered_payloads.clear()
+        lines = emit_lines(events)
+        bodies = [payload for payload in _distinct_bodies(events).values() if payload]
+        assert len(rendered_payloads) == len(bodies) < 10
+        assert lines == piecewise_emit_lines(ddos_events)
+
+
+def test_emit_renders_dict_payloads_on_every_line(ddos_events, rendered_payloads):
+    events = [event._replace(payload=dict(event.payload)) for event in ddos_events]
+    lines = emit_lines(events)
+    assert len(rendered_payloads) == sum(bool(event.payload) for event in events)
+    assert lines == emit_lines(ddos_events)
+
+
+def test_emit_body_cache_is_bounded_and_stops_when_bodies_do_not_repeat(
+        rendered_payloads, monkeypatch):
+    origin = "https://a.example"
+    payloads = [MappingProxyType({"push_id": f"p{i}"}) for i in range(300)]
+
+    def pushes(order):
+        return [TraceEvent(ts, "push", origin, "sw-1", "/", payloads[i])
+                for ts, i in enumerate(order)]
+
+    monkeypatch.setattr(trace, "_HEADER_CACHE_SIZE", 8)
+    cycle = pushes([i % 9 for i in range(90)])
+    assert emit_lines(cycle) == piecewise_emit_lines(cycle)
+    assert len(rendered_payloads) > 9  # evicted bodies are written again
+    monkeypatch.setattr(trace, "_HEADER_CACHE_SIZE", 4096)
+    # 256 misses and no hit: the call stops remembering, and the repeats
+    # that follow are written again.
+    rendered_payloads.clear()
+    events = pushes([*range(300), 0, 0, 299])
+    assert emit_lines(events) == piecewise_emit_lines(events)
+    assert len(rendered_payloads) == 303
+    # Early repeats keep it remembering.
+    rendered_payloads.clear()
+    events = pushes([0] * 300 + [*range(300), 0, 299])
+    assert emit_lines(events) == piecewise_emit_lines(events)
+    assert len(rendered_payloads) == 300
+
+
+def test_emit_with_a_new_body_on_every_line_keeps_pace_with_the_piecewise_writer():
+    """The worst case for the body cache: a push flood whose every line
+    holds a new push_id or notif_id. The writer must stop remembering bodies
+    and stay within 3 % of the writer that builds every line from pieces."""
+    events = generate(Scenario("push_flood", 0,
+                               {"pushes_per_hour": 28_800, "duration_ms": 3_600_000}))
+    assert len(_distinct_bodies(events)) == len(events) == 57_603
+    _assert_keeps_pace(emit_lines, piecewise_emit_lines, events, 1.03)
 
 
 @pytest.mark.parametrize("mode", ["enforce", "simulate"])

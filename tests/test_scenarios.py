@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -24,7 +25,9 @@ from sw_sentinel.scenarios import (
     generate,
     simulate,
 )
-from sw_sentinel.trace import emit_trace
+from sw_sentinel.trace import _NO_PAYLOAD, emit_trace
+
+from test_policy_clock import _params
 
 HOUR = 3_600_000
 EMPTY = PolicyConfig(())
@@ -244,6 +247,28 @@ class TestSimulate:
             assert list(emit_trace(generate(scenario))) == list(
                 emit_trace(generate(scenario))
             )
+
+    @pytest.mark.parametrize("name", sorted(GENERATORS))
+    def test_generated_payloads_are_read_only_and_shared_when_repeated(self, name):
+        """Every payload a generator builds is read-only, an event without one
+        gets the shared empty payload, and a payload that repeats is one
+        object: ``emit_trace`` writes each (header, payload) body once."""
+        events = generate(Scenario(name, 3, _params(name, random.Random(3))))
+        assert events
+        for event in events:
+            with pytest.raises(TypeError):
+                event.payload["injected"] = 1
+            with pytest.raises(TypeError):
+                del event.payload[next(iter(event.payload), "push_id")]
+            if not event.payload:
+                assert event.payload is _NO_PAYLOAD
+        texts = {}
+        for event in events:
+            texts.setdefault(json.dumps(dict(event.payload), sort_keys=True), set()).add(
+                id(event.payload))
+        assert all(len(ids) == 1 for ids in texts.values()), name
+        assert list(emit_trace(events)) == list(emit_trace(
+            [event._replace(payload=dict(event.payload)) for event in events]))
 
     @pytest.mark.parametrize("value", [-1, -0.5, float("nan"), float("inf")])
     def test_negative_or_unbounded_params_rejected(self, value):

@@ -1,8 +1,10 @@
 import json
 import random
+from types import MappingProxyType
 
 import pytest
 
+from sw_sentinel import trace
 from sw_sentinel.scenarios import Scenario, generate
 from sw_sentinel.trace import (
     BACKGROUND_FIRST_PARTY,
@@ -238,6 +240,59 @@ class TestEmitOracle:
         # header or key must not leak into an equal one written otherwise.
         events = [e._replace(ts=i) for i, e in enumerate(reversed(events))]
         assert list(emit_trace(events)) == [_dumps_line(e) for e in events]
+
+    def test_one_read_only_payload_under_different_headers(self):
+        """A remembered body is keyed by its payload and its header: the same
+        payload under another header, or under an equal header written
+        otherwise (1, True, 1.0), must get that header's own text."""
+        payload = MappingProxyType({"push_id": "p1", "n": 1})
+        headers = [("push", ORIGIN, "sw-1", "/"), ("push", ORIGIN, None, None),
+                   ("push", "https://u.example", "sw-1", "/"), ("sync", ORIGIN, "sw-2", "/s"),
+                   ("push", ORIGIN, 1, None), ("push", ORIGIN, True, None),
+                   ("push", ORIGIN, 1.0, None), ("push", ORIGIN, "1", None),
+                   ("push", ORIGIN, ["sw-1"], None)]
+        events = [TraceEvent(ts, *headers[ts % len(headers)], payload) for ts in range(40)]
+        assert list(emit_trace(events)) == [_dumps_line(e) for e in events]
+
+    def test_repeats_interleaved_with_other_bodies(self):
+        rng = random.Random(11)
+        payloads = [MappingProxyType({"push_id": f"p{i}", "v": value})
+                    for i, value in enumerate((1, True, 1.0, "1", None, [1], {"a": 1}))]
+        payloads.append(trace._NO_PAYLOAD)
+        events = []
+        for ts in range(3_000):
+            if rng.random() < 0.3:  # a body seen at most once
+                payload = MappingProxyType({"push_id": f"q{ts}"})
+            else:
+                payload = rng.choice(payloads)
+            events.append(TraceEvent(ts, "push", ORIGIN, rng.choice(("sw-1", "sw-2", None)),
+                                     "/", payload))
+        assert list(emit_trace(events)) == [_dumps_line(e) for e in events]
+
+    def test_round_tripped_parsed_traces(self):
+        for name in ALL_GENERATORS:
+            generated = generate(Scenario(name, 1, _params(name, random.Random(1))))
+            events = parse_trace(emit_trace(generated))
+            lines = list(emit_trace(events))
+            assert lines == [_dumps_line(e) for e in events]
+            assert parse_trace(lines) == events
+
+    def test_a_dict_payload_changed_between_events_is_written_in_both_states(self):
+        payload = {"push_id": "p1"}
+        first = TraceEvent(0, "push", ORIGIN, "sw-1", "/", payload)
+        second = first._replace(ts=1)
+
+        def events():
+            yield first
+            payload["push_id"] = "p2"
+            payload["extra"] = [1]
+            yield second
+
+        assert list(emit_trace(events())) == [
+            '{"ts":0,"kind":"push","origin":"https://t.example","sw_id":"sw-1","scope":"/",'
+            '"push_id":"p1"}',
+            '{"ts":1,"kind":"push","origin":"https://t.example","sw_id":"sw-1","scope":"/",'
+            '"extra":[1],"push_id":"p2"}']
 
     def test_unwritable_values_raise_as_json_does(self):
         event = TraceEvent(0, "push", ORIGIN, payload={"v": object()})

@@ -126,6 +126,8 @@ def reference_parse(lines):
             raise MalformedLine(f"invalid JSON ({exc.msg})", line_no) from exc
         except RecursionError as exc:  # rule added with the one-pass reader
             raise MalformedLine("invalid JSON (nesting too deep)", line_no) from exc
+        except ValueError as exc:  # rule added for integers past CPython's digit limit
+            raise MalformedLine(f"invalid JSON ({exc})", line_no) from exc
         event = _reference_validate(obj, line_no)
         if last_ts is not None and event.ts < last_ts:
             raise OutOfOrderTimestamp(
@@ -150,7 +152,7 @@ def onepass_parse(lines):
             continue
         try:
             obj, end = _SCAN_ONCE(line, 0)
-        except (StopIteration, json.JSONDecodeError, RecursionError) as exc:
+        except (StopIteration, ValueError, RecursionError) as exc:
             raise _decode_error(line, exc, line_no) from exc
         if end != len(line):
             raise MalformedLine("invalid JSON (Extra data)", line_no)
@@ -314,6 +316,27 @@ def test_a_body_with_a_second_ts_key_is_never_remembered(key):
 def test_an_out_of_order_ts_on_a_remembered_body_is_reported_as_before():
     result = assert_readers_agree([SEEN, '{"ts":6,' + BODY, '{"ts":4,' + BODY])
     assert result == (OutOfOrderTimestamp, 3, "line 3: ts 4 precedes previous ts 6")
+
+
+@pytest.mark.parametrize("lines", [
+    ['{"ts":' + "9" * 5_000 + "," + BODY],
+    [SEEN, '{"ts":6,' + BODY, '{"ts":' + "9" * 5_000 + "," + BODY],
+    [SEEN, '{"ts":6,' + BODY, '{"ts":-' + "9" * 5_000 + "," + BODY],
+    [SEEN, '{"ts":7,' + BODY[:-1] + ',"n":' + "9" * 4_301 + "}"],
+    [SEEN, '{"ts":6,"kind":"update_found","origin":"https://a.example","version":'
+     + "1" * 5_000 + "}"],
+    [SEEN, '{"ts":' + "9" * 4_300 + "," + BODY, '{"ts":' + "9" * 4_300 + "," + BODY],
+], ids=["first_ts", "remembered_ts", "negative_ts", "payload", "version", "at_the_limit"])
+def test_integers_past_the_digit_limit_are_malformed(lines):
+    """CPython converts integers of at most 4,300 digits from text; a longer
+    one makes its line malformed, whether the line is decoded or only its
+    ts is read in front of a remembered body."""
+    result = assert_readers_agree(lines)
+    if lines[-1].startswith('{"ts":' + "9" * 4_300 + ","):
+        assert [event.ts for event in result[1:]] == [int("9" * 4_300)] * 2
+    else:
+        assert result[:2] == (MalformedLine, len(lines))
+        assert "4300 digits" in result[2]
 
 
 def test_payloads_are_shared_read_only_mappings():
