@@ -2,62 +2,20 @@
 enforcement engine: attack workload generators, closed-loop simulation,
 recorded-trace enforcement, CSP checks, and trace forensics."""
 
-from .model import (
-    CacheNamespace,
-    Capability,
-    CrossOriginScript,
-    DuplicateScope,
-    IllegalTransition,
-    InsecureOrigin,
-    Origin,
-    Scope,
-    SwRecord,
-    SwRegistry,
-    SwSentinelError,
-    SwState,
-    apply_lifecycle_event,
-    check_capability,
-)
-from .trace import (
-    EVENT_KINDS,
-    TraceEvent,
-    classify_background_fetch,
-    emit_trace,
-    parse_trace,
-    read_trace,
-)
-from .policy import (
-    BrowserProfile,
-    EnforcementAction,
-    EngagementScore,
-    PolicyConfig,
-    PolicyEngine,
-    PolicySpec,
-    PROFILES,
-    Severity,
-    ViolationRecord,
-    default_policies,
-    load_policies,
-)
+from .model import (CacheNamespace, Capability, CrossOriginScript, DuplicateScope,
+                    IllegalTransition, InsecureOrigin, Origin, Scope, SwRecord,
+                    SwRegistry, SwSentinelError, SwState, apply_lifecycle_event,
+                    check_capability)
+from .trace import (EVENT_KINDS, TraceEvent, classify_background_fetch, emit_trace,
+                    parse_trace, read_trace)
+from .policy import (BrowserProfile, EnforcementAction, EngagementScore, PolicyConfig,
+                     PolicyEngine, PolicySpec, PROFILES, Severity, ViolationRecord,
+                     default_policies, load_policies)
 from .scenarios import Scenario, SimulationResult, generate, simulate
-from .csp import (
-    CspPolicy,
-    CspVerdict,
-    audit_headers,
-    check_eval,
-    check_import,
-    effective_sw_policy,
-    parse_csp,
-)
-from .forensics import (
-    BehaviorReport,
-    PercentileSummary,
-    RankBand,
-    analyze_trace,
-    export_cdf,
-    percentile,
-    summarize,
-)
+from .csp import (CspPolicy, CspVerdict, audit_headers, check_eval, check_import,
+                  effective_sw_policy, parse_csp)
+from .forensics import (BehaviorReport, PercentileSummary, RankBand, analyze_trace,
+                        export_cdf, percentile, summarize)
 from .domains import registrable_domain
 
 __version__ = "0.1.0"

@@ -229,7 +229,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         try:
             with open(args.meta, encoding="utf-8") as fh:
                 metadata = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:  # bad JSON or UTF-8, or a too long int
             raise CliError(f"cannot read metadata {args.meta}: {exc}") from exc
         _check_metadata(args.meta, metadata)
     try:
@@ -283,8 +283,8 @@ def _cmd_csp_audit(args: argparse.Namespace) -> int:
                 where = f"{args.corpus}:{line_no}"
                 try:
                     obj = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise CliError(f"{where}: invalid JSON ({exc.msg})") from exc
+                except ValueError as exc:  # bad JSON, or an int past the digit limit
+                    raise CliError(f"{where}: invalid JSON ({getattr(exc, 'msg', exc)})") from exc
                 if type(obj) is not dict:
                     raise CliError(f"{where}: record is not an object")
                 headers = obj.get("headers", {})
@@ -292,7 +292,7 @@ def _cmd_csp_audit(args: argparse.Namespace) -> int:
                         type(value) is str for value in headers.values()):
                     raise CliError(f"{where}: 'headers' must be an object of strings")
                 corpus.append((obj.get("url", ""), headers))
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise CliError(f"cannot read corpus {args.corpus}: {exc}") from exc
     summary = csp_mod.audit_headers(corpus)
     print(json.dumps(

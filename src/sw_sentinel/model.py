@@ -4,13 +4,14 @@ Covers origins, scopes, the registration registry, the lifecycle state
 machine, capability gating, and the scope-keyed cache namespace. Everything
 here is a plain single-writer value; all mutation goes through the operations
 on :class:`SwRegistry` / :func:`apply_lifecycle_event`, the only code that
-assigns a worker's ``state``, for the registry and the policy engine alike.
+moves a worker's two lifecycle fields, for the registry and the policy engine
+alike: its registration's ``phase`` and its ``process``.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from enum import Enum
 from functools import lru_cache
 from typing import Optional
@@ -147,36 +148,32 @@ class SwState(Enum):
 # States from which a worker can control pages / receive events.
 CONTROLLING_STATES = frozenset({SwState.ACTIVATED, SwState.RUNNING, SwState.IDLE})
 
-# The members apply_lifecycle_event compares with, bound once: a member looked
-# up on an Enum class costs 0.1 to 0.25 us in CPython 3.11. The tuples are
-# searched by identity, with no call to the Enum's Python __hash__.
+# The members the lifecycle compares with, bound once: a member looked up on
+# an Enum class costs 0.1 to 0.25 us in CPython 3.11. The tuples are searched
+# by identity, with no call to the Enum's Python __hash__.
 _INSTALLING, _WAITING, _ACTIVATED = SwState.INSTALLING, SwState.WAITING, SwState.ACTIVATED
 _RUNNING, _IDLE = SwState.RUNNING, SwState.IDLE
 _TERMINATED, _DEREGISTERED = SwState.TERMINATED, SwState.DEREGISTERED
-_ACTIVATE_FROM = (_INSTALLING, _WAITING)
-_WAKE_FROM = (_INSTALLING, _ACTIVATED, _IDLE, _TERMINATED)
-_STOP_FROM = (_RUNNING, _IDLE, _ACTIVATED, _INSTALLING, _WAITING)
-
-LIFECYCLE_EVENTS = frozenset(
-    {
-        "install_done",
-        "skip_waiting",
-        "predecessor_gone",
-        "activate",
-        "event_arrived",
-        "event_done",
-        "idle_timeout",
-        "hard_timeout",
-        "terminate",
-        "deregister",
-        "update_found",
-    }
-)
+_ACTIVATE_ROWS = ("activate", "skip_waiting", "predecessor_gone")
+# Each process row: the process states it moves from (None: never run), and to.
+_STOP_ROW = ((None, _RUNNING, _IDLE), _TERMINATED)
+_PROCESS_ROWS = {"event_arrived": ((None, _IDLE, _TERMINATED), _RUNNING),
+                 "event_done": ((_RUNNING,), _IDLE), "idle_timeout": ((_IDLE,), _TERMINATED),
+                 "hard_timeout": _STOP_ROW, "terminate": _STOP_ROW}
+LIFECYCLE_EVENTS = frozenset({"register", "install_done", "update_check", "update_found",
+                              "deregister", *_ACTIVATE_ROWS, *_PROCESS_ROWS})
 
 
 @dataclass
 class SwRecord:
-    """One registered service worker.
+    """One registered service worker, in two lifecycles that only this module
+    moves: its registration's ``phase`` (installing, waiting, activated or
+    deregistered) and its ``process`` (None until it first runs, then
+    running, idle or terminated). As the spec's registration keeps a waiting
+    or active worker beside an installing one, ``predecessor`` holds the
+    older version's phase. ``update_checked`` marks an update check the
+    worker ran, ``update_refused`` one refused to it. ``state`` derives the
+    one value both replace, and ``SwRecord(state=...)`` sets them from it.
 
     ``capabilities is None`` means the registration carried no restriction:
     the worker may use every capability. ``version`` increments on each
@@ -187,17 +184,39 @@ class SwRecord:
     origin: Origin
     scope: Scope
     script_url: str
-    state: SwState = SwState.INSTALLING
+    state: InitVar[Optional[SwState]] = None
     capabilities: Optional[frozenset[Capability]] = None
     push_subscribed: bool = False
     silent_push_count: int = 0
-    severity_level: int = 0
     version: int = 1
-    has_pending_predecessor: bool = False
+    phase: SwState = _INSTALLING
+    predecessor: Optional[SwState] = None
+    process: Optional[SwState] = None
+    update_checked: bool = False
+    update_refused: bool = False
+
+    def __post_init__(self, state: Optional[SwState]) -> None:
+        if state in (_RUNNING, _IDLE, _TERMINATED):
+            self.phase, self.process = _ACTIVATED, state
+        elif state is not None:
+            self.phase = state
 
     @property
     def unrestricted(self) -> bool:
         return self.capabilities is None
+
+
+def _state(record: SwRecord) -> SwState:
+    """The one value both lifecycles replace: a deregistered record's phase,
+    else the process once it has run, else the phase, or the predecessor's
+    while a new version installs."""
+    if record.process is None or record.phase is _DEREGISTERED:
+        return record.predecessor or record.phase
+    return record.process
+
+
+# ``state`` is an init-only argument as well, so its read-only view is set here.
+SwRecord.state = property(_state)
 
 
 def check_capability(record: SwRecord, requested: Capability) -> bool:
@@ -205,43 +224,68 @@ def check_capability(record: SwRecord, requested: Capability) -> bool:
     return record.capabilities is None or requested in record.capabilities
 
 
-def apply_lifecycle_event(record: SwRecord, event_kind: str) -> SwState:
-    """Advance the lifecycle state machine; raises IllegalTransition otherwise.
+def lifecycle_allows(record: SwRecord, event_kind: str) -> bool:
+    """Whether ``event_kind`` may happen to the record now. An install needs
+    an installing version and an activation a waiting one, unless the process
+    runs; only a running worker calls update(); an update found may not
+    answer a refused check alone. A deregistered record never moves."""
+    phase, process = record.phase, record.process
+    if phase is _DEREGISTERED or event_kind not in LIFECYCLE_EVENTS:
+        return False
+    if event_kind in _PROCESS_ROWS:
+        return process in _PROCESS_ROWS[event_kind][0]
+    if event_kind == "install_done":
+        return phase is _INSTALLING or process is _RUNNING
+    if event_kind in _ACTIVATE_ROWS:
+        return _WAITING in (phase, record.predecessor) or process is _RUNNING
+    if event_kind == "update_check":
+        return process is _RUNNING
+    if event_kind == "update_found":
+        return record.update_checked or not record.update_refused
+    return True  # register, deregister
 
-    Terminated workers may be woken again by ``event_arrived`` (a push or
-    sync restarts the worker process); Deregistered is absorbing. Installing
-    workers run on it too: their install handler, or a first push, runs them.
+
+def apply_lifecycle_event(record: SwRecord, event_kind: str, force: bool = False) -> SwState:
+    """Move the record by the row for ``event_kind`` and return the phase or
+    process state it moved to; raises IllegalTransition where
+    ``lifecycle_allows`` says no, unless ``force`` takes a recorded event as
+    fact. Forced or not, a deregistered record never moves again.
+
+    A new version (``register``, ``update_found``) installs beside the one it
+    will replace, ``install_done`` makes it the waiting version and an
+    activation the active one. ``event_arrived`` wakes a terminated process.
     """
-    if event_kind not in LIFECYCLE_EVENTS:
-        raise IllegalTransition(f"unknown lifecycle event {event_kind!r}")
-    state = record.state
+    phase = record.phase
+    if not lifecycle_allows(record, event_kind) and (
+            not force or phase is _DEREGISTERED or event_kind not in LIFECYCLE_EVENTS):
+        raise IllegalTransition(f"{event_kind} not legal from {record.state.value}")
+    if event_kind in _PROCESS_ROWS:
+        record.process = _PROCESS_ROWS[event_kind][1]
+        return record.process
+    if event_kind in ("deregister", "install_done"):
+        record.phase = _DEREGISTERED if event_kind == "deregister" else _WAITING
+        record.predecessor = None
+    elif event_kind in _ACTIVATE_ROWS:
+        if phase is _WAITING:
+            record.phase = _ACTIVATED
+        elif record.predecessor is _WAITING:
+            record.predecessor = _ACTIVATED
+    elif event_kind == "update_check":
+        record.update_checked = True
+    else:  # register, update_found
+        if event_kind == "update_found":
+            record.version += 1
+            record.update_checked = False
+        if phase is not _INSTALLING:
+            record.phase, record.predecessor = _INSTALLING, phase
+    return record.phase
 
-    if state is _DEREGISTERED:
-        raise IllegalTransition("deregistered workers never transition again")
 
-    if event_kind == "deregister":
-        record.state = _DEREGISTERED
-    elif event_kind == "update_found":
-        record.version += 1
-        record.state = _INSTALLING
-    elif event_kind == "install_done" and state is _INSTALLING:
-        record.state = _WAITING if record.has_pending_predecessor else _ACTIVATED
-    elif event_kind == "activate" and state in _ACTIVATE_FROM:
-        record.state = _ACTIVATED
-    elif event_kind in ("skip_waiting", "predecessor_gone") and state is _WAITING:
-        record.has_pending_predecessor = False
-        record.state = _ACTIVATED
-    elif event_kind == "event_arrived" and state in _WAKE_FROM:
-        record.state = _RUNNING
-    elif event_kind == "event_done" and state is _RUNNING:
-        record.state = _IDLE
-    elif event_kind == "idle_timeout" and state is _IDLE:
-        record.state = _TERMINATED
-    elif event_kind in ("hard_timeout", "terminate") and state in _STOP_FROM:
-        record.state = _TERMINATED
-    else:
-        raise IllegalTransition(f"{event_kind} not legal from {state.value}")
-    return record.state
+def refuse_lifecycle_event(record: SwRecord, event_kind: str) -> None:
+    """Note a recorded event the browser refused: a refused update check voids
+    the update found that would answer it, and refusing that one spends it."""
+    if event_kind in ("update_check", "update_found"):
+        record.update_refused = event_kind == "update_check"
 
 
 def _script_dir_scope(script_url: str) -> Scope:
@@ -301,9 +345,10 @@ class SwRegistry:
             scope=scope,
             script_url=script_url,
             capabilities=capabilities,
-            has_pending_predecessor=has_existing_controller,
         )
         apply_lifecycle_event(record, "install_done")
+        if not has_existing_controller:
+            apply_lifecycle_event(record, "activate")
         self._records[key] = record
         return record
 

@@ -34,10 +34,10 @@ execution budget is spent, only the closed loop keeps stopping the worker
 brackets when it stops (``_stop``): its fetch handler dies with it. The open
 loop counts the recorded brackets as ``trace.bracket_intervals`` does.
 
-Both modes move workers through the one lifecycle state machine,
-``model.apply_lifecycle_event`` (``_wake``: ``event_arrived``, ``_stop``:
-``terminate``, an applied deregistration: ``deregister``), so a worker is
-running exactly when its record's state is RUNNING.
+Both modes move a worker only by the rows of ``model.apply_lifecycle_event``.
+Its process moves by ``_wake``, ``_stop`` and an applied deregistration, so it
+runs exactly when its record's ``process`` is RUNNING; its registration's
+``phase`` moves by ``_move``, which sends a move the model forbids to ``_refuse``.
 """
 
 from __future__ import annotations
@@ -54,7 +54,8 @@ from typing import Any, Iterator, NamedTuple, Optional, Sequence
 
 from .domains import registrable_domain, url_registrable_domain
 from .model import (Capability, Origin, Scope, SwRecord, SwSentinelError, SwState,
-                    apply_lifecycle_event, check_capability)
+                    apply_lifecycle_event, check_capability, lifecycle_allows,
+                    refuse_lifecycle_event)
 from .trace import TraceEvent, UnbalancedBrackets, new_record
 
 TICK_MS = 1_000
@@ -67,9 +68,9 @@ ENGAGEMENT_HALF_LIFE_DAYS = 7.0
 # Violations of one severity within a virtual day that promote to the next.
 PROMOTE_AFTER = 3
 DEFAULT_NOTIFICATION_TITLE = "The site has been updated in the background."
-# A worker runs exactly when its state is RUNNING. The per-event path compares
+# A worker runs exactly when its process is RUNNING. The per-event path compares
 # states several times, and a member looked up on an Enum class costs 0.1 to
-# 0.25 us in CPython 3.11, so the two members it compares with are bound once.
+# 0.25 us in CPython 3.11, so the members it compares with are bound once.
 _RUNNING, _DEREGISTERED = SwState.RUNNING, SwState.DEREGISTERED
 
 
@@ -111,10 +112,6 @@ class Severity(Enum):
     LOW = "low"
     MEDIUM = "medium"
     HIGH = "high"
-
-    @property
-    def rank(self) -> int:
-        return {"low": 1, "medium": 2, "high": 3}[self.value]
 
 
 class EnforcementAction(Enum):
@@ -378,10 +375,6 @@ class _SwEngineState:
     update_chain: bool = False
     chain_anchor: int = 0
     chain_capped: bool = False
-    expect_install: bool = False
-    expect_activate: bool = False
-    update_check_delivered: bool = False
-    update_check_suppressed: bool = False
     lows_today: int = 0
     mediums_today: int = 0
     ladder_day: int = -1
@@ -459,7 +452,7 @@ class PolicyEngine:
             origin=origin,
             scope=Scope(event.scope or "/"),
             script_url=f"{origin}/sw.js",
-            state=SwState.INSTALLING if event.kind == "register" else SwState.ACTIVATED,
+            phase=SwState.INSTALLING if event.kind == "register" else SwState.ACTIVATED,
             capabilities=None if caps is None else frozenset(map(Capability, caps)),
             # Traces that begin mid-life imply the subscription exists;
             # fresh registrations wait for a permission grant.
@@ -507,7 +500,6 @@ class PolicyEngine:
             st.mediums_today += 1
             if st.mediums_today >= PROMOTE_AFTER:
                 st.mediums_today, effective = 0, _HIGH
-        record.severity_level = max(record.severity_level, effective.rank)
         if effective is _LOW:
             return (_LOG_ONLY,)
         if effective is _MEDIUM:
@@ -572,10 +564,10 @@ class PolicyEngine:
     # -- running intervals --------------------------------------------------
 
     def _wake(self, st: _SwEngineState, ts: int) -> None:
-        state = st.record.state
-        if state is _RUNNING or state is _DEREGISTERED:
+        record = st.record
+        if record.process is _RUNNING or record.phase is _DEREGISTERED:
             return
-        apply_lifecycle_event(st.record, "event_arrived")
+        apply_lifecycle_event(record, "event_arrived")
         st.activation_start = ts
         st.activation += 1
         st.update_chain = st.chain_capped = False
@@ -583,7 +575,7 @@ class PolicyEngine:
         st.dirty = True
 
     def _stop(self, st: _SwEngineState, ts: int) -> None:
-        if st.record.state is not _RUNNING:
+        if st.record.process is not _RUNNING:
             return
         start = st.activation_start
         st.run_intervals.append((start, ts))
@@ -636,7 +628,7 @@ class PolicyEngine:
         to the end of the virtual day of ``now``, or that day's end when
         there is none. None when it has neither."""
         wake = st.pending_silent[0][1] if st.pending_silent else None
-        if st.record.state is _RUNNING:
+        if st.record.process is _RUNNING:
             day_end = (self._t0 or 0) + (self._day(now) + 1) * DAY_MS
             crossing = self._next_crossing(st, day_end)
             tick = crossing[0] if crossing is not None else day_end
@@ -674,7 +666,7 @@ class PolicyEngine:
         while st.pending_silent and st.pending_silent[0][1] <= now:
             _push_ts, deadline = st.pending_silent.popleft()
             self._silent_push_detected(st, deadline, out)
-        while st.record.state is _RUNNING:
+        while st.record.process is _RUNNING:
             crossing = self._next_crossing(st, now)
             if crossing is None:
                 break
@@ -776,7 +768,7 @@ class PolicyEngine:
         st = self._states.get(event.sw_id) or self._first_sight(event)
         record = st.record
 
-        if record.state is _DEREGISTERED:
+        if record.phase is _DEREGISTERED:
             out.deliver = False
             return out
 
@@ -805,36 +797,33 @@ class PolicyEngine:
 
     # -- per-kind handlers ---------------------------------------------------
 
+    def _move(self, st: _SwEngineState, kind: str, out: Decision) -> bool:
+        """Move the registration by the model's row for ``kind``; a move the
+        model forbids goes through ``_refuse``, and True means it refused."""
+        record = st.record
+        if not lifecycle_allows(record, kind) and self._refuse(out):
+            refuse_lifecycle_event(record, kind)
+            return True
+        apply_lifecycle_event(record, kind, force=True)
+        return False
+
     def _on_register(self, st: _SwEngineState, event: TraceEvent, out: Decision) -> None:
-        st.expect_install = True
+        self._move(st, event.kind, out)
+
+    _on_update_check = _on_register  # only a running worker calls update()
 
     def _on_install(self, st: _SwEngineState, event: TraceEvent, out: Decision) -> None:
-        if not st.expect_install and st.record.state is not _RUNNING and self._refuse(out):
-            return
-        st.expect_install = False
-        st.expect_activate = True
-        self._wake(st, event.ts)
+        if not self._move(st, "install_done", out):
+            self._wake(st, event.ts)
 
     def _on_activate(self, st: _SwEngineState, event: TraceEvent, out: Decision) -> None:
-        if not st.expect_activate and st.record.state is not _RUNNING and self._refuse(out):
-            return
-        st.expect_activate = False
-        self._wake(st, event.ts)
-
-    def _on_update_check(self, st: _SwEngineState, event: TraceEvent, out: Decision) -> None:
-        if st.record.state is not _RUNNING and self._refuse(out):
-            # update() is called from a handler; a dead worker cannot call it
-            st.update_check_suppressed = True
-            return
-        st.update_check_delivered = True
+        if not self._move(st, "activate", out):
+            self._wake(st, event.ts)
 
     def _on_update_found(self, st: _SwEngineState, event: TraceEvent, out: Decision) -> None:
-        if (not st.update_check_delivered and st.update_check_suppressed
-                and self._refuse(out)):
-            st.update_check_suppressed = False
+        if self._move(st, "update_found", out):
             return
-        st.update_check_delivered = False
-        if st.record.state is _RUNNING:
+        if st.record.process is _RUNNING:
             # Self-update chain: anchor at the activation it is extending.
             if not st.update_chain:
                 st.update_chain = True
@@ -842,7 +831,6 @@ class PolicyEngine:
                 st.dirty = True
         else:
             self._wake(st, event.ts)  # browser-scheduled update; no cap anchor
-        st.expect_install = True
 
     def _on_push(self, st: _SwEngineState, event: TraceEvent, out: Decision) -> None:
         record = st.record
@@ -881,7 +869,7 @@ class PolicyEngine:
     def _on_fetch_request(self, st: _SwEngineState, event: TraceEvent, out: Decision) -> None:
         if not event.payload.get("initiator_is_sw"):
             return  # page-initiated; not worker execution
-        if st.record.state is not _RUNNING and self._refuse(out):
+        if st.record.process is not _RUNNING and self._refuse(out):
             return
         self._wake(st, event.ts)  # open loop: the recorded event shows it running
         if st.bracket_depth > 0 or event.ts == st.last_bracket_end:
@@ -893,7 +881,7 @@ class PolicyEngine:
             self._count(st, spec, st.activation, event.ts, out)
 
     def _on_notification_show(self, st: _SwEngineState, event: TraceEvent, out: Decision) -> None:
-        if st.record.state is not _RUNNING and self._refuse(out):
+        if st.record.process is not _RUNNING and self._refuse(out):
             return
         self._wake(st, event.ts)  # open loop: the recorded event shows it running
         if st.pending_silent:
@@ -917,7 +905,7 @@ class PolicyEngine:
 
     def _on_notification_close(self, st: _SwEngineState, event: TraceEvent, out: Decision) -> None:
         by_user = bool(event.get("by_user", False))
-        if not by_user and st.record.state is not _RUNNING and self._refuse(out):
+        if not by_user and st.record.process is not _RUNNING and self._refuse(out):
             return
         shown = st.visible.pop(event.get("notif_id", ""), None)
         if shown is None:
@@ -929,7 +917,7 @@ class PolicyEngine:
             self._violate(st, spec, None, event.ts, delta_s, out)
 
     def _on_terminate(self, st: _SwEngineState, event: TraceEvent, out: Decision) -> None:
-        if st.record.state is not _RUNNING:
+        if st.record.process is not _RUNNING:
             self._refuse(out)  # already stopped by policy
             return
         self._stop(st, event.ts)
@@ -959,6 +947,6 @@ class PolicyEngine:
         for sw_id, st in self._states.items():
             result.final_states[sw_id] = st.record.state
             intervals = result.running_intervals[sw_id] = list(st.run_intervals)
-            if st.record.state is _RUNNING:
+            if st.record.process is _RUNNING:
                 intervals.append((st.activation_start, end_ts))
         return result

@@ -310,6 +310,8 @@ class TestHostileArguments:
         (["analyze"], json.dumps({"sw-1": {"import_domains": 5}})),
         (["csp-audit"], "[1]\n"),
         (["csp-audit"], json.dumps({"url": "https://a.example", "headers": 5}) + "\n"),
+        (["analyze"], '{"sw-1": {"rank": ' + "9" * 5_000 + "}}"),
+        (["csp-audit"], '{"url": "https://a.example", "rank": ' + "9" * 5_000 + "}\n"),
     ], ids=["threshold_zero", "severity", "engagement_text", "policies_number",
             "allow_list_number", "spec_number", "not_json", "threshold_infinity",
             "threshold_nan", "threshold_1e308", "threshold_nan_counting", "engagement_nan",
@@ -317,7 +319,8 @@ class TestHostileArguments:
             "simulate_policies", "simulate_unknown_param", "simulate_missing_param",
             "simulate_negative_param", "gen_negative_param", "gen_benign_unknown_param",
             "meta_list", "meta_import_domains_number",
-            "corpus_line_list", "corpus_headers_number"])
+            "corpus_line_list", "corpus_headers_number", "meta_int_past_digit_limit",
+            "corpus_int_past_digit_limit"])
     def test_exits_two_with_an_error_line(self, tmp_path, capsys, argv, file_text):
         if argv[0] in ("enforce", "analyze"):
             trace = tmp_path / "t.jsonl"
@@ -336,6 +339,20 @@ class TestHostileArguments:
         if argv[0] == "csp-audit":
             assert f"{path}:1: " in captured.err and captured.out == ""
         assert not out.exists()
+
+
+    @pytest.mark.parametrize("command", ["analyze", "csp-audit"])
+    def test_undecodable_input_file_exits_two(self, tmp_path, capsys, command):
+        path = tmp_path / "input.json"
+        path.write_bytes(b'{"url": "\xff"}\n')
+        argv = [command, self.FILE_FLAG[command], str(path)]
+        if command == "analyze":
+            trace = tmp_path / "t.jsonl"
+            write_lines(trace, fetch_trace("register", "install", "activate"))
+            argv += ["--trace", str(trace), "--out", str(tmp_path / "out")]
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and "Traceback" not in captured.err
 
 
 class TestCspCommands:

@@ -1,10 +1,10 @@
 """One lifecycle: worker state changes only in ``model.apply_lifecycle_event``.
 
 The engine wakes and stops workers through that state machine, so
-"running" has one definition: the record's state is RUNNING. These tests
+"running" has one definition: the record's process is RUNNING. These tests
 check that a stopped worker wakes on exactly the events forensics counts
 as activity, and guard against code outside ``model.py`` assigning a
-``state`` attribute again.
+``state``, ``phase`` or ``process`` attribute.
 """
 
 import ast
@@ -19,6 +19,7 @@ from sw_sentinel.policy import PolicyEngine, default_policies
 from sw_sentinel.trace import EVENT_KINDS, TraceEvent, emit_trace, parse_trace
 
 ORIGIN = "https://p.example"
+LIFECYCLE_FIELDS = ("state", "phase", "process")
 PACKAGE_DIR = Path(sw_sentinel.__file__).parent
 
 # The smallest payload each kind needs to pass ``parse_trace``.
@@ -63,7 +64,8 @@ def test_stopped_worker_wakes_exactly_on_activity(kind, payload):
 
 
 def _state_assignments(path):
-    """Line numbers where ``path`` assigns an attribute named ``state``."""
+    """Line numbers where ``path`` assigns an attribute named ``state``,
+    ``phase`` or ``process``."""
     found = []
     for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
         if isinstance(node, ast.Assign):
@@ -75,14 +77,14 @@ def _state_assignments(path):
             name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
             arg = node.args[1]
             if (name in ("setattr", "__setattr__") and isinstance(arg, ast.Constant)
-                    and arg.value == "state"):
+                    and arg.value in LIFECYCLE_FIELDS):
                 found.append(node.lineno)
             continue
         else:
             continue
         for target in targets:
             found.extend(sub.lineno for sub in ast.walk(target)
-                         if isinstance(sub, ast.Attribute) and sub.attr == "state")
+                         if isinstance(sub, ast.Attribute) and sub.attr in LIFECYCLE_FIELDS)
     return found
 
 

@@ -525,22 +525,6 @@ class TestEscalation:
         assert engine.escalate(record, self._violation(2, "unnamed")) == (
             EnforcementAction.TERMINATE_SW,)
 
-    def test_severity_level_monotone_over_random_sequences(self):
-        rng = random.Random(15)
-        policies = ["push_per_hour", "bg_fetch_per_activation", "exec_per_day",
-                    "exec_per_activation", "notif_min_visible", "tag_reuse"]
-        for _ in range(100):
-            engine = engine_with()
-            engine._t0 = 0
-            record = engine.record("sw-1")
-            last_level = 0
-            ts = 0
-            for _ in range(rng.randint(1, 30)):
-                ts += rng.randint(0, 3_600_000)
-                engine.escalate(record, self._violation(1, rng.choice(policies), ts))
-                assert record.severity_level >= last_level
-                last_level = record.severity_level
-
 
 class TestEngagement:
     def test_first_visit_scores_two(self):
