@@ -6,8 +6,7 @@ from .model import (CacheNamespace, Capability, CrossOriginScript, DuplicateScop
                     IllegalTransition, InsecureOrigin, Origin, Scope, SwRecord,
                     SwRegistry, SwSentinelError, SwState, apply_lifecycle_event,
                     check_capability)
-from .trace import (EVENT_KINDS, TraceEvent, classify_background_fetch, emit_trace,
-                    parse_trace, read_trace)
+from .trace import EVENT_KINDS, TraceEvent, emit_trace, parse_trace, read_trace
 from .policy import (BrowserProfile, EnforcementAction, EngagementScore, PolicyConfig,
                      PolicyEngine, PolicySpec, PROFILES, Severity, ViolationRecord,
                      default_policies, load_policies)

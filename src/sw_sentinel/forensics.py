@@ -5,6 +5,7 @@ The timeline is cut into tumbling slots (one hour) and virtual days (24 h)
 anchored at the first trace event. An activation is the span from a
 worker's first execution-implying event to its terminate event; a worker
 still running at trace end contributes a right-censored duration.
+``analyze_trace`` makes one forward pass with per-worker accumulators.
 """
 
 from __future__ import annotations
@@ -14,15 +15,10 @@ import math
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Mapping, Optional, Sequence, TextIO
 
-from .domains import registrable_domain
+from .domains import registrable_domain, url_registrable_domain
 from .model import Origin, SwSentinelError
 from .policy import DAY_MS, HOUR_MS, day_segments
-from .trace import (
-    BACKGROUND_THIRD_PARTY,
-    TraceEvent,
-    bracket_intervals,
-    classify_background_fetch,
-)
+from .trace import TraceEvent, UnbalancedBrackets
 
 
 class EmptyInput(SwSentinelError):
@@ -69,6 +65,7 @@ _ACTIVITY_KINDS = frozenset(
     {"install", "activate", "update_found", "push", "sync", "periodicsync",
      "fetch_event_start", "notification_click", "notification_show"}
 )
+_BRACKET_KINDS = frozenset({"fetch_event_start", "fetch_event_end"})
 
 
 def _is_activity(event: TraceEvent) -> bool:
@@ -77,97 +74,134 @@ def _is_activity(event: TraceEvent) -> bool:
     return event.kind == "fetch_request" and bool(event.get("initiator_is_sw"))
 
 
+@dataclass(slots=True, eq=False)
+class _Worker:
+    """What ``analyze_trace`` keeps of one worker while it folds the trace.
+
+    Fetch-handler brackets are kept under ``sw_id or ""``, so brackets that
+    carry no sw_id share the state of a worker named ""; ``report`` stays
+    None while such state belongs to no worker."""
+
+    report: Optional[BehaviorReport] = None
+    first_party: frozenset[str] = frozenset()
+    start: Optional[int] = None  # ts of the open activation's first activity
+    depth: int = 0  # open fetch-handler brackets
+    last_end: Optional[int] = None  # ts where the depth last fell to 0
+    # the ts of the last activation's end, and the first activation that ended then
+    end_ts: Optional[int] = None
+    end_index: int = 0
+    # the ts of the latest background third-party fetches, their activation, how many
+    bg_ts: Optional[int] = None
+    bg_index: int = 0
+    bg_n: int = 0
+    shown: dict[str, int] = field(default_factory=dict)  # notif_id -> ts of its last show
+
+    def close(self, end: int, t0: int) -> None:
+        """End the open activation at ``end``: its minutes, split over days."""
+        report, begin = self.report, self.start
+        report.exec_minutes_per_activation.append((end - begin) / 60_000)
+        totals = report.exec_minutes_per_day
+        for day, ms in day_segments(begin, end, t0):
+            if day >= len(totals):
+                totals.extend([0.0] * (day + 1 - len(totals)))
+            totals[day] += ms / 60_000
+        if end != self.end_ts:  # the activations are numbered as their counts are
+            self.end_ts = end
+            self.end_index = len(report.bg_third_party_fetches_per_activation) - 1
+        self.start = None
+
+    def bracket(self, key: str, ts: int, kind: str, started: dict[str, _Worker]) -> None:
+        """Nested brackets merge into one span, ends included. Background
+        fetches counted at the ts where a span opens were inside it."""
+        if kind == "fetch_event_start":
+            if self.depth == 0:
+                started.setdefault(key, self)
+                if self.bg_ts == ts and self.bg_n:
+                    self.report.bg_third_party_fetches_per_activation[self.bg_index] -= self.bg_n
+                    self.bg_n = 0
+            self.depth += 1
+        elif self.depth == 0:
+            raise UnbalancedBrackets(f"fetch_event_end at ts {ts} for {key!r} has no open start")
+        else:
+            self.depth -= 1
+            if self.depth == 0:
+                self.last_end = ts
+
+
 def analyze_trace(
     events: Sequence[TraceEvent],
     sw_metadata: Optional[Mapping[str, Mapping[str, Any]]] = None,
 ) -> dict[str, BehaviorReport]:
-    """Per-worker BehaviorReport for a valid trace.
+    """Per-worker BehaviorReport for a valid trace, in one forward pass.
 
     ``sw_metadata`` maps sw_id to {origin, rank, import_domains}; import
     domains are treated as first-party when classifying background fetches.
+    A worker-initiated fetch is foreground when a fetch-handler bracket of
+    its worker holds its ts, ends included, and counts toward the first
+    activation that ends at or after it. Raises UnbalancedBrackets on an end
+    without a start or a start left open at trace end.
     """
     sw_metadata = sw_metadata or {}
     if not events:
         return {}
-    t0 = events[0].ts
-    trace_end = events[-1].ts
-    intervals = bracket_intervals(events)
-
-    per_sw: dict[str, list[TraceEvent]] = {}
+    t0 = ts = events[0].ts
+    workers: dict[str, _Worker] = {}
+    states: dict[str, _Worker] = {}  # by sw_id or "", brackets with no sw_id too
+    started: dict[str, _Worker] = {}  # the same, in the order their first bracket opened
     for event in events:
-        if event.sw_id is not None:
-            per_sw.setdefault(event.sw_id, []).append(event)
-
-    reports: dict[str, BehaviorReport] = {}
-    for sw_id, sw_events in per_sw.items():
-        meta = sw_metadata.get(sw_id, {})
-        report = BehaviorReport(sw_id=sw_id)
-        report.import_origin_count = len(meta.get("import_domains", ()))
-
-        # Hour-slot push counts up to the worker's last push.
-        push_slots = [(e.ts - t0) // HOUR_MS for e in sw_events if e.kind == "push"]
-        if push_slots:
-            report.pushes_per_hour_slots = [0] * (max(push_slots) + 1)
-            for slot in push_slots:
-                report.pushes_per_hour_slots[slot] += 1
-
-        # Activations: first activity -> terminate (right-censored at end).
-        activations: list[tuple[int, int]] = []
-        start: Optional[int] = None
-        for event in sw_events:
-            if start is None and _is_activity(event):
-                start = event.ts
-            elif start is not None and event.kind == "terminate":
-                activations.append((start, event.ts))
-                start = None
-        if start is not None:
-            activations.append((start, trace_end))
-            report.right_censored_activation = True
-        report.exec_minutes_per_activation = [
-            (end - begin) / 60_000 for begin, end in activations
-        ]
-
-        # Execution split across virtual days, zero-filled over the trace span.
-        day_totals = [0.0] * ((trace_end - t0) // DAY_MS + 1)
-        for begin, end in activations:
-            for day, ms in day_segments(begin, end, t0):
-                day_totals[day] += ms / 60_000
-        report.exec_minutes_per_day = day_totals
-
-        # Background third-party fetches per activation.
-        first_party = {registrable_domain(Origin.parse(sw_events[0].origin).host)}
-        first_party |= set(meta.get("import_domains", ()))
-        # A worker fetch is itself activity, so an activation holds it. The
-        # fetches come in ts order, and so do the activations' ends, so one
-        # forward pointer finds the first activation that holds each fetch.
-        counts = [0] * len(activations)
-        index = 0
-        for event in sw_events:
-            if event.kind != "fetch_request" or not event.get("initiator_is_sw"):
+        ts, kind, origin, sw_id, _scope, payload = event
+        if sw_id is None:
+            if kind in _BRACKET_KINDS:
+                states.setdefault("", _Worker()).bracket("", ts, kind, started)
+            continue
+        w = workers.get(sw_id)
+        if w is None:
+            w = workers[sw_id] = states.setdefault(sw_id, _Worker())
+            imports = sw_metadata.get(sw_id, {}).get("import_domains", ())
+            w.report = BehaviorReport(sw_id=sw_id, import_origin_count=len(imports))
+            w.first_party = frozenset({registrable_domain(Origin.parse(origin).host), *imports})
+        if w.start is None and _is_activity(event):
+            w.start = ts
+            w.report.bg_third_party_fetches_per_activation.append(0)
+        if kind == "fetch_request":
+            if (not payload.get("initiator_is_sw") or w.depth or ts == w.last_end
+                    or url_registrable_domain(payload.get("url", "")) in w.first_party):
                 continue
-            verdict = classify_background_fetch(
-                events, event, first_party, intervals=intervals
-            )
-            if verdict != BACKGROUND_THIRD_PARTY:
-                continue
-            while activations[index][1] < event.ts:
-                index += 1
+            counts = w.report.bg_third_party_fetches_per_activation
+            index = w.end_index if w.end_ts == ts else len(counts) - 1
             counts[index] += 1
-        report.bg_third_party_fetches_per_activation = counts
-
-        # Programmatic close deltas paired by notif_id.
-        shown: dict[str, int] = {}
-        for event in sw_events:
-            if event.kind == "notification_show":
-                shown[event.get("notif_id", "")] = event.ts
-            elif event.kind == "notification_close" and not event.get("by_user", False):
-                show_ts = shown.get(event.get("notif_id", ""))
-                if show_ts is not None:
-                    report.notification_close_deltas_s.append(
-                        (event.ts - show_ts) / 1_000
-                    )
-        reports[sw_id] = report
-    return reports
+            if w.bg_ts == ts:
+                w.bg_n += 1
+            else:
+                w.bg_ts, w.bg_index, w.bg_n = ts, index, 1
+        elif kind == "push":
+            slots = w.report.pushes_per_hour_slots
+            slot = (ts - t0) // HOUR_MS
+            if slot >= len(slots):
+                slots.extend([0] * (slot + 1 - len(slots)))
+            slots[slot] += 1
+        elif kind == "terminate":
+            if w.start is not None:
+                w.close(ts, t0)
+        elif kind in _BRACKET_KINDS:
+            w.bracket(sw_id, ts, kind, started)
+        elif kind == "notification_show":
+            w.shown[payload.get("notif_id", "")] = ts
+        elif kind == "notification_close" and not payload.get("by_user", False):
+            show_ts = w.shown.get(payload.get("notif_id", ""))
+            if show_ts is not None:
+                w.report.notification_close_deltas_s.append((ts - show_ts) / 1_000)
+    for key, state in started.items():
+        if state.depth:
+            raise UnbalancedBrackets(f"fetch_event_start left open for {key!r}")
+    days = (ts - t0) // DAY_MS + 1
+    for w in workers.values():
+        if w.start is not None:  # still running at trace end: right-censored
+            w.close(ts, t0)
+            w.report.right_censored_activation = True
+        totals = w.report.exec_minutes_per_day
+        totals.extend([0.0] * (days - len(totals)))
+    return {sw_id: w.report for sw_id, w in workers.items()}
 
 
 _METRIC_FIELDS = {

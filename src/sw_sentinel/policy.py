@@ -26,13 +26,17 @@ and in ``simulate`` the event is suppressed and the handler stops, while in
 ``enforce`` the handler carries on with the recorded event as fact.
 ``_apply_action`` is the one applier: it stops or deregisters the worker in
 ``simulate`` and does nothing in ``enforce``. ``PolicyEngine.run`` is the one
-loop that drives the engine over a whole trace.
+loop that drives the engine over a whole trace: it judges every event into one
+reused ``Decision`` (``on_event``, ``advance`` and ``finish`` fill the ``out``
+they are given) and moves its records into the result.
 
 Two smaller differences follow from the same contract. Once a day's
 execution budget is spent, only the closed loop keeps stopping the worker
 (``_day_crossing``). And only the closed loop drops a worker's open fetch
 brackets when it stops (``_stop``): its fetch handler dies with it. The open
-loop counts the recorded brackets as ``trace.bracket_intervals`` does.
+loop counts the recorded brackets as forensics does, but judges a fetch before
+it sees later events of its ts: nested brackets merge, and a fetch at a
+bracket's end is still inside it.
 
 Both modes move a worker only by the rows of ``model.apply_lifecycle_event``.
 Its process moves by ``_wake``, ``_stop`` and an applied deregistration, so it
@@ -402,9 +406,11 @@ class PolicyEngine:
         self.profile = PROFILES[profile]
         self._closed_loop = mode == "simulate"
         # Once per engine, a subclass's handlers included; unbound, so no cycle.
+        # A kind maps to the capability it needs (None: ungated) and its handler.
         self._specs = {name: self.config.get(name) for name in RULES}
         cls = type(self)
-        self._handlers = {name[4:]: getattr(cls, name) for name in dir(cls) if name[:4] == "_on_"}
+        self._handlers = {name[4:]: (REQUIRED_CAPABILITY.get(name[4:]), getattr(cls, name))
+                          for name in dir(cls) if name[:4] == "_on_"}
         self._t0: Optional[int] = None
         self._states: dict[str, _SwEngineState] = {}
         # min-heap of (wake_ts, order, stamp, state); see ``advance``
@@ -589,9 +595,10 @@ class PolicyEngine:
 
     # -- clock advance: execution caps and silent-push deadlines -----------
 
-    def advance(self, now: int) -> Decision:
+    def advance(self, now: int, out: Optional[Decision] = None) -> Decision:
         """Process virtual time up to ``now``: exec-limit checks at 1 s tick
-        granularity plus silent-push grace deadlines.
+        granularity plus silent-push grace deadlines. The records go into
+        ``out`` when given, else into a fresh Decision; it is returned.
 
         Only the workers that are due are visited. A min-heap holds entries
         ``(wake_ts, order, stamp, state)``, at most one live entry per
@@ -602,10 +609,11 @@ class PolicyEngine:
         costs one ``_advance_sw`` call that does nothing. Due workers run in
         registration order, as a scan over every worker would.
         """
+        if out is None:
+            out = Decision(True)
         heap = self._heap
         if not heap or heap[0][0] > now:
-            return Decision(True)
-        out = Decision(True)
+            return out
         due = []
         while heap and heap[0][0] <= now:
             _wake_ts, _order, stamp, st = heapq.heappop(heap)
@@ -614,12 +622,13 @@ class PolicyEngine:
                 due.append(st)
         if due:
             due.sort(key=attrgetter("order"))
+            mark = len(out.actions), len(out.violations), len(out.notices)
             for st in due:
                 self._advance_sw(st, now, out)
                 self._reschedule(st, now)
-            out.actions.sort(key=lambda entry: entry.ts)
-            out.violations.sort(key=lambda violation: violation.ts)
-            out.notices.sort(key=lambda notice: notice.ts)
+            # Due workers append one at a time: merge by ts what they appended.
+            for records, start in zip((out.actions, out.violations, out.notices), mark):
+                records[start:] = sorted(records[start:], key=attrgetter("ts"))
         return out
 
     def _wake_key(self, st: _SwEngineState, now: int) -> Optional[int]:
@@ -741,11 +750,13 @@ class PolicyEngine:
 
     # -- main event entry point --------------------------------------------
 
-    def on_event(self, event: TraceEvent) -> Decision:
-        """Advance the clock to the event, then judge the event itself."""
+    def on_event(self, event: TraceEvent, out: Optional[Decision] = None) -> Decision:
+        """Advance the clock to the event, then judge the event itself. The
+        records go into ``out`` when given, else into a fresh Decision; a
+        refusal clears its ``deliver``. The Decision is returned."""
         if self._t0 is None:
             self._t0 = event.ts
-        out = self.advance(event.ts)
+        out = self.advance(event.ts, out)
         kind = event.kind
 
         if kind == "page_visit":
@@ -772,17 +783,17 @@ class PolicyEngine:
             out.deliver = False
             return out
 
-        needed = REQUIRED_CAPABILITY.get(kind)
+        entry = self._handlers.get(kind)
+        if entry is None:
+            return out
+        needed, handler = entry
         if needed is not None and not check_capability(record, needed):
             out.deliver = False
             self._apply_action(st, event.ts, _THROTTLE, f"capability:{needed.value}", out)
             return out
-
-        handler = self._handlers.get(kind)
-        if handler is not None:
-            handler(self, st, event, out)
-            if st.dirty:
-                self._reschedule(st, event.ts)
+        handler(self, st, event, out)
+        if st.dirty:
+            self._reschedule(st, event.ts)
         return out
 
     def _refuse(self, out: Decision) -> bool:
@@ -922,28 +933,44 @@ class PolicyEngine:
             return
         self._stop(st, event.ts)
 
-    def finish(self, end_ts: int) -> Decision:
-        """Flush deadlines/caps up to the end of the observed trace."""
-        return self.advance(end_ts)
+    def finish(self, end_ts: int, out: Optional[Decision] = None) -> Decision:
+        """Flush deadlines/caps up to the end of the observed trace, into
+        ``out`` when given."""
+        return self.advance(end_ts, out)
 
     def run(self, events: Sequence[TraceEvent]) -> SimulationResult:
-        """Judge each event in order, then flush the clock to the last one,
-        where a worker still running is right-censored."""
+        """Judge each event in order into one Decision, whose records move
+        into the result after each event that made any, then flush the clock
+        to the last event, where a worker still running is right-censored.
+        ``on_event`` and ``finish`` are looked up on the instance, so an
+        override or a wrapper on the class sees every call."""
         result = SimulationResult()
         on_event = self.on_event
-        actions, violations, notices = result.actions, result.violations, result.notices
+        out = Decision(True)
+        actions, violations, notices = out.actions, out.violations, out.notices
+        all_actions, all_violations, all_notices = result.actions, result.violations, result.notices
         delivered, suppressed = result.delivered_events, result.suppressed_events
         for event in events:
-            decision = on_event(event)
-            actions += decision.actions
-            violations += decision.violations
-            notices += decision.notices
-            (delivered if decision.deliver else suppressed).append(event)
+            on_event(event, out)
+            if actions:
+                all_actions += actions
+                actions.clear()
+            if violations:
+                all_violations += violations
+                violations.clear()
+            if notices:
+                all_notices += notices
+                notices.clear()
+            if out.deliver:
+                delivered.append(event)
+            else:
+                suppressed.append(event)
+                out.deliver = True
         end_ts = events[-1].ts if events else 0
-        flushed = self.finish(end_ts)
-        actions += flushed.actions
-        violations += flushed.violations
-        notices += flushed.notices
+        self.finish(end_ts, out)
+        all_actions += actions
+        all_violations += violations
+        all_notices += notices
         for sw_id, st in self._states.items():
             result.final_states[sw_id] = st.record.state
             intervals = result.running_intervals[sw_id] = list(st.run_intervals)

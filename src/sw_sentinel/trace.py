@@ -9,9 +9,7 @@ Timestamps are non-decreasing within a trace.
 from __future__ import annotations
 
 import json
-from bisect import bisect_right
 from functools import lru_cache
-from operator import itemgetter
 from types import MappingProxyType
 from typing import Any, Iterable, Iterator, Mapping, NamedTuple, Optional
 
@@ -423,73 +421,3 @@ def read_trace(path: str) -> list[TraceEvent]:
     with open(path, encoding="utf-8") as fh:
         return parse_trace(fh)
 
-
-def bracket_intervals(
-    events: Iterable[TraceEvent],
-) -> dict[str, list[tuple[int, int]]]:
-    """Merged [fetch_event_start, fetch_event_end] intervals per sw_id.
-
-    Nested brackets for one worker collapse into a single interval (depth
-    counting). Raises UnbalancedBrackets on an end without a start or a
-    start left open at trace end.
-    """
-    depth: dict[str, int] = {}
-    open_at: dict[str, int] = {}
-    out: dict[str, list[tuple[int, int]]] = {}
-    for event in events:
-        if event.kind == "fetch_event_start":
-            sw = event.sw_id or ""
-            if depth.get(sw, 0) == 0:
-                open_at[sw] = event.ts
-            depth[sw] = depth.get(sw, 0) + 1
-        elif event.kind == "fetch_event_end":
-            sw = event.sw_id or ""
-            if depth.get(sw, 0) == 0:
-                raise UnbalancedBrackets(
-                    f"fetch_event_end at ts {event.ts} for {sw!r} has no open start"
-                )
-            depth[sw] -= 1
-            if depth[sw] == 0:
-                out.setdefault(sw, []).append((open_at.pop(sw), event.ts))
-    for sw, d in depth.items():
-        if d:
-            raise UnbalancedBrackets(f"fetch_event_start left open for {sw!r}")
-    return out
-
-
-_span_start = itemgetter(0)
-
-FOREGROUND = "foreground"
-BACKGROUND_FIRST_PARTY = "background_first_party"
-BACKGROUND_THIRD_PARTY = "background_third_party"
-
-
-def classify_background_fetch(
-    events: Iterable[TraceEvent],
-    fetch_event: TraceEvent,
-    first_party_domains: frozenset[str] | set[str],
-    intervals: Optional[dict[str, list[tuple[int, int]]]] = None,
-) -> str:
-    """Classify a worker-initiated fetch_request.
-
-    Foreground when its timestamp lies inside any fetch-handler bracket of
-    the same worker; otherwise background, split by whether the request URL's
-    registrable domain belongs to the first-party set (worker origin plus
-    importScripts domains). Pass precomputed ``intervals``, as
-    bracket_intervals returns them, when classifying many fetches from one
-    trace: a worker's intervals are sorted and disjoint, so only the last
-    one starting at or before the fetch can hold it.
-    """
-    if fetch_event.kind != "fetch_request" or not fetch_event.get("initiator_is_sw"):
-        raise ValueError("classify_background_fetch expects a worker-initiated fetch_request")
-    if intervals is None:
-        intervals = bracket_intervals(events)
-    spans = intervals.get(fetch_event.sw_id or "", ())
-    ts = fetch_event.ts
-    index = bisect_right(spans, ts, key=_span_start)
-    if index and ts <= spans[index - 1][1]:
-        return FOREGROUND
-    domain = url_registrable_domain(fetch_event.get("url", ""))
-    if domain in first_party_domains:
-        return BACKGROUND_FIRST_PARTY
-    return BACKGROUND_THIRD_PARTY

@@ -364,7 +364,7 @@ def test_criterion_10_oracle_equivalence():
         assert engine.window_counts("sw-w", "push_per_hour") == recount
 
     # Background classification vs depth oracle.
-    from sw_sentinel.trace import bracket_intervals, classify_background_fetch
+    from test_forensics_fold import bracket_intervals, classify_background_fetch
 
     for _ in range(100):
         ts = 0

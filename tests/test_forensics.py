@@ -21,15 +21,15 @@ from sw_sentinel.scenarios import (
 )
 from sw_sentinel.domains import registrable_domain, url_registrable_domain
 from sw_sentinel.model import Origin
-from sw_sentinel.trace import (
+from sw_sentinel.trace import TraceEvent
+
+from test_forensics_fold import (
     BACKGROUND_FIRST_PARTY,
     BACKGROUND_THIRD_PARTY,
     FOREGROUND,
-    TraceEvent,
     bracket_intervals,
     classify_background_fetch,
 )
-
 from test_policy_clock import ALL_GENERATORS, merged_fleet
 
 HOUR = 3_600_000

@@ -310,8 +310,8 @@ class KeyCheckEngine(PolicyEngine):
     computation: a handler that changed an input of the key without setting
     ``dirty`` leaves a stale key behind."""
 
-    def on_event(self, event: TraceEvent):
-        out = super().on_event(event)
+    def on_event(self, event: TraceEvent, out=None):
+        out = super().on_event(event, out)
         for st in self._states.values():
             assert st.wake_ts == self._wake_key(st, event.ts), (event, st.record.sw_id)
             assert not st.dirty
@@ -364,7 +364,7 @@ def test_analyze_past_the_cache_bound_matches_uncached(monkeypatch):
 
     monkeypatch.setattr(domains, "registrable_domain", registrable_domain.__wrapped__)
     monkeypatch.setattr(forensics, "registrable_domain", registrable_domain.__wrapped__)
-    monkeypatch.setattr(trace, "url_registrable_domain", url_registrable_domain.__wrapped__)
+    monkeypatch.setattr(forensics, "url_registrable_domain", url_registrable_domain.__wrapped__)
     uncached = forensics.analyze_trace(events)
     assert cached == uncached
     counts = cached["sw-1"].bg_third_party_fetches_per_activation

@@ -29,17 +29,20 @@ MINUTE = 60_000
 
 class ScanEngine(PolicyEngine):
     """Oracle: the full per-event scan over every registered worker. The
-    inherited handlers still fill the heap; this clock never reads it."""
+    inherited handlers still fill the heap; this clock never reads it. Like
+    the heap clock it fills the ``out`` it is given and sorts by ts only the
+    records it appended."""
 
-    def advance(self, now: int) -> Decision:
-        out = Decision(deliver=True)
+    def advance(self, now: int, out=None) -> Decision:
+        if out is None:
+            out = Decision(deliver=True)
         if self._t0 is None:
             return out
+        mark = len(out.actions), len(out.violations), len(out.notices)
         for st in list(self._states.values()):
             self._advance_sw(st, now, out)
-        out.actions.sort(key=lambda entry: entry.ts)
-        out.violations.sort(key=lambda violation: violation.ts)
-        out.notices.sort(key=lambda notice: notice.ts)
+        for records, start in zip((out.actions, out.violations, out.notices), mark):
+            records[start:] = sorted(records[start:], key=lambda record: record.ts)
         return out
 
 
@@ -244,3 +247,38 @@ def test_advance_visits_scale_with_events_not_workers(monkeypatch):
     monkeypatch.setattr(PolicyEngine, "_advance_sw", counted)
     PolicyEngine(default_policies(), "edge", mode="enforce").run(events)
     assert 0 < calls < len(events)
+
+
+@pytest.mark.parametrize("mode", ["simulate", "enforce"])
+def test_run_reaches_on_event_and_finish_through_the_instance(monkeypatch, mode):
+    """``run`` calls ``on_event`` once per event and ``finish`` once, looked
+    up on the instance: the clock oracles override them, and a wrapper put on
+    the class, as the benchmark's tracer puts one, must see every call. The
+    Decision each call returns holds that call's records alone."""
+    events = merged_fleet(3, workers=5, names=ALL_GENERATORS)
+    seen = {"on_event": 0, "finish": 0, "actions": 0, "violations": 0, "notices": 0,
+            "refused": 0}
+    on_event, finish = PolicyEngine.on_event, PolicyEngine.finish
+
+    def tally(decision):
+        for name in ("actions", "violations", "notices"):
+            seen[name] += len(getattr(decision, name))
+        seen["refused"] += not decision.deliver
+        return decision
+
+    def counted_on_event(self, event, out=None):
+        seen["on_event"] += 1
+        return tally(on_event(self, event, out))
+
+    def counted_finish(self, end_ts, out=None):
+        seen["finish"] += 1
+        return tally(finish(self, end_ts, out))
+
+    monkeypatch.setattr(PolicyEngine, "on_event", counted_on_event)
+    monkeypatch.setattr(PolicyEngine, "finish", counted_finish)
+    run = PolicyEngine(TIGHT, "edge", mode=mode).run(events)
+    assert seen == {"on_event": len(events), "finish": 1, "actions": len(run.actions),
+                    "violations": len(run.violations), "notices": len(run.notices),
+                    "refused": len(run.suppressed_events)}
+    assert run.actions and run.violations and run.notices
+    assert (mode == "simulate") == bool(run.suppressed_events)

@@ -7,9 +7,6 @@ import pytest
 from sw_sentinel import trace
 from sw_sentinel.scenarios import Scenario, generate
 from sw_sentinel.trace import (
-    BACKGROUND_FIRST_PARTY,
-    BACKGROUND_THIRD_PARTY,
-    FOREGROUND,
     EVENT_KINDS,
     InvariantViolation,
     MalformedLine,
@@ -17,12 +14,17 @@ from sw_sentinel.trace import (
     TraceEvent,
     UnbalancedBrackets,
     UnknownEventKind,
-    bracket_intervals,
-    classify_background_fetch,
     emit_trace,
     parse_trace,
 )
 
+from test_forensics_fold import (
+    BACKGROUND_FIRST_PARTY,
+    BACKGROUND_THIRD_PARTY,
+    FOREGROUND,
+    bracket_intervals,
+    classify_background_fetch,
+)
 from test_policy_clock import ALL_GENERATORS, _params
 
 ORIGIN = "https://t.example"
