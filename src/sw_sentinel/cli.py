@@ -68,19 +68,23 @@ def _load_config(path: Optional[str]) -> PolicyConfig:
 
 
 def _write_text(path: str, text: str) -> None:
-    """Write ``path`` atomically, with the mode open(path, "w") gives a file."""
+    """Write ``path`` atomically, with the mode open(path, "w") gives a file.
+    A path that cannot be written is a CliError and leaves no temporary file."""
     directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
     tmp = os.path.join(directory, f".sw-sentinel-{os.urandom(8).hex()}")
-    fh = open(tmp, "x", encoding="utf-8")  # "x": never a file another writer made
     try:
-        with fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+        os.makedirs(directory, exist_ok=True)  # FileExistsError: a file holds the name
+        fh = open(tmp, "x", encoding="utf-8")  # "x": never a file another writer made
+        try:
+            with fh:
+                fh.write(text)
+            os.replace(tmp, path)  # IsADirectoryError: a directory holds the name
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
+    except OSError as exc:
+        raise CliError(f"cannot write {path}: {exc}") from exc
 
 
 def _write_events(path: str, events) -> None:
@@ -183,7 +187,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 def _read_trace_checked(path: str):
     try:
         return read_trace(path)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise CliError(f"cannot read trace {path}: {exc}") from exc
     except TraceError as exc:
         raise CliError(f"invalid trace {path}: {exc}") from exc

@@ -301,14 +301,8 @@ class SwRegistry:
         self._records: dict[tuple[str, str], SwRecord] = {}
         self._counter = 0
 
-    def __len__(self) -> int:
-        return len(self._records)
-
     def records(self) -> list[SwRecord]:
         return list(self._records.values())
-
-    def get(self, origin: Origin, scope: Scope) -> Optional[SwRecord]:
-        return self._records.get((str(origin), scope.path_prefix))
 
     def register_sw(
         self,
@@ -317,7 +311,6 @@ class SwRegistry:
         script_url: str,
         capabilities: Optional[frozenset[Capability]] = None,
         has_existing_controller: bool = False,
-        sw_id: Optional[str] = None,
     ) -> SwRecord:
         """Register a worker; activates immediately unless a controller exists.
 
@@ -340,7 +333,7 @@ class SwRegistry:
 
         self._counter += 1
         record = SwRecord(
-            sw_id=sw_id or f"sw-{self._counter}",
+            sw_id=f"sw-{self._counter}",
             origin=origin,
             scope=scope,
             script_url=script_url,
@@ -365,10 +358,6 @@ class SwRegistry:
             ):
                 best = record
         return best
-
-    def deregister(self, record: SwRecord) -> None:
-        apply_lifecycle_event(record, "deregister")
-        self._records.pop((str(record.origin), record.scope.path_prefix), None)
 
 
 class CacheNamespace:

@@ -7,9 +7,9 @@ trace. ``simulate`` then feeds a generated trace through the policy engine
 so enforcement (throttle / terminate / deregister) suppresses the events a
 real browser would never have let happen.
 
-Worker termination is explicit in generated traces: after a worker's last
-activity plus its handler time plus the 30 s idle timeout, a ``terminate``
-event marks the process exit.
+Worker termination is explicit in generated traces: a ``terminate`` marks
+the process exit HANDLER_MS + IDLE_TIMEOUT_MS after each activity that the
+next one does not follow within that time, and after the last.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass, field
 from operator import itemgetter
 from types import MappingProxyType
-from typing import Any, Iterable, Mapping, Optional, Sequence
+from typing import Any, Iterable, Iterator, Mapping, Optional
 
 from .policy import DAY_MS, HOUR_MS, PolicyConfig, PolicyEngine, SimulationResult
 from .trace import _NO_PAYLOAD, TraceEvent, new_record
@@ -49,8 +49,9 @@ class SplitMix64:
 
 
 def _mk(ts: int, kind: str, origin: str, sw_id: Optional[str] = None,
-        scope: Optional[str] = None, payload: Mapping[str, Any] = _NO_PAYLOAD) -> TraceEvent:
-    return new_record(TraceEvent, (ts, kind, origin, sw_id, scope, payload))
+        payload: Mapping[str, Any] = _NO_PAYLOAD) -> TraceEvent:
+    """One event: a worker's events are at scope "/", the origin's have none."""
+    return new_record(TraceEvent, (ts, kind, origin, sw_id, sw_id and "/", payload))
 
 
 def _ro(**payload: Any) -> Mapping[str, Any]:
@@ -60,21 +61,41 @@ def _ro(**payload: Any) -> Mapping[str, Any]:
 _GRANT = _ro(permission="notifications")
 
 
-def _idle_terminates(activity_ts: Sequence[int], settle_ms: int, origin: str,
-                     sw_id: str, scope: str) -> list[TraceEvent]:
-    """Terminate events after every activity gap longer than settle_ms."""
-    out = []
-    for prev, nxt in zip(activity_ts, activity_ts[1:]):
-        if nxt - prev > settle_ms:
-            out.append(_mk(prev + settle_ms, "terminate", origin, sw_id, scope))
-    if activity_ts:
-        out.append(_mk(activity_ts[-1] + settle_ms, "terminate", origin, sw_id, scope))
-    return out
+def _opening(origin: str, sw_id: str, grant: bool = True) -> list[TraceEvent]:
+    """A worker's first events, at ts 0: its register, then the origin's
+    notification grant where it has one."""
+    events = [_mk(0, "register", origin, sw_id)]
+    if grant:
+        events.append(_mk(0, "permission_grant", origin, payload=_GRANT))
+    return events
 
 
 def _sorted(events: list[TraceEvent]) -> list[TraceEvent]:
     events.sort(key=itemgetter(0))  # by ts; stable: same-ts events keep logical order
     return events
+
+
+def _with_idle_terminates(events: list[TraceEvent]) -> list[TraceEvent]:
+    """``events``, which open with a register, sorted with the terminates
+    their worker's activity implies: its events after the register, in the
+    order they were added."""
+    settle = HANDLER_MS + IDLE_TIMEOUT_MS
+    origin, sw_id = events[0][2:4]
+    activity = [event[0] for event in events[1:] if event[3] is not None]  # ts if sw_id
+    for prev, nxt in zip(activity, activity[1:]):
+        if nxt - prev > settle:
+            events.append(_mk(prev + settle, "terminate", origin, sw_id))
+    if activity:
+        events.append(_mk(activity[-1] + settle, "terminate", origin, sw_id))
+    return _sorted(events)
+
+
+def _hour_slots(per_hour: int, duration_ms: int) -> Iterator[tuple[int, int, int]]:
+    """(start, length, count) of each hour slot of [0, duration_ms): a whole
+    hour holds per_hour events, a last, shorter slot its share of them."""
+    for start in range(0, duration_ms, HOUR_MS):
+        length = min(HOUR_MS, duration_ms - start)
+        yield start, length, per_hour * length // HOUR_MS
 
 
 def gen_webbot(seed: int, duration_ms: int = 600_000) -> list[TraceEvent]:
@@ -83,12 +104,9 @@ def gen_webbot(seed: int, duration_ms: int = 600_000) -> list[TraceEvent]:
     browser restart at half time re-kindles the loop through a sync event.
     """
     del seed  # the loop is fully deterministic
-    origin, sw, scope = "https://webbot.example", "sw-webbot", "/"
-    events = [
-        _mk(0, "register", origin, sw, scope),
-        _mk(0, "install", origin, sw, scope),
-        _mk(0, "activate", origin, sw, scope),
-    ]
+    origin, sw = "https://webbot.example", "sw-webbot"
+    events = _opening(origin, sw, grant=False)
+    events += [_mk(0, "install", origin, sw), _mk(0, "activate", origin, sw)]
     half = duration_ms // 2
     version = 1
 
@@ -98,14 +116,14 @@ def gen_webbot(seed: int, duration_ms: int = 600_000) -> list[TraceEvent]:
         while t + 25_000 < end:
             t += 25_000
             version += 1
-            events.append(_mk(t, "update_check", origin, sw, scope))
-            events.append(_mk(t, "update_found", origin, sw, scope, _ro(version=version)))
-            events.append(_mk(t, "install", origin, sw, scope))
-            events.append(_mk(t, "activate", origin, sw, scope))
+            events.append(_mk(t, "update_check", origin, sw))
+            events.append(_mk(t, "update_found", origin, sw, _ro(version=version)))
+            events.append(_mk(t, "install", origin, sw))
+            events.append(_mk(t, "activate", origin, sw))
 
     run_segment(0, half)
-    events.append(_mk(half, "terminate", origin, sw, scope))  # browser closed
-    events.append(_mk(half + 1_000, "sync", origin, sw, scope))  # re-opened
+    events.append(_mk(half, "terminate", origin, sw))  # browser closed
+    events.append(_mk(half + 1_000, "sync", origin, sw))  # re-opened
     run_segment(half + 1_000, duration_ms)
     return _sorted(events)
 
@@ -124,35 +142,18 @@ def gen_push_flood(
     every n-th push, reproducing the silent-push counter reset evasion.
     """
     rng = SplitMix64(seed)
-    origin, sw, scope = "https://pushmill.example", "sw-pushflood", "/"
-    events = [
-        _mk(0, "register", origin, sw, scope),
-        _mk(0, "permission_grant", origin, payload=_GRANT),
-    ]
-    push_ts: list[int] = []
-    slot_start = 0
-    while slot_start < duration_ms:
-        slot_len = min(HOUR_MS, duration_ms - slot_start)
-        count = pushes_per_hour if slot_len == HOUR_MS else (
-            pushes_per_hour * slot_len // HOUR_MS
-        )
-        push_ts.extend(sorted(slot_start + rng.below(slot_len) for _ in range(count)))
-        slot_start += HOUR_MS
-
-    activity: list[int] = []
+    origin, sw = "https://pushmill.example", "sw-pushflood"
+    events = _opening(origin, sw)
+    push_ts = [ts for start, length, count in _hour_slots(pushes_per_hour, duration_ms)
+               for ts in sorted(start + rng.below(length) for _ in range(count))]
     for idx, ts in enumerate(push_ts, start=1):
-        events.append(_mk(ts, "push", origin, sw, scope, _ro(push_id=f"p{idx:05d}")))
-        activity.append(ts)
+        events.append(_mk(ts, "push", origin, sw, _ro(push_id=f"p{idx:05d}")))
         if not silent:
-            events.append(_mk(ts + 200, "notification_show", origin, sw, scope,
+            events.append(_mk(ts + 200, "notification_show", origin, sw,
                               _ro(notif_id=f"n{idx:05d}", title="Fresh update")))
-            activity.append(ts + 200)
         if renew_after is not None and idx % renew_after == 0:
             events.append(_mk(ts + 350, "permission_grant", origin, payload=_GRANT))
-    events.extend(
-        _idle_terminates(activity, HANDLER_MS + IDLE_TIMEOUT_MS, origin, sw, scope)
-    )
-    return _sorted(events)
+    return _with_idle_terminates(events)
 
 
 def gen_ddos(
@@ -164,19 +165,15 @@ def gen_ddos(
     """One push-triggered activation issuing req_per_s background fetches per
     second against the target for burst_minutes."""
     del seed  # evenly spaced requests; nothing to jitter
-    origin, sw, scope = "https://stresser.example", "sw-ddos", "/"
+    origin, sw = "https://stresser.example", "sw-ddos"
     start = 1_000
-    events = [
-        _mk(0, "register", origin, sw, scope),
-        _mk(0, "permission_grant", origin, payload=_GRANT),
-        _mk(start, "push", origin, sw, scope, _ro(push_id="p00001")),
-    ]
+    events = _opening(origin, sw) + [_mk(start, "push", origin, sw, _ro(push_id="p00001"))]
     fetch = _ro(url=target, initiator_is_sw=True)
     events += [new_record(TraceEvent, (start + second * 1_000 + (i * 1_000) // req_per_s,
-                                       "fetch_request", origin, sw, scope, fetch))
+                                       "fetch_request", origin, sw, "/", fetch))
                for second in range(burst_minutes * 60) for i in range(req_per_s)]
     last = start + burst_minutes * 60_000
-    events.append(_mk(last + IDLE_TIMEOUT_MS, "terminate", origin, sw, scope))
+    events.append(_mk(last + IDLE_TIMEOUT_MS, "terminate", origin, sw))
     return _sorted(events)
 
 
@@ -184,73 +181,48 @@ def gen_notification_hider(seed: int, duration_ms: int = 600_000) -> list[TraceE
     """Each push shows a notification and programmatically closes it within
     100 ms, keeping the worker active while hiding the evidence."""
     del seed
-    origin, sw, scope = "https://hushpush.example", "sw-hider", "/"
-    events = [
-        _mk(0, "register", origin, sw, scope),
-        _mk(0, "permission_grant", origin, payload=_GRANT),
-    ]
-    activity = []
-    idx = 0
-    ts = 1_000
-    while ts < duration_ms:
-        idx += 1
-        events.append(_mk(ts, "push", origin, sw, scope, _ro(push_id=f"p{idx:05d}")))
-        events.append(_mk(ts + 40, "notification_show", origin, sw, scope,
+    origin, sw = "https://hushpush.example", "sw-hider"
+    events = _opening(origin, sw)
+    for idx, ts in enumerate(range(1_000, duration_ms, 60_000), start=1):
+        events.append(_mk(ts, "push", origin, sw, _ro(push_id=f"p{idx:05d}")))
+        events.append(_mk(ts + 40, "notification_show", origin, sw,
                           _ro(notif_id=f"nh{idx:05d}", title="nothing to see")))
-        events.append(_mk(ts + 140, "notification_close", origin, sw, scope,
+        events.append(_mk(ts + 140, "notification_close", origin, sw,
                           _ro(notif_id=f"nh{idx:05d}", by_user=False)))
-        activity.extend((ts, ts + 40, ts + 140))
-        ts += 60_000
-    events.extend(
-        _idle_terminates(activity, HANDLER_MS + IDLE_TIMEOUT_MS, origin, sw, scope)
-    )
-    return _sorted(events)
+    return _with_idle_terminates(events)
 
 
 def gen_tag_reuser(seed: int, n_pushes: int) -> list[TraceEvent]:
     """All notifications share one tag, so each new push replaces the
     previous notification instead of stacking up."""
     del seed
-    origin, sw, scope = "https://samenote.example", "sw-tagreuse", "/"
-    events = [
-        _mk(0, "register", origin, sw, scope),
-        _mk(0, "permission_grant", origin, payload=_GRANT),
-    ]
-    activity = []
+    origin, sw = "https://samenote.example", "sw-tagreuse"
+    events = _opening(origin, sw)
     for idx in range(1, n_pushes + 1):
         ts = 1_000 + (idx - 1) * 60_000
-        events.append(_mk(ts, "push", origin, sw, scope, _ro(push_id=f"p{idx:05d}")))
-        events.append(_mk(ts + 40, "notification_show", origin, sw, scope,
+        events.append(_mk(ts, "push", origin, sw, _ro(push_id=f"p{idx:05d}")))
+        events.append(_mk(ts + 40, "notification_show", origin, sw,
                           _ro(notif_id=f"tr{idx:05d}", title="Same Notification!",
                               tag="notification-update-tag")))
-        activity.extend((ts, ts + 40))
-    events.extend(
-        _idle_terminates(activity, HANDLER_MS + IDLE_TIMEOUT_MS, origin, sw, scope)
-    )
-    return _sorted(events)
+    return _with_idle_terminates(events)
 
 
 def gen_tracking_library(seed: int, page_visits: int) -> list[TraceEvent]:
     """An imported push-service library hijacks the fetch handler: every page
     navigation is mirrored to a tracking endpoint via a background fetch."""
     del seed
-    origin, sw, scope = "https://host-site.example", "sw-tracking", "/"
-    events = [_mk(0, "register", origin, sw, scope)]
+    origin, sw = "https://host-site.example", "sw-tracking"
+    events = _opening(origin, sw, grant=False)
     tracking = _ro(url=f"{TRACKING_SERVER}/tracking_url", initiator_is_sw=True)
-    activity = []
     for visit in range(page_visits):
         ts = 1_000 + visit * 10_000
         events.append(_mk(ts, "page_visit", origin))
-        events.append(_mk(ts + 10, "fetch_event_start", origin, sw, scope))
-        events.append(_mk(ts + 20, "fetch_request", origin, sw, scope,
+        events.append(_mk(ts + 10, "fetch_event_start", origin, sw))
+        events.append(_mk(ts + 20, "fetch_request", origin, sw,
                           _ro(url=f"{origin}/page{visit}.html", initiator_is_sw=True)))
-        events.append(_mk(ts + 30, "fetch_event_end", origin, sw, scope))
-        events.append(_mk(ts + 500, "fetch_request", origin, sw, scope, tracking))
-        activity.extend((ts + 10, ts + 20, ts + 30, ts + 500))
-    events.extend(
-        _idle_terminates(activity, HANDLER_MS + IDLE_TIMEOUT_MS, origin, sw, scope)
-    )
-    return _sorted(events)
+        events.append(_mk(ts + 30, "fetch_event_end", origin, sw))
+        events.append(_mk(ts + 500, "fetch_request", origin, sw, tracking))
+    return _with_idle_terminates(events)
 
 
 def gen_benign(
@@ -270,21 +242,14 @@ def gen_benign(
     exec_min_per_day = float(exec_min_per_day)
     fetches = int(fetches_per_activation)
 
-    origin, sw, scope = "https://goodapp.example", "sw-benign", "/"
-    events = [
-        _mk(0, "register", origin, sw, scope),
-        _mk(0, "permission_grant", origin, payload=_GRANT),
-        _mk(0, "page_visit", origin),
-    ]
+    origin, sw = "https://goodapp.example", "sw-benign"
+    events = _opening(origin, sw)
+    events.append(_mk(0, "page_visit", origin))
     beacon = _ro(url="https://cdn-assets.example/beacon", initiator_is_sw=True)
     push_ts: list[int] = []
-    slot_start = 0
-    while slot_start < duration_ms:
-        slot_len = min(HOUR_MS, duration_ms - slot_start)
-        count = push_rate if slot_len == HOUR_MS else push_rate * slot_len // HOUR_MS
-        step = slot_len // max(count, 1)
-        push_ts.extend(slot_start + step // 2 + i * step for i in range(count))
-        slot_start += HOUR_MS
+    for start, length, count in _hour_slots(push_rate, duration_ms):
+        step = length // max(count, 1)
+        push_ts.extend(start + step // 2 + i * step for i in range(count))
 
     pushes_per_day = push_rate * 24
     day_budget_ms = int(exec_min_per_day * 60_000)
@@ -292,12 +257,12 @@ def gen_benign(
         # Exact cumulative allocation: each day's activations sum to budget.
         k = (idx - 1) % pushes_per_day
         alloc = (k + 1) * day_budget_ms // pushes_per_day - k * day_budget_ms // pushes_per_day
-        events.append(_mk(ts, "push", origin, sw, scope, _ro(push_id=f"p{idx:05d}")))
-        events.append(_mk(ts + 150, "notification_show", origin, sw, scope,
+        events.append(_mk(ts, "push", origin, sw, _ro(push_id=f"p{idx:05d}")))
+        events.append(_mk(ts + 150, "notification_show", origin, sw,
                           _ro(notif_id=f"nb{idx:05d}", title="Daily digest")))
         for j in range(fetches):
-            events.append(_mk(ts + 300 + j * 50, "fetch_request", origin, sw, scope, beacon))
-        events.append(_mk(ts + max(alloc, 1_000), "terminate", origin, sw, scope))
+            events.append(_mk(ts + 300 + j * 50, "fetch_request", origin, sw, beacon))
+        events.append(_mk(ts + max(alloc, 1_000), "terminate", origin, sw))
     return _sorted(events)
 
 
@@ -329,6 +294,9 @@ def generate(scenario: Scenario) -> list[TraceEvent]:
     kwargs = dict(scenario.params)
     if scenario.duration_ms is not None:
         kwargs["duration_ms"] = scenario.duration_ms
+    duration = kwargs.get("duration_ms", 0)
+    if type(duration) is not int:  # a trace's ts is an integer millisecond count
+        raise ValueError(f"parameter duration_ms must be an integer: {duration!r}")
     for key, value in kwargs.items():
         if isinstance(value, (int, float)) and not 0 <= value < math.inf:
             raise ValueError(f"parameter {key} must be a finite number >= 0: {value!r}")

@@ -312,6 +312,10 @@ class TestHostileArguments:
         (["csp-audit"], json.dumps({"url": "https://a.example", "headers": 5}) + "\n"),
         (["analyze"], '{"sw-1": {"rank": ' + "9" * 5_000 + "}}"),
         (["csp-audit"], '{"url": "https://a.example", "rank": ' + "9" * 5_000 + "}\n"),
+        (["gen", "--scenario", "webbot", "--param", "duration_ms=6e5"], None),
+        (["simulate", "--scenario", "push_flood", "--param", "pushes_per_hour=20",
+          "--param", "duration_ms=3.6e6"], None),
+        (["gen", "--scenario", "benign", "--param", "duration_ms=true"], None),
     ], ids=["threshold_zero", "severity", "engagement_text", "policies_number",
             "allow_list_number", "spec_number", "not_json", "threshold_infinity",
             "threshold_nan", "threshold_1e308", "threshold_nan_counting", "engagement_nan",
@@ -320,7 +324,8 @@ class TestHostileArguments:
             "simulate_negative_param", "gen_negative_param", "gen_benign_unknown_param",
             "meta_list", "meta_import_domains_number",
             "corpus_line_list", "corpus_headers_number", "meta_int_past_digit_limit",
-            "corpus_int_past_digit_limit"])
+            "corpus_int_past_digit_limit", "gen_float_duration", "simulate_float_duration",
+            "gen_bool_duration"])
     def test_exits_two_with_an_error_line(self, tmp_path, capsys, argv, file_text):
         if argv[0] in ("enforce", "analyze"):
             trace = tmp_path / "t.jsonl"
@@ -341,18 +346,66 @@ class TestHostileArguments:
         assert not out.exists()
 
 
-    @pytest.mark.parametrize("command", ["analyze", "csp-audit"])
-    def test_undecodable_input_file_exits_two(self, tmp_path, capsys, command):
+    @pytest.mark.parametrize("command,flag", [
+        ("analyze", "--meta"), ("csp-audit", "--corpus"),
+        ("enforce", "--trace"), ("analyze", "--trace"),
+    ], ids=["analyze", "csp-audit", "enforce_trace", "analyze_trace"])
+    def test_undecodable_input_file_exits_two(self, tmp_path, capsys, command, flag):
         path = tmp_path / "input.json"
-        path.write_bytes(b'{"url": "\xff"}\n')
-        argv = [command, self.FILE_FLAG[command], str(path)]
-        if command == "analyze":
+        if flag == "--trace":  # a one-line trace with byte 0xff in its sw_id
+            path.write_bytes(b'{"ts":0,"kind":"register","origin":"https://a.example",'
+                             b'"sw_id":"sw-\xff","scope":"/"}\n')
+        else:
+            path.write_bytes(b'{"url": "\xff"}\n')
+        argv = [command, flag, str(path)]
+        if flag == "--meta":
             trace = tmp_path / "t.jsonl"
             write_lines(trace, fetch_trace("register", "install", "activate"))
-            argv += ["--trace", str(trace), "--out", str(tmp_path / "out")]
+            argv += ["--trace", str(trace)]
+        if command != "csp-audit":
+            argv += ["--out", str(tmp_path / "out")]
         assert run(argv) == 2
         captured = capsys.readouterr()
         assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+        if flag == "--trace":
+            assert captured.err.startswith(f"error: cannot read trace {path}: ")
+            assert len(captured.err.splitlines()) == 1
+
+
+class TestUnwritableOutput:
+    """An output path that cannot be written is an IO error: exit 2 with one
+    ``error: cannot write`` line, and no temporary file is left behind."""
+
+    # The output each command writes whose name a directory takes.
+    FIRST_OUTPUT = {"simulate": "delivered.jsonl", "enforce": "violations.jsonl",
+                    "analyze": "report.json"}
+
+    @pytest.mark.parametrize("blocker", ["file_as_directory", "directory_as_file"])
+    @pytest.mark.parametrize("command", ["gen", "simulate", "enforce", "analyze"])
+    def test_exits_two_and_leaves_no_temporary_file(self, tmp_path, capsys, command, blocker):
+        trace = tmp_path / "t.jsonl"
+        write_lines(trace, fetch_trace("register", "install", "activate"))
+        argv = {"gen": ["gen", "--scenario", "benign"],
+                "simulate": ["simulate", "--scenario", "benign"],
+                "enforce": ["enforce", "--trace", str(trace)],
+                "analyze": ["analyze", "--trace", str(trace)]}[command]
+        work = tmp_path / "work"
+        work.mkdir()
+        if blocker == "file_as_directory":
+            # --out, or the directory gen writes into, is a regular file.
+            (work / "file").write_text("kept\n")
+            out = work / "file" / "t.jsonl" if command == "gen" else work / "file"
+        else:
+            # A directory holds the name of the file to write.
+            out = work / "t.jsonl" if command == "gen" else work / "out"
+            (out if command == "gen" else out / self.FIRST_OUTPUT[command]).mkdir(parents=True)
+        assert run(argv + ["--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: cannot write ")
+        assert len(captured.err.splitlines()) == 1 and "Traceback" not in captured.err
+        assert not list(tmp_path.rglob(".sw-sentinel-*"))
+        if blocker == "file_as_directory":
+            assert (work / "file").read_text() == "kept\n"
 
 
 class TestCspCommands:

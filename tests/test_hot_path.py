@@ -81,6 +81,22 @@ def test_header_cache_is_bounded(checked_headers, monkeypatch):
     assert [event.sw_id for event in events] == [f"sw-{i % 9}" for i in range(27)]
 
 
+def test_parse_body_cache_is_bounded(monkeypatch):
+    """Nine distinct bodies in turn, each on two lines in a row, under one
+    header overflow a cache of eight: the parse clears it and decodes the
+    evicted bodies again, but not their second lines, and reads every line as
+    the reference does."""
+    decoded = []
+    scan_once = trace._SCAN_ONCE
+    monkeypatch.setattr(trace, "_SCAN_ONCE",
+                        lambda line, index: decoded.append(line) or scan_once(line, index))
+    lines = [f'{{"ts":{i},"kind":"push","origin":"https://a.example","sw_id":"sw-1",'
+             f'"scope":"/","push_id":"p{i // 2 % 9}"}}' for i in range(54)]
+    monkeypatch.setattr(trace, "_HEADER_CACHE_SIZE", 8)
+    assert parse_trace(lines) == reference_parse(lines)
+    assert 9 < len(decoded) < 54
+
+
 def _assert_keeps_pace(subject, reference, data, bound):
     """``subject(data)`` must take at most ``bound`` times as long as
     ``reference(data)``. The load on the machine varies, so the fastest runs
@@ -250,6 +266,41 @@ def test_emit_body_cache_is_bounded_and_stops_when_bodies_do_not_repeat(
     events = pushes([0] * 300 + [*range(300), 0, 299])
     assert emit_lines(events) == piecewise_emit_lines(events)
     assert len(rendered_payloads) == 300
+
+
+def test_emit_header_cache_is_bounded(monkeypatch):
+    """Nine distinct headers in turn, each on two lines in a row, overflow a
+    cache of eight: the writer clears it and writes the evicted headers
+    again, but not for their second lines, and writes every line as the
+    piecewise writer does. A dict payload keeps the lines out of the body
+    cache, so each line asks for its header's text."""
+    written = []
+    header_text = trace._header_text
+    monkeypatch.setattr(trace, "_header_text",
+                        lambda *header: written.append(header) or header_text(*header))
+    monkeypatch.setattr(trace, "_HEADER_CACHE_SIZE", 8)
+    events = [TraceEvent(i, "sync", "https://a.example", f"sw-{i // 2 % 9}", "/", {})
+              for i in range(54)]
+    assert emit_lines(events) == piecewise_emit_lines(events)
+    assert 9 < len(written) < 54
+
+
+def test_emit_payload_key_cache_is_bounded(monkeypatch):
+    """Nine distinct payload keys in turn, each on two lines in a row,
+    overflow a cache of eight: the writer clears it and writes the evicted
+    keys again, but not for their second lines, and writes every line as the
+    piecewise writer does. A dict payload is written out on every line, so
+    each line asks for its key's text."""
+    keys = {f"k{i}" for i in range(9)}
+    written = []
+    json_str = trace._json_str
+    monkeypatch.setattr(trace, "_json_str",
+                        lambda text: (text in keys and written.append(text)) or json_str(text))
+    monkeypatch.setattr(trace, "_HEADER_CACHE_SIZE", 8)
+    events = [TraceEvent(i, "sync", "https://a.example", "sw-1", "/", {f"k{i // 2 % 9}": i})
+              for i in range(54)]
+    assert emit_lines(events) == piecewise_emit_lines(events)
+    assert 9 < len(written) < 54
 
 
 def test_emit_with_a_new_body_on_every_line_keeps_pace_with_the_piecewise_writer():

@@ -14,6 +14,8 @@ from sw_sentinel.policy import (
 )
 from sw_sentinel.scenarios import (
     GENERATORS,
+    HANDLER_MS,
+    IDLE_TIMEOUT_MS,
     Scenario,
     SplitMix64,
     gen_ddos,
@@ -270,10 +272,47 @@ class TestSimulate:
         assert list(emit_trace(events)) == list(emit_trace(
             [event._replace(payload=dict(event.payload)) for event in events]))
 
+    @pytest.mark.parametrize("name", ["push_flood", "notification_hider", "tag_reuser",
+                                      "tracking_library"])
+    def test_idle_terminates_follow_the_workers_activity(self, name):
+        """A worker opens with its register at ts 0 and ends HANDLER_MS +
+        IDLE_TIMEOUT_MS after each of its later events that the next does not
+        follow within that time, and after its last. A worker's events are at
+        scope "/", the origin's at none."""
+        settle = HANDLER_MS + IDLE_TIMEOUT_MS
+        gaps = 0
+        for seed in range(5):
+            events = generate(Scenario(name, seed, _params(name, random.Random(seed))))
+            assert (events[0].ts, events[0].kind) == (0, "register")
+            assert all((event.scope == "/") == (event.sw_id is not None) for event in events)
+            activity = [event.ts for event in events[1:]
+                        if event.sw_id is not None and event.kind != "terminate"]
+            expected = [prev + settle for prev, nxt in zip(activity, activity[1:])
+                        if nxt - prev > settle]
+            gaps += len(expected)
+            expected += [ts + settle for ts in activity[-1:]]
+            assert [event.ts for event in events if event.kind == "terminate"] == expected
+        assert gaps or name == "tracking_library"  # its visits are 10 s apart
+
     @pytest.mark.parametrize("value", [-1, -0.5, float("nan"), float("inf")])
     def test_negative_or_unbounded_params_rejected(self, value):
         with pytest.raises(ValueError, match="req_per_s"):
             generate(Scenario("ddos", 0, {"req_per_s": value, "burst_minutes": 1}))
+
+    @pytest.mark.parametrize("where", ["field", "params"])
+    @pytest.mark.parametrize("value", [3.6e6, True])
+    def test_duration_must_be_an_int(self, where, value):
+        """A trace's ts is an integer millisecond count: a float or bool
+        duration would make float timestamps that no reader accepts."""
+        for name in ("webbot", "push_flood", "benign"):
+            params = {"pushes_per_hour": 20} if name == "push_flood" else {}
+            if where == "field":
+                scenario = Scenario(name, 0, params, value)
+            else:
+                scenario = Scenario(name, 0, {**params, "duration_ms": value})
+            with pytest.raises(ValueError, match="duration_ms"):
+                generate(scenario)
+            assert generate(Scenario(name, 0, params, 3_600_000))
 
     def test_tightening_thresholds_never_delivers_more(self):
         rng = random.Random(31)
