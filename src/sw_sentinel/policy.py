@@ -52,6 +52,7 @@ import sys
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cache
 from importlib import resources
 from operator import attrgetter
 from typing import Any, Iterator, NamedTuple, Optional, Sequence
@@ -253,14 +254,25 @@ def _parse_spec(obj: Any) -> PolicySpec:
 
 
 def load_policies(config_text: str | bytes | None = None) -> PolicyConfig:
-    """Parse a policy configuration; None loads the shipped defaults.
+    """Parse a policy configuration; None gives the shipped defaults.
 
     Accepts either a bare JSON array of policy objects or an object with a
     ``policies`` array plus optional ``allow_list`` and
     ``deregister_engagement_threshold``.
     """
     if config_text is None:
-        config_text = resources.files(__package__).joinpath("defaults.json").read_text("utf-8")
+        return default_policies()
+    return _parse_config(config_text)
+
+
+@cache
+def default_policies() -> PolicyConfig:
+    """The shipped defaults, read and parsed once per process: the config
+    is frozen, so every caller can share it."""
+    return _parse_config(resources.files(__package__).joinpath("defaults.json").read_text("utf-8"))
+
+
+def _parse_config(config_text: str | bytes) -> PolicyConfig:
     try:
         data = json.loads(config_text)
     except ValueError as exc:
@@ -288,10 +300,6 @@ def load_policies(config_text: str | bytes | None = None) -> PolicyConfig:
             raise DuplicateName(f"duplicate policy {spec.name!r}")
         specs.append(spec)
     return PolicyConfig(tuple(specs), frozenset(allow_list), float(threshold))
-
-
-def default_policies() -> PolicyConfig:
-    return load_policies(None)
 
 
 # Capability each worker-attributed event kind consumes; kinds absent here

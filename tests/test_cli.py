@@ -1,4 +1,5 @@
 import csv
+import gc
 import json
 import math
 import os
@@ -136,6 +137,21 @@ class TestPipeline:
                     "--fail-on-violation"]) == 1
         assert lines(out_dir / "violations.jsonl") == lines(out_dir2 / "violations.jsonl")
 
+    def test_bad_config_exits_two_after_the_shipped_defaults_are_loaded(
+            self, tmp_path, monkeypatch, capsys):
+        """The shipped defaults are parsed once per process; an explicit
+        config is read and checked on every run."""
+        trace, bad = tmp_path / "t.jsonl", tmp_path / "bad.json"
+        assert run(["gen", "--scenario", "benign", "--out", str(trace)]) == 0
+        bad.write_text('[{"name":"push_per_hour","severity":"low","threshold":0,'
+                       '"duration_in_minutes":60}]')
+        enforce = ["enforce", "--trace", str(trace), "--out", str(tmp_path / "o")]
+        assert run(enforce) == 0
+        assert run(enforce + ["--policies", str(bad)]) == 2
+        monkeypatch.setenv("SW_SENTINEL_CONFIG", str(bad))
+        assert run(enforce) == 2
+        assert capsys.readouterr().err.count("error: invalid policy config") == 2
+
     def test_missing_trace_exits_two(self, tmp_path):
         assert run(["enforce", "--trace", str(tmp_path / "absent.jsonl"),
                     "--out", str(tmp_path)]) == 2
@@ -180,6 +196,79 @@ class TestPipeline:
         with pytest.raises(OSError):
             run(["analyze", "--trace", str(trace), "--out", str(rep)])
         assert {path.name: path.read_bytes() for path in rep.iterdir()} == before
+
+
+@pytest.fixture
+def collector_state():
+    """Gives the collector back to later tests in the state this one found."""
+    enabled = gc.isenabled()
+    yield
+    if enabled:
+        gc.enable()
+    else:
+        gc.disable()
+
+
+class TestCollectorPause:
+    """``run`` pauses the cyclic garbage collector for the span of one
+    command and restores the caller's state however the command ends."""
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["gc_on", "gc_off"])
+    @pytest.mark.parametrize("ending", ["exit_0", "exit_2", "usage_error", "unexpected"])
+    def test_restores_the_callers_state(self, tmp_path, monkeypatch, collector_state,
+                                        enabled, ending):
+        during = []
+
+        def fake_generate(scenario):
+            during.append(gc.isenabled())
+            if ending == "exit_2":
+                raise ValueError("bad param")  # a CliError in _generate
+            if ending == "unexpected":
+                raise RuntimeError("boom")
+            return []
+
+        monkeypatch.setattr(cli, "generate", fake_generate)
+        scenario = "nope" if ending == "usage_error" else "benign"
+        argv = ["gen", "--scenario", scenario, "--out", str(tmp_path / "t.jsonl")]
+        (gc.enable if enabled else gc.disable)()
+        if ending == "usage_error":
+            with pytest.raises(SystemExit) as err:
+                run(argv)
+            assert err.value.code == 2
+        elif ending == "unexpected":
+            with pytest.raises(RuntimeError):
+                run(argv)
+        else:
+            assert run(argv) == (0 if ending == "exit_0" else 2)
+        assert gc.isenabled() is enabled
+        assert during == ([] if ending == "usage_error" else [False])
+
+    @pytest.mark.parametrize("command", ["gen", "enforce", "analyze", "simulate"])
+    def test_cyclic_garbage_does_not_grow_with_the_input(self, tmp_path, collector_state,
+                                                         command):
+        """The pause is safe because a command's records hold no cycles:
+        what the collector finds after a command on a 1-minute and on a
+        10-minute flood is the same."""
+        def params(minutes):
+            return ["--scenario", "ddos", "--param", "req_per_s=50",
+                    "--param", f"burst_minutes={minutes}"]
+
+        def argv(minutes):
+            trace, out = str(tmp_path / f"{minutes}.jsonl"), str(tmp_path / f"out-{minutes}")
+            return {"gen": ["gen", *params(minutes), "--out", out],
+                    "enforce": ["enforce", "--trace", trace, "--out", out],
+                    "analyze": ["analyze", "--trace", trace, "--out", out],
+                    "simulate": ["simulate", *params(minutes), "--out", out]}[command]
+
+        for minutes in (1, 10):  # the traces enforce and analyze read
+            assert run(["gen", *params(minutes), "--out", str(tmp_path / f"{minutes}.jsonl")]) == 0
+        found = []
+        for minutes in (1, 10):
+            gc.collect()
+            gc.disable()
+            assert run(argv(minutes)) == 0
+            found.append(gc.collect())
+        assert found[0] == found[1], found
 
 
 def write_lines(path, objs):

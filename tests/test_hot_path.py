@@ -97,30 +97,38 @@ def test_parse_body_cache_is_bounded(monkeypatch):
     assert 9 < len(decoded) < 54
 
 
-def _assert_keeps_pace(subject, reference, data, bound):
+def _assert_keeps_pace(subject, reference, data, bound, pairs=9):
     """``subject(data)`` must take at most ``bound`` times as long as
-    ``reference(data)``. The load on the machine varies, so the fastest runs
-    of each are compared, in pairs that alternate which runs first, with
-    garbage collection off as in timeit. The check passes once it holds after
-    three pairs or more, and fails if it still does not after nine."""
-    times = {subject: [], reference: []}
-    for pair in range(9):
+    ``reference(data)``. The load on the machine varies and one slow run can
+    land on either side, so the check judges the median of the per-pair
+    ratios subject/reference over ``pairs`` pairs that alternate which runs
+    first, with garbage collection off as in timeit. It stops as soon as more
+    than half of the pairs fall on one side of the bound, which decides that
+    median."""
+    ratios = []
+    for pair in range(pairs):
         order = (subject, reference) if pair % 2 == 0 else (reference, subject)
+        times = {}
         for fn in order:
             gc.collect()
             gc.disable()
             try:
                 start = time.perf_counter()
                 result = fn(data)
-                times[fn].append(time.perf_counter() - start)
+                times[fn] = time.perf_counter() - start
             finally:
                 gc.enable()
             assert len(result) == len(data)
             del result  # freed here, not inside the next run's timing
-        if pair >= 2 and min(times[subject]) <= bound * min(times[reference]):
+        ratios.append(times[subject] / times[reference])
+        within = sum(ratio <= bound for ratio in ratios)
+        if within > pairs // 2:
             return
+        if len(ratios) - within > pairs // 2:
+            break
     pytest.fail(f"{subject.__name__} is more than {bound - 1:.0%} slower than "
-                f"{reference.__name__}: {times}")
+                f"{reference.__name__} in the median of {pairs} pairs: "
+                f"ratios {sorted(round(ratio, 3) for ratio in ratios)}")
 
 
 def test_parse_with_a_new_origin_on_every_line_keeps_pace():
@@ -132,15 +140,31 @@ def test_parse_with_a_new_origin_on_every_line_keeps_pace():
     _assert_keeps_pace(parse_trace, reference_parse, lines, 1.10)
 
 
-def test_parse_with_a_new_body_on_every_line_keeps_pace_with_the_one_pass_reader():
+@pytest.fixture(scope="module")
+def new_body_lines():
     """The worst case for the body cache: a push flood whose every line
-    holds a new push_id or notif_id, so no body repeats. The parse must stop
-    remembering bodies and stay within 10 % of the reader that decodes every
-    line and checks each distinct header once."""
+    holds a new push_id or notif_id, so no body repeats."""
     lines = list(emit_trace(generate(Scenario(
         "push_flood", 0, {"pushes_per_hour": 15_000, "duration_ms": 3_600_000}))))
     assert len({line.partition(",")[2] for line in lines}) == len(lines) == 30_003
-    _assert_keeps_pace(parse_trace, onepass_parse, lines, 1.10)
+    return lines
+
+
+def test_parse_with_a_new_body_on_every_line_keeps_pace_with_the_one_pass_reader(new_body_lines):
+    """The parse must stop remembering bodies and stay within 10 % of the
+    reader that decodes every line and checks each distinct header once."""
+    # The two readers differ by a few per cent here, so the median needs
+    # more pairs than the other checks to stay clear of the bound.
+    _assert_keeps_pace(parse_trace, onepass_parse, new_body_lines, 1.10, pairs=41)
+
+
+def test_parse_with_a_new_body_on_every_line_decodes_each_line_once(new_body_lines, monkeypatch):
+    decoded = []
+    scan_once = trace._SCAN_ONCE
+    monkeypatch.setattr(trace, "_SCAN_ONCE",
+                        lambda line, index: decoded.append(line) or scan_once(line, index))
+    assert parse_trace(new_body_lines) == onepass_parse(new_body_lines)
+    assert decoded == new_body_lines
 
 
 def test_parse_decodes_each_distinct_body_once(ddos_events, monkeypatch):

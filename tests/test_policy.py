@@ -1,9 +1,11 @@
+import dataclasses
 import random
 import re
 from pathlib import Path
 
 import pytest
 
+from sw_sentinel import policy
 from sw_sentinel.model import Capability, Origin, Scope, SwRecord, SwState
 from sw_sentinel.policy import (
     ActionEntry,
@@ -135,6 +137,18 @@ class TestLoadPolicies:
         assert config.get("notif_min_visible").threshold == 30
         assert config.get("tag_reuse").threshold == 3
 
+
+    def test_shipped_defaults_are_parsed_once_and_shared(self):
+        text = (Path(policy.__file__).parent / "defaults.json").read_text(encoding="utf-8")
+        shared = default_policies()
+        assert load_policies(None) is shared is default_policies()
+        assert shared == load_policies(text)
+        assert load_policies(text) is not load_policies(text)  # explicit text: every call
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            shared.specs = ()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            shared.specs[0].threshold = 1.0
+        assert isinstance(shared.specs, tuple) and isinstance(shared.allow_list, frozenset)
 
 class TestProfiles:
     def test_vendor_constants(self):
