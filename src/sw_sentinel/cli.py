@@ -137,23 +137,39 @@ def _action_row(a: ActionEntry, prefixes: dict[tuple, str]) -> str:
     return f"{prefix}{ts}}}\n" if type(ts) is int else prefix + _json_text(ts) + "}\n"
 
 
-def _violation_row(v: ViolationRecord, prefixes: dict[tuple, str]) -> str:
+def _action_rows(actions: Iterable[ActionEntry]) -> str:
+    """The rows of ``actions.jsonl``: a row with an int ts whose sw_id, action
+    and reason are the very objects of the row before reuses its prefix."""
+    prefixes: dict[tuple, str] = {}
+    rows: list[str] = []
+    last_sw = last_reason = prefix = None
+    last_action: Any = object()  # no row's action
+    for a in actions:
+        ts, sw_id, action, reason = a
+        if action is last_action and reason is last_reason and sw_id is last_sw and type(ts) is int:
+            rows.append(f"{prefix}{ts}}}\n")
+        else:
+            rows.append(_action_row(a, prefixes))
+            if sw_id is None or type(sw_id) is str:  # as _action_row's own key
+                last_sw, last_action, last_reason = sw_id, action, reason
+                prefix = prefixes[(action._value_, reason, sw_id)]
+    return "".join(rows)
+
+
+def _violation_row(v: ViolationRecord) -> str:
     return (f'{{"observed": {_json_text(v.observed)}, "policy": {_json_str(v.policy_name)}, '
             f'"sw_id": {_json_text(v.sw_id)}, "threshold": {_json_text(v.threshold)}, '
             f'"ts": {_json_text(v.ts)}}}\n')
 
 
-def _notice_row(n: Notice, prefixes: dict[tuple, str]) -> str:
+def _notice_row(n: Notice) -> str:
     return (f'{{"detail": {_json_str(n.detail)}, "kind": {_json_str(n.kind)}, '
             f'"sw_id": {_json_text(n.sw_id)}, "ts": {_json_text(n.ts)}}}\n')
 
 
-def _jsonl(row: Callable[[Any, dict], str], records: Iterable[Any]) -> str:
-    """The rows of ``records``. The rows of one call share a dict in which a
-    row writer may keep its text up to ``"ts": `` per distinct rest of a row:
-    action rows do, as a flood repeats them; the few other rows are whole."""
-    prefixes: dict[tuple, str] = {}
-    return "".join([row(record, prefixes) for record in records])
+def _jsonl(row: Callable[[Any], str], records: Iterable[Any]) -> str:
+    """The rows of ``records``; the few violation and notice rows are whole."""
+    return "".join([row(record) for record in records])
 
 
 def _generate(args: argparse.Namespace) -> list[TraceEvent]:
@@ -180,7 +196,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     out = args.out
     _write_events(os.path.join(out, "delivered.jsonl"), result.delivered_events)
     _write_events(os.path.join(out, "suppressed.jsonl"), result.suppressed_events)
-    _write_text(os.path.join(out, "actions.jsonl"), _jsonl(_action_row, result.actions))
+    _write_text(os.path.join(out, "actions.jsonl"), _action_rows(result.actions))
     _write_text(os.path.join(out, "violations.jsonl"),
                 _jsonl(_violation_row, result.violations))
     _write_text(os.path.join(out, "notices.jsonl"), _jsonl(_notice_row, result.notices))
@@ -216,7 +232,7 @@ def _cmd_enforce(args: argparse.Namespace) -> int:
     out = args.out
     _write_text(os.path.join(out, "violations.jsonl"),
                 _jsonl(_violation_row, result.violations))
-    _write_text(os.path.join(out, "actions.jsonl"), _jsonl(_action_row, result.actions))
+    _write_text(os.path.join(out, "actions.jsonl"), _action_rows(result.actions))
     _write_text(os.path.join(out, "notices.jsonl"), _jsonl(_notice_row, result.notices))
     print(f"{len(result.violations)} violations, {len(result.actions)} actions")
     if args.fail_on_violation and result.violations:

@@ -52,7 +52,7 @@ import sys
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import cache
+from functools import cache, partial
 from importlib import resources
 from operator import attrgetter
 from typing import Any, Iterator, NamedTuple, Optional, Sequence
@@ -95,6 +95,7 @@ RULES: dict[str, Rule] = {
     "notif_min_visible": Rule(windowed=False, throttles=False, stops=False),
     "tag_reuse": Rule(windowed=True, throttles=False, stops=False),
 }
+_THROTTLES = {name: rule.throttles for name, rule in RULES.items()}  # read per counted event
 
 
 class PolicyConfigError(SwSentinelError):
@@ -373,6 +374,7 @@ _Crossing = tuple[int, str, Any, float]  # see _next_crossing
 class _SwEngineState:
     record: SwRecord
     first_party: frozenset[str]
+    handlers: dict[str, Any]  # kind -> handler, its capability gate resolved
     activation_start: int = 0
     activation: int = 0  # the number of the current (or last) activation
     run_intervals: list[tuple[int, int]] = field(default_factory=list)
@@ -414,13 +416,14 @@ class PolicyEngine:
         self.profile = PROFILES[profile]
         self._closed_loop = mode == "simulate"
         # Once per engine, a subclass's handlers included; unbound, so no cycle.
-        # A kind maps to the capability it needs (None: ungated) and its handler.
         self._specs = {name: self.config.get(name) for name in RULES}
         cls = type(self)
-        self._handlers = {name[4:]: (REQUIRED_CAPABILITY.get(name[4:]), getattr(cls, name))
-                          for name in dir(cls) if name[:4] == "_on_"}
+        self._handlers = {name[4:]: getattr(cls, name) for name in dir(cls) if name[:4] == "_on_"}
+        self._refusals = {cap: partial(cls._refuse_capability, reason=f"capability:{cap.value}")
+                          for cap in Capability}
         self._t0: Optional[int] = None
         self._states: dict[str, _SwEngineState] = {}
+        self._by_origin: dict[str, dict[str, _SwEngineState]] = {}  # origin -> sw_id -> state
         # min-heap of (wake_ts, order, stamp, state); see ``advance``
         self._heap: list[tuple[int, int, int, _SwEngineState]] = []
         self._stamps = 0
@@ -447,14 +450,20 @@ class PolicyEngine:
         """Insert a worker's state, or replace the state of its sw_id. A
         replacement keeps the registration order of the state it replaces,
         as ``_states`` keeps its key's position. A new state has no deadline
-        until its first handler runs, so it is not put on the clock heap."""
-        st = _SwEngineState(record=record,
+        until its first handler runs, so it is not put on the clock heap. Its
+        table maps a kind gated on a capability the record lacks to a refusal."""
+        handlers = {kind: handler if (needed := REQUIRED_CAPABILITY.get(kind)) is None
+                    or check_capability(record, needed) else self._refusals[needed]
+                    for kind, handler in self._handlers.items()}
+        st = _SwEngineState(record=record, handlers=handlers,
                             first_party=frozenset({registrable_domain(record.origin.host)}))
         old = self._states.get(record.sw_id)
         st.order = len(self._states) if old is None else old.order
         if old is not None:
             old.stamp = -1  # its heap entries go stale
+            del self._by_origin[str(old.record.origin)][record.sw_id]
         self._states[record.sw_id] = st
+        self._by_origin.setdefault(str(record.origin), {})[record.sw_id] = st
         return st
 
     def _first_sight(self, event: TraceEvent) -> _SwEngineState:
@@ -554,7 +563,7 @@ class PolicyEngine:
         count = counts[counter] = counts.get(counter, 0) + 1
         if count <= spec.threshold:
             return False
-        throttles = RULES[name].throttles
+        throttles = _THROTTLES[name]
         if throttles:
             self._apply_action(st, ts, _THROTTLE, name, out)
         if counter not in st.violated:  # a flood past the threshold skips the call
@@ -762,46 +771,34 @@ class PolicyEngine:
         """Advance the clock to the event, then judge the event itself. The
         records go into ``out`` when given, else into a fresh Decision; a
         refusal clears its ``deliver``. The Decision is returned."""
+        ts, kind, origin, sw_id, _scope, payload = event
         if self._t0 is None:
-            self._t0 = event.ts
-        out = self.advance(event.ts, out)
-        kind = event.kind
-
+            self._t0 = ts
+        out = self.advance(ts, out)
         if kind == "page_visit":
-            self.engagement_for(str(Origin.parse(event.origin))).visit(event.ts)
+            self.engagement_for(str(Origin.parse(origin))).visit(ts)
             return out
         if kind == "permission_grant":
-            origin_key = str(Origin.parse(event.origin))
-            for st in self._states.values():
-                if str(st.record.origin) == origin_key:
-                    renewed = not st.record.push_subscribed or st.record.silent_push_count > 0
-                    st.record.push_subscribed = True
-                    st.record.silent_push_count = 0
-                    if renewed:
-                        out.notices.append(Notice(event.ts, st.record.sw_id, "subscription_renewed",
-                                                  event.get("permission", "notifications")))
+            group = self._by_origin.get(str(Origin.parse(origin)), {})
+            for st in sorted(group.values(), key=attrgetter("order")):
+                record = st.record
+                renewed = not record.push_subscribed or record.silent_push_count > 0
+                record.push_subscribed, record.silent_push_count = True, 0
+                if renewed:
+                    out.notices.append(Notice(ts, record.sw_id, "subscription_renewed",
+                                              payload.get("permission", "notifications")))
             return out
-        if event.sw_id is None:
+        if sw_id is None:
             return out
-
-        st = self._states.get(event.sw_id) or self._first_sight(event)
-        record = st.record
-
-        if record.phase is _DEREGISTERED:
+        st = self._states.get(sw_id) or self._first_sight(event)
+        if st.record.phase is _DEREGISTERED:
             out.deliver = False
             return out
-
-        entry = self._handlers.get(kind)
-        if entry is None:
-            return out
-        needed, handler = entry
-        if needed is not None and not check_capability(record, needed):
-            out.deliver = False
-            self._apply_action(st, event.ts, _THROTTLE, f"capability:{needed.value}", out)
-            return out
-        handler(self, st, event, out)
-        if st.dirty:
-            self._reschedule(st, event.ts)
+        handler = st.handlers.get(kind)
+        if handler is not None:
+            handler(self, st, event, out)
+            if st.dirty:
+                self._reschedule(st, ts)
         return out
 
     def _refuse(self, out: Decision) -> bool:
@@ -815,6 +812,13 @@ class PolicyEngine:
         return False
 
     # -- per-kind handlers ---------------------------------------------------
+
+    def _refuse_capability(self, st: _SwEngineState, event: TraceEvent, out: Decision,
+                           reason: str) -> None:
+        """The handler of a kind gated on a capability the worker lacks: in
+        both modes the event is refused and throttled."""
+        out.deliver = False
+        self._apply_action(st, event.ts, _THROTTLE, reason, out)
 
     def _move(self, st: _SwEngineState, kind: str, out: Decision) -> bool:
         """Move the registration by the model's row for ``kind``; a move the
@@ -888,9 +892,10 @@ class PolicyEngine:
     def _on_fetch_request(self, st: _SwEngineState, event: TraceEvent, out: Decision) -> None:
         if not event.payload.get("initiator_is_sw"):
             return  # page-initiated; not worker execution
-        if st.record.process is not _RUNNING and self._refuse(out):
-            return
-        self._wake(st, event.ts)  # open loop: the recorded event shows it running
+        if st.record.process is not _RUNNING:
+            if self._refuse(out):
+                return
+            self._wake(st, event.ts)  # open loop: the recorded event shows it running
         if st.bracket_depth > 0 or event.ts == st.last_bracket_end:
             return  # foreground: inside a fetch handler, or at its end
         if url_registrable_domain(event.payload.get("url", "")) in st.first_party:

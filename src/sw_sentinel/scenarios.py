@@ -139,8 +139,10 @@ def gen_push_flood(
 
     ``silent`` drops the notification_show that normally follows each push;
     ``renew_after`` emits a subscription renewal (permission_grant) after
-    every n-th push, reproducing the silent-push counter reset evasion.
+    every n-th push (n >= 1), reproducing the silent-push counter reset evasion.
     """
+    if renew_after is not None and not renew_after >= 1:
+        raise ValueError(f"parameter renew_after must be None or >= 1: {renew_after!r}")
     rng = SplitMix64(seed)
     origin, sw = "https://pushmill.example", "sw-pushflood"
     events = _opening(origin, sw)

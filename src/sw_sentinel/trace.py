@@ -343,9 +343,11 @@ def emit_trace(events: Iterable[TraceEvent]) -> Iterator[str]:
     and payload key, and all after ``ts`` of a line whose header and
     read-only payload came before (a dict payload, which may change, is
     written every time; a call whose first bodies rarely repeat stops
-    remembering them). A payload key that is not a string, or that names a
-    header field, would not parse back to its event: it raises
-    InvariantViolation.
+    remembering them). A line with an int ``ts`` whose payload and header
+    fields are the very objects of the last body remembered or found reuses
+    it (identity: 1, True and 1.0 are equal, with other texts). A payload
+    key that is not a string, or that names a header field, would not parse
+    back: it raises InvariantViolation.
     """
     headers: dict[tuple, str] = {}
     keys: dict[str, str] = {}
@@ -354,11 +356,18 @@ def emit_trace(events: Iterable[TraceEvent]) -> Iterator[str]:
     bodies: Optional[dict[tuple, tuple]] = {}
     hits = misses = 0
     last_ts: Optional[int] = None
+    m_payload = forgotten = object()  # no event's payload
+    m_kind = m_origin = m_sw_id = m_scope = m_body = None
     for event in events:
         ts, kind, origin, sw_id, scope, payload = event
         if last_ts is not None and ts < last_ts:
             raise InvariantViolation(f"events out of order: ts {ts} after {last_ts}")
         last_ts = ts
+        if (payload is m_payload and kind is m_kind and origin is m_origin
+                and sw_id is m_sw_id and scope is m_scope and type(ts) is int):
+            hits += 1
+            yield f'{{"ts":{ts}{m_body}'
+            continue
         line = f'{{"ts":{ts}' if type(ts) is int else '{"ts":' + _value_text(ts)
         body_key = None
         if bodies is not None and type(payload) is MappingProxyType:
@@ -369,11 +378,14 @@ def emit_trace(events: Iterable[TraceEvent]) -> Iterator[str]:
                 entry = body_key = None
             if entry is not None:
                 hits += 1
-                yield line + entry[1]
+                m_payload, m_kind, m_origin, m_sw_id, m_scope, m_body = (
+                    payload, kind, origin, sw_id, scope, entry[1])
+                yield line + m_body
                 continue
             misses += 1
             if misses >= 256 and hits < misses:  # bodies rarely repeat here
                 bodies = body_key = None
+                m_payload = forgotten
         header = (kind, origin, sw_id, scope)
         try:
             head = headers[header]
@@ -414,6 +426,8 @@ def emit_trace(events: Iterable[TraceEvent]) -> Iterator[str]:
         if len(bodies) >= _HEADER_CACHE_SIZE:
             bodies.clear()
         bodies[body_key] = (payload, body)
+        m_payload, m_kind, m_origin, m_sw_id, m_scope, m_body = (
+            payload, kind, origin, sw_id, scope, body)
         yield line + body
 
 

@@ -405,6 +405,10 @@ class TestHostileArguments:
         (["simulate", "--scenario", "push_flood", "--param", "pushes_per_hour=20",
           "--param", "duration_ms=3.6e6"], None),
         (["gen", "--scenario", "benign", "--param", "duration_ms=true"], None),
+        (["gen", "--scenario", "push_flood", "--param", "pushes_per_hour=20",
+          "--param", "renew_after=0"], None),
+        (["simulate", "--scenario", "push_flood", "--param", "pushes_per_hour=20",
+          "--param", "renew_after=0"], None),
     ], ids=["threshold_zero", "severity", "engagement_text", "policies_number",
             "allow_list_number", "spec_number", "not_json", "threshold_infinity",
             "threshold_nan", "threshold_1e308", "threshold_nan_counting", "engagement_nan",
@@ -414,7 +418,7 @@ class TestHostileArguments:
             "meta_list", "meta_import_domains_number",
             "corpus_line_list", "corpus_headers_number", "meta_int_past_digit_limit",
             "corpus_int_past_digit_limit", "gen_float_duration", "simulate_float_duration",
-            "gen_bool_duration"])
+            "gen_bool_duration", "gen_renew_after_zero", "simulate_renew_after_zero"])
     def test_exits_two_with_an_error_line(self, tmp_path, capsys, argv, file_text):
         if argv[0] in ("enforce", "analyze"):
             trace = tmp_path / "t.jsonl"
@@ -430,6 +434,7 @@ class TestHostileArguments:
         assert run(argv) == 2
         captured = capsys.readouterr()
         assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+        assert captured.err.count("\n") == 1  # one error line
         if argv[0] == "csp-audit":
             assert f"{path}:1: " in captured.err and captured.out == ""
         assert not out.exists()
@@ -600,18 +605,20 @@ class TestRowWriter:
                       for _ in range(200)]
         notices = [Notice(value(), value(), text(), text()) for _ in range(200)]
         cases = [
-            (cli._action_row, actions, [{"ts": a.ts, "sw_id": a.sw_id, "action": a.action.value,
-                                         "reason": a.reason} for a in actions]),
-            (cli._violation_row, violations, [{"ts": v.ts, "sw_id": v.sw_id,
-                                               "policy": v.policy_name, "observed": v.observed,
-                                               "threshold": v.threshold} for v in violations]),
-            (cli._notice_row, notices, [{"ts": n.ts, "sw_id": n.sw_id, "kind": n.kind,
-                                         "detail": n.detail} for n in notices]),
+            (cli._action_rows, actions, [{"ts": a.ts, "sw_id": a.sw_id,
+                                          "action": a.action.value, "reason": a.reason}
+                                         for a in actions]),
+            (lambda rows: cli._jsonl(cli._violation_row, rows), violations,
+             [{"ts": v.ts, "sw_id": v.sw_id, "policy": v.policy_name, "observed": v.observed,
+               "threshold": v.threshold} for v in violations]),
+            (lambda rows: cli._jsonl(cli._notice_row, rows), notices,
+             [{"ts": n.ts, "sw_id": n.sw_id, "kind": n.kind, "detail": n.detail}
+              for n in notices]),
         ]
-        for row, records, objs in cases:
-            assert cli._jsonl(row, records) == "".join(
+        for write, records, objs in cases:
+            assert write(records) == "".join(
                 json.dumps(obj, sort_keys=True) + "\n" for obj in objs)
-            assert cli._jsonl(row, []) == ""
+            assert write([]) == ""
 
     def test_action_rows_with_repeated_prefixes(self):
         """Action rows repeat all but their ts. A str or None sw_id may share
@@ -623,9 +630,29 @@ class TestRowWriter:
                 (throttle, "a", True), (throttle, "a", 1.0), (throttle, "a", ["sw-1"]),
                 (throttle, "a", math.nan)]
         rng = random.Random(4)
-        for order in (keys * 3, [rng.choice(keys) for _ in range(500)]):
+        runs = [key for key in keys for _ in range(3)]
+        for order in (keys * 3, [rng.choice(keys) for _ in range(500)], runs):
             actions = [ActionEntry(ts, sw_id, action, reason)
                        for ts, (action, reason, sw_id) in enumerate(order)]
-            assert cli._jsonl(cli._action_row, actions) == "".join(
+            expected = "".join(
                 json.dumps({"ts": a.ts, "sw_id": a.sw_id, "action": a.action.value,
                             "reason": a.reason}, sort_keys=True) + "\n" for a in actions)
+            assert cli._action_rows(actions) == expected
+
+    def test_action_rows_reuse_the_row_before_only_for_the_same_objects(self):
+        """Runs of one (sw_id, action, reason), as a flood writes them,
+        broken by another reason, another sw_id, a None sw_id, an equal
+        reason that is another string object, and a bool or float ts."""
+        throttle = EnforcementAction.THROTTLE_EVENT
+        reason, other = "push_per_hour", "".join(["push_", "per_hour"])
+        assert reason == other and reason is not other
+        rows = [(0, "sw-1", reason), (1, "sw-1", reason), (2, "sw-1", "tag_reuse"),
+                (3, "sw-1", reason), (4, "sw-2", reason), (5, "sw-2", reason),
+                (6, None, reason), (7, None, reason), (8, "sw-1", reason), (9, "sw-1", other),
+                (10, "sw-1", reason), (True, "sw-1", reason), (1.5, "sw-1", reason),
+                (11, "sw-1", reason), (11.0, "sw-1", reason), (12, 1, reason),
+                (13, True, reason), (14, True, reason), (15, "sw-1", reason)]
+        actions = [ActionEntry(ts, sw_id, throttle, why) for ts, sw_id, why in rows]
+        assert cli._action_rows(actions) == "".join(
+            json.dumps({"ts": a.ts, "sw_id": a.sw_id, "action": a.action.value,
+                        "reason": a.reason}, sort_keys=True) + "\n" for a in actions)

@@ -23,8 +23,9 @@ import pytest
 
 from sw_sentinel import domains, forensics, model, trace
 from sw_sentinel.domains import registrable_domain, url_registrable_domain
-from sw_sentinel.model import ModelError, Origin
-from sw_sentinel.policy import PROFILES, RULES, PolicyConfig, PolicyEngine, default_policies
+from sw_sentinel.model import Capability, ModelError, Origin, Scope, SwRecord, SwState
+from sw_sentinel.policy import (PROFILES, RULES, ActionEntry, EnforcementAction, Notice,
+                                PolicyConfig, PolicyEngine, default_policies)
 from sw_sentinel.scenarios import Scenario, generate
 from sw_sentinel.trace import (_HEADER_CACHE_SIZE, _HEADER_KEYS, InvariantViolation, TraceEvent,
                                 _header_text, _json_str, _value_text, emit_trace, parse_trace)
@@ -337,6 +338,82 @@ def test_emit_with_a_new_body_on_every_line_keeps_pace_with_the_piecewise_writer
     _assert_keeps_pace(emit_lines, piecewise_emit_lines, events, 1.03)
 
 
+def _written(writer, events):
+    """The lines a writer yields, and the text of the InvariantViolation it
+    raises after them (None when it raises none)."""
+    lines = []
+    try:
+        for line in writer(events):
+            lines.append(line)
+    except InvariantViolation as exc:
+        return lines, str(exc)
+    return lines, None
+
+
+def _flood_cases():
+    """Runs of lines that repeat their objects, broken where a repeat must
+    not reuse the previous line's body. The string constants are shared
+    objects, as a parsed or generated flood's are."""
+    one, true, one_float = (MappingProxyType({"v": v}) for v in (1, True, 1.0))
+    push = MappingProxyType({"push_id": "p1"})
+
+    def push_at(ts, payload=push, sw_id="sw-1"):
+        return TraceEvent(ts, "push", "https://a.example", sw_id, "/", payload)
+
+    def mutated_dict():
+        payload = {"push_id": "p1"}
+        yield push_at(0, payload)
+        yield push_at(1, payload)
+        payload["push_id"] = "p2"
+        yield push_at(2, payload)
+
+    return {
+        "equal_payloads": lambda: [push_at(0, one), push_at(1, one), push_at(2, true),
+                                   push_at(3, true), push_at(4, one_float),
+                                   push_at(5, one_float), push_at(6, one)],
+        "equal_sw_ids": lambda: [push_at(0), push_at(1), push_at(2, sw_id=1),
+                                 push_at(3, sw_id=1), push_at(4, sw_id=True),
+                                 push_at(5, sw_id=True), push_at(6, sw_id=1.0), push_at(7)],
+        "mutated_dict": mutated_dict,
+        "bool_and_float_ts": lambda: [push_at(0), push_at(1), push_at(True), push_at(1.5),
+                                      push_at(2), push_at(2.0), push_at(3)],
+        "out_of_order_int": lambda: [push_at(5), push_at(5), push_at(5), push_at(4)],
+        "out_of_order_float": lambda: [push_at(5), push_at(5), push_at(4.5)],
+        "sw_id_none": lambda: [push_at(0, sw_id=None), push_at(1, sw_id=None), push_at(2),
+                               push_at(3, sw_id=None)],
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_flood_cases()))
+def test_emit_reuses_the_previous_body_only_for_the_same_objects(case):
+    """A line may reuse the body of the line before only when its payload
+    and header fields are the very same objects and its ts is an int: equal
+    values of other types (1, True, 1.0) have other texts, a dict payload
+    may have changed, and an out-of-order ts raises as before."""
+    make = _flood_cases()[case]
+    assert _written(emit_trace, make()) == _written(piecewise_emit, make())
+
+
+def test_emit_writes_a_run_of_one_body_once(rendered_payloads):
+    """A run of one read-only payload is written out once, and each of
+    three equal payloads once."""
+    events = _flood_cases()["equal_payloads"]()
+    assert emit_lines(events) == piecewise_emit_lines(events)
+    assert [dict(payload) for payload in rendered_payloads] == [{"v": 1}, {"v": True}, {"v": 1.0}]
+    assert [type(payload["v"]) for payload in rendered_payloads] == [int, bool, float]
+
+
+def test_emit_forgets_the_previous_body_when_it_stops_remembering(rendered_payloads):
+    """The 256th miss without a hit drops the body cache, and with it the
+    previous line's body: the line after it, which repeats the body before
+    the drop, is written out again."""
+    payloads = [MappingProxyType({"push_id": f"p{i}"}) for i in range(256)]
+    events = [TraceEvent(ts, "push", "https://a.example", "sw-1", "/", payloads[i])
+              for ts, i in enumerate([*range(256), 254])]
+    assert emit_lines(events) == piecewise_emit_lines(events)
+    assert len(rendered_payloads) == 257
+
+
 @pytest.mark.parametrize("mode", ["enforce", "simulate"])
 def test_handlers_rekey_the_clock_only_when_a_key_input_changed(
     ddos_events, monkeypatch, mode
@@ -401,6 +478,132 @@ def test_clock_keys_stay_fresh_after_every_event(seed):
         for profile in PROFILES:
             for mode in ("simulate", "enforce"):
                 KeyCheckEngine(config, profile, mode=mode).run(events)
+
+
+def _worker(sw_id="sw-1", origin="https://a.example", caps=None, subscribed=True):
+    return SwRecord(sw_id, Origin.parse(origin), Scope("/"), f"{origin}/sw.js",
+                    state=SwState.ACTIVATED, capabilities=caps, push_subscribed=subscribed)
+
+
+def _bg_fetch(ts):
+    return TraceEvent(ts, "fetch_request", "https://a.example", "sw-1", "/",
+                      MappingProxyType({"url": "https://victim.example/", "initiator_is_sw": True}))
+
+
+@pytest.mark.parametrize("mode", ["enforce", "simulate"])
+def test_a_worker_without_a_capability_is_throttled_on_each_gated_event(mode):
+    engine = PolicyEngine(default_policies(), "chrome", mode=mode)
+    engine.register_record(_worker(caps=frozenset({Capability.PUSH})))
+    fetches = [_bg_fetch(ts) for ts in range(0, 5_000, 1_000)]
+    result = engine.run(fetches)
+    assert result.suppressed_events == fetches and not result.delivered_events
+    assert result.actions == [ActionEntry(event.ts, "sw-1", EnforcementAction.THROTTLE_EVENT,
+                                          "capability:fetch_intercept") for event in fetches]
+    # One reason object per capability, so the action-row writer reuses its text.
+    assert len({id(action.reason) for action in result.actions}) == 1
+
+
+def test_register_record_with_other_capabilities_replaces_the_table():
+    engine = PolicyEngine(default_policies(), "chrome", mode="enforce")
+    engine.register_record(_worker(caps=frozenset({Capability.PUSH})))
+    push = TraceEvent(0, "push", "https://a.example", "sw-1", "/",
+                      MappingProxyType({"push_id": "p1"}))
+    assert engine.on_event(push).deliver
+    assert not engine.on_event(_bg_fetch(1_000)).deliver
+    engine.register_record(_worker(caps=frozenset({Capability.FETCH_INTERCEPT})))
+    decision = engine.on_event(push._replace(ts=2_000))
+    assert not decision.deliver
+    assert [action.reason for action in decision.actions] == ["capability:push"]
+    decision = engine.on_event(_bg_fetch(3_000))
+    assert decision.deliver and not decision.actions
+
+
+class PushRecordingEngine(PolicyEngine):
+    """An override of one handler, which the dispatch tables must call."""
+
+    def _on_push(self, st, event, out):
+        self.pushes.append(event.ts)
+        super()._on_push(st, event, out)
+
+
+@pytest.mark.parametrize("mode", ["enforce", "simulate"])
+def test_an_overriding_handler_is_called(mode):
+    events = generate(Scenario("push_flood", 0, {"pushes_per_hour": 60, "renew_after": 4,
+                                                 "duration_ms": 3_600_000}))
+    engine = PushRecordingEngine(default_policies(), "firefox", mode=mode)
+    engine.pushes = []
+    result = engine.run(events)
+    assert engine.pushes == [event.ts for event in events if event.kind == "push"]
+    assert result == PolicyEngine(default_policies(), "firefox", mode=mode).run(events)
+
+
+class GrantScanEngine(PolicyEngine):
+    """Oracle: a permission grant scans every worker and compares the text
+    of its origin with the grant's."""
+
+    def on_event(self, event: TraceEvent, out=None):
+        if event.kind != "permission_grant":
+            return super().on_event(event, out)
+        if self._t0 is None:
+            self._t0 = event.ts
+        out = self.advance(event.ts, out)
+        origin_key = str(Origin.parse(event.origin))
+        for st in self._states.values():
+            if str(st.record.origin) == origin_key:
+                renewed = not st.record.push_subscribed or st.record.silent_push_count > 0
+                st.record.push_subscribed = True
+                st.record.silent_push_count = 0
+                if renewed:
+                    out.notices.append(Notice(event.ts, st.record.sw_id, "subscription_renewed",
+                                              event.get("permission", "notifications")))
+        return out
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_permission_grants_renew_as_the_scan_over_every_worker_does(seed):
+    """Merged fleets whose workers share origins. Before the trace, some
+    workers are registered, and some of those registered again on another
+    origin, which must move them out of their first origin's grants."""
+    rng = random.Random(seed)
+    events = merged_fleet(seed, workers=rng.randint(4, 8), names=ALL_GENERATORS)
+    sw_ids = sorted({event.sw_id for event in events if event.sw_id is not None})
+    origins = sorted({event.origin for event in events})
+    plan = [(sw_id, origin, rng.random() < 0.5) for sw_id in rng.sample(sw_ids, 3)
+            for origin in rng.sample(origins, 2)]
+    renewed = 0
+    for config in CONFIGS.values():
+        for profile in PROFILES:
+            for mode in ("simulate", "enforce"):
+                results = []
+                for engine_cls in (PolicyEngine, GrantScanEngine):
+                    engine = engine_cls(config, profile, mode=mode)
+                    for sw_id, origin, subscribed in plan:
+                        engine.register_record(_worker(sw_id, origin, subscribed=subscribed))
+                    results.append(engine.run(events))
+                assert results[0] == results[1], (profile, mode)
+                renewed += sum(n.kind == "subscription_renewed" for n in results[0].notices)
+    assert renewed > 0
+
+
+def test_a_permission_grant_reads_only_the_workers_on_its_origin(monkeypatch):
+    """The text of a worker's origin is made when it registers, not on each
+    grant: a grant costs as much among 10 workers as among 1,000."""
+    made = []
+    origin_str = Origin.__str__
+    monkeypatch.setattr(Origin, "__str__", lambda self: made.append(self) or origin_str(self))
+    grant = TraceEvent(0, "permission_grant", "https://site0.example",
+                       payload=MappingProxyType({"permission": "notifications"}))
+    per_grant = []
+    for workers in (10, 1_000):
+        engine = PolicyEngine(default_policies(), "chrome", mode="enforce")
+        for i in range(workers):
+            engine.register_record(_worker(f"sw-{i}", f"https://site{i}.example",
+                                           subscribed=False))
+        made.clear()
+        decision = engine.on_event(grant)
+        per_grant.append(len(made))
+        assert [(n.sw_id, n.kind) for n in decision.notices] == [("sw-0", "subscription_renewed")]
+    assert per_grant[0] == per_grant[1] <= 1
 
 
 def test_bad_origin_raises_on_every_call():

@@ -84,6 +84,14 @@ class TestPushFlood:
         )
         assert not [n for n in result.notices if n.kind == "revoke_subscription"]
 
+    @pytest.mark.parametrize("renew_after", [0, 0.5])
+    def test_renewal_needs_at_least_one_push(self, renew_after):
+        with pytest.raises(ValueError, match="renew_after"):
+            gen_push_flood(2, 20, renew_after=renew_after, duration_ms=HOUR)
+        grants = [e for e in gen_push_flood(2, 20, renew_after=1, duration_ms=HOUR)
+                  if e.kind == "permission_grant"]
+        assert len(grants) == 1 + 20  # the opening's grant, then one per push
+
     def test_silent_flood_has_no_shows(self):
         events = gen_push_flood(2, 20, silent=True, duration_ms=HOUR)
         assert not [e for e in events if e.kind == "notification_show"]
