@@ -18,7 +18,7 @@ from typing import Any, Iterable, Mapping, Optional, Sequence, TextIO
 from .domains import registrable_domain, url_registrable_domain
 from .model import Origin, SwSentinelError
 from .policy import DAY_MS, HOUR_MS, day_segments
-from .trace import TraceEvent, UnbalancedBrackets
+from .trace import KINDS, Brackets, TraceEvent, UnbalancedBrackets, is_activity
 
 
 class EmptyInput(SwSentinelError):
@@ -60,33 +60,14 @@ class BehaviorReport:
     right_censored_activation: bool = False
 
 
-# Events implying the worker is executing (used for activation boundaries).
-_ACTIVITY_KINDS = frozenset(
-    {"install", "activate", "update_found", "push", "sync", "periodicsync",
-     "fetch_event_start", "notification_click", "notification_show"}
-)
-_BRACKET_KINDS = frozenset({"fetch_event_start", "fetch_event_end"})
-
-
-def _is_activity(event: TraceEvent) -> bool:
-    if event.kind in _ACTIVITY_KINDS:
-        return True
-    return event.kind == "fetch_request" and bool(event.get("initiator_is_sw"))
-
-
 @dataclass(slots=True, eq=False)
 class _Worker:
-    """What ``analyze_trace`` keeps of one worker while it folds the trace.
+    """What ``analyze_trace`` keeps of one worker while it folds the trace."""
 
-    Fetch-handler brackets are kept under ``sw_id or ""``, so brackets that
-    carry no sw_id share the state of a worker named ""; ``report`` stays
-    None while such state belongs to no worker."""
-
-    report: Optional[BehaviorReport] = None
-    first_party: frozenset[str] = frozenset()
+    report: BehaviorReport
+    first_party: frozenset[str]
+    brackets: Brackets = field(default_factory=Brackets)
     start: Optional[int] = None  # ts of the open activation's first activity
-    depth: int = 0  # open fetch-handler brackets
-    last_end: Optional[int] = None  # ts where the depth last fell to 0
     # the ts of the last activation's end, and the first activation that ended then
     end_ts: Optional[int] = None
     end_index: int = 0
@@ -110,23 +91,6 @@ class _Worker:
             self.end_index = len(report.bg_third_party_fetches_per_activation) - 1
         self.start = None
 
-    def bracket(self, key: str, ts: int, kind: str, started: dict[str, _Worker]) -> None:
-        """Nested brackets merge into one span, ends included. Background
-        fetches counted at the ts where a span opens were inside it."""
-        if kind == "fetch_event_start":
-            if self.depth == 0:
-                started.setdefault(key, self)
-                if self.bg_ts == ts and self.bg_n:
-                    self.report.bg_third_party_fetches_per_activation[self.bg_index] -= self.bg_n
-                    self.bg_n = 0
-            self.depth += 1
-        elif self.depth == 0:
-            raise UnbalancedBrackets(f"fetch_event_end at ts {ts} for {key!r} has no open start")
-        else:
-            self.depth -= 1
-            if self.depth == 0:
-                self.last_end = ts
-
 
 def analyze_trace(
     events: Sequence[TraceEvent],
@@ -139,32 +103,30 @@ def analyze_trace(
     A worker-initiated fetch is foreground when a fetch-handler bracket of
     its worker holds its ts, ends included, and counts toward the first
     activation that ends at or after it. Raises UnbalancedBrackets on an end
-    without a start or a start left open at trace end.
+    without a start or a start left open at trace end. An event with no
+    sw_id belongs to no worker, and neither do its brackets.
     """
     sw_metadata = sw_metadata or {}
     if not events:
         return {}
     t0 = ts = events[0].ts
     workers: dict[str, _Worker] = {}
-    states: dict[str, _Worker] = {}  # by sw_id or "", brackets with no sw_id too
-    started: dict[str, _Worker] = {}  # the same, in the order their first bracket opened
+    started: dict[str, _Worker] = {}  # workers in the order their first bracket opened
     for event in events:
         ts, kind, origin, sw_id, _scope, payload = event
         if sw_id is None:
-            if kind in _BRACKET_KINDS:
-                states.setdefault("", _Worker()).bracket("", ts, kind, started)
             continue
         w = workers.get(sw_id)
         if w is None:
-            w = workers[sw_id] = states.setdefault(sw_id, _Worker())
             imports = sw_metadata.get(sw_id, {}).get("import_domains", ())
-            w.report = BehaviorReport(sw_id=sw_id, import_origin_count=len(imports))
-            w.first_party = frozenset({registrable_domain(Origin.parse(origin).host), *imports})
-        if w.start is None and _is_activity(event):
+            w = workers[sw_id] = _Worker(
+                BehaviorReport(sw_id=sw_id, import_origin_count=len(imports)),
+                frozenset({registrable_domain(Origin.parse(origin).host), *imports}))
+        if w.start is None and is_activity(event):
             w.start = ts
             w.report.bg_third_party_fetches_per_activation.append(0)
         if kind == "fetch_request":
-            if (not payload.get("initiator_is_sw") or w.depth or ts == w.last_end
+            if (not payload.get("initiator_is_sw") or w.brackets.depth or ts == w.brackets.last_end
                     or url_registrable_domain(payload.get("url", "")) in w.first_party):
                 continue
             counts = w.report.bg_third_party_fetches_per_activation
@@ -183,8 +145,13 @@ def analyze_trace(
         elif kind == "terminate":
             if w.start is not None:
                 w.close(ts, t0)
-        elif kind in _BRACKET_KINDS:
-            w.bracket(sw_id, ts, kind, started)
+        elif KINDS[kind].bracket:
+            # Background fetches counted at the ts where a span opens were inside it.
+            if w.brackets.step(event):
+                started.setdefault(sw_id, w)
+                if w.bg_ts == ts and w.bg_n:
+                    w.report.bg_third_party_fetches_per_activation[w.bg_index] -= w.bg_n
+                    w.bg_n = 0
         elif kind == "notification_show":
             w.shown[payload.get("notif_id", "")] = ts
         elif kind == "notification_close" and not payload.get("by_user", False):
@@ -192,7 +159,7 @@ def analyze_trace(
             if show_ts is not None:
                 w.report.notification_close_deltas_s.append((ts - show_ts) / 1_000)
     for key, state in started.items():
-        if state.depth:
+        if state.brackets.depth:
             raise UnbalancedBrackets(f"fetch_event_start left open for {key!r}")
     days = (ts - t0) // DAY_MS + 1
     for w in workers.values():

@@ -41,7 +41,7 @@ bracket's end is still inside it.
 Both modes move a worker only by the rows of ``model.apply_lifecycle_event``.
 Its process moves by ``_wake``, ``_stop`` and an applied deregistration, so it
 runs exactly when its record's ``process`` is RUNNING; its registration's
-``phase`` moves by ``_move``, which sends a move the model forbids to ``_refuse``.
+``phase`` moves by ``_by_row``, which sends a move the model forbids to ``_refuse``.
 """
 
 from __future__ import annotations
@@ -61,7 +61,7 @@ from .domains import registrable_domain, url_registrable_domain
 from .model import (Capability, Origin, Scope, SwRecord, SwSentinelError, SwState,
                     apply_lifecycle_event, check_capability, lifecycle_allows,
                     refuse_lifecycle_event)
-from .trace import TraceEvent, UnbalancedBrackets, new_record
+from .trace import KINDS, Brackets, TraceEvent, UnbalancedBrackets, new_record
 
 TICK_MS = 1_000
 HOUR_MS = 3_600_000
@@ -303,19 +303,8 @@ def _parse_config(config_text: str | bytes) -> PolicyConfig:
     return PolicyConfig(tuple(specs), frozenset(allow_list), float(threshold))
 
 
-# Capability each worker-attributed event kind consumes; kinds absent here
-# (lifecycle, page_visit, ...) are never capability-gated.
-REQUIRED_CAPABILITY: dict[str, Capability] = {
-    "push": Capability.PUSH,
-    "notification_show": Capability.NOTIFICATIONS,
-    "notification_close": Capability.NOTIFICATIONS,
-    "notification_click": Capability.NOTIFICATIONS,
-    "fetch_event_start": Capability.FETCH_INTERCEPT,
-    "fetch_event_end": Capability.FETCH_INTERCEPT,
-    "fetch_request": Capability.FETCH_INTERCEPT,
-    "sync": Capability.SYNC,
-    "periodicsync": Capability.PERIODIC_SYNC,
-}
+# The capability each gated event kind consumes, as ``trace.KINDS`` says.
+REQUIRED_CAPABILITY = {kind: row.capability for kind, row in KINDS.items() if row.capability}
 
 
 @dataclass(slots=True, init=False)
@@ -384,8 +373,7 @@ class _SwEngineState:
     day_exec_ms: dict[int, int] = field(default_factory=dict)
     pending_silent: deque = field(default_factory=deque)
     visible: dict[str, tuple[int, Optional[str]]] = field(default_factory=dict)
-    bracket_depth: int = 0
-    last_bracket_end: Optional[int] = None
+    brackets: Brackets = field(default_factory=Brackets)
     update_chain: bool = False
     chain_anchor: int = 0
     chain_capped: bool = False
@@ -415,12 +403,18 @@ class PolicyEngine:
         self.config = config if config is not None else default_policies()
         self.profile = PROFILES[profile]
         self._closed_loop = mode == "simulate"
-        # Once per engine, a subclass's handlers included; unbound, so no cycle.
         self._specs = {name: self.config.get(name) for name in RULES}
+        # Per kind, once per engine: its capability, its handler (a subclass's included;
+        # unbound, so no cycle) and the refusal of a worker lacking the capability.
         cls = type(self)
-        self._handlers = {name[4:]: getattr(cls, name) for name in dir(cls) if name[:4] == "_on_"}
-        self._refusals = {cap: partial(cls._refuse_capability, reason=f"capability:{cap.value}")
-                          for cap in Capability}
+        refusals = {cap: partial(cls._refuse_capability, reason=f"capability:{cap.value}")
+                    for cap in Capability}
+        self._handlers = {}
+        for kind, row in KINDS.items():
+            pair = getattr(cls, "_on_" + kind, cls._by_row), refusals.get(row.capability)
+            if row.bracket:  # both behind the bracket step
+                pair = tuple(partial(cls._bracket, handler=handler) for handler in pair)
+            self._handlers[kind] = (row.capability, *pair)
         self._t0: Optional[int] = None
         self._states: dict[str, _SwEngineState] = {}
         self._by_origin: dict[str, dict[str, _SwEngineState]] = {}  # origin -> sw_id -> state
@@ -452,9 +446,8 @@ class PolicyEngine:
         as ``_states`` keeps its key's position. A new state has no deadline
         until its first handler runs, so it is not put on the clock heap. Its
         table maps a kind gated on a capability the record lacks to a refusal."""
-        handlers = {kind: handler if (needed := REQUIRED_CAPABILITY.get(kind)) is None
-                    or check_capability(record, needed) else self._refusals[needed]
-                    for kind, handler in self._handlers.items()}
+        handlers = {kind: handler if needed is None or check_capability(record, needed) else refusal
+                    for kind, (needed, handler, refusal) in self._handlers.items()}
         st = _SwEngineState(record=record, handlers=handlers,
                             first_party=frozenset({registrable_domain(record.origin.host)}))
         old = self._states.get(record.sw_id)
@@ -594,7 +587,7 @@ class PolicyEngine:
         st.activation_start = ts
         st.activation += 1
         st.update_chain = st.chain_capped = False
-        st.last_bracket_end = None
+        st.brackets.last_end = None
         st.dirty = True
 
     def _stop(self, st: _SwEngineState, ts: int) -> None:
@@ -608,7 +601,7 @@ class PolicyEngine:
         st.update_chain = False
         st.dirty = True
         if self._closed_loop:
-            st.bracket_depth = 0  # the closed loop kills open fetch handlers
+            st.brackets.depth = 0  # the closed loop kills open fetch handlers
 
     # -- clock advance: execution caps and silent-push deadlines -----------
 
@@ -820,40 +813,40 @@ class PolicyEngine:
         out.deliver = False
         self._apply_action(st, event.ts, _THROTTLE, reason, out)
 
-    def _move(self, st: _SwEngineState, kind: str, out: Decision) -> bool:
-        """Move the registration by the model's row for ``kind``; a move the
-        model forbids goes through ``_refuse``, and True means it refused."""
-        record = st.record
-        if not lifecycle_allows(record, kind) and self._refuse(out):
-            refuse_lifecycle_event(record, kind)
-            return True
-        apply_lifecycle_event(record, kind, force=True)
+    def _by_row(self, st: _SwEngineState, event: TraceEvent, out: Decision) -> bool:
+        """The handler of every kind with none of its own: move the registration
+        by the kind's lifecycle row, then wake the worker on activity. A move
+        the model forbids goes through ``_refuse``; True means it refused."""
+        row, record = KINDS[event.kind], st.record
+        if row.lifecycle is not None:
+            if not lifecycle_allows(record, row.lifecycle) and self._refuse(out):
+                refuse_lifecycle_event(record, row.lifecycle)
+                return True
+            apply_lifecycle_event(record, row.lifecycle, force=True)
+        if row.activity:
+            self._wake(st, event.ts)
         return False
 
-    def _on_register(self, st: _SwEngineState, event: TraceEvent, out: Decision) -> None:
-        self._move(st, event.kind, out)
-
-    _on_update_check = _on_register  # only a running worker calls update()
-
-    def _on_install(self, st: _SwEngineState, event: TraceEvent, out: Decision) -> None:
-        if not self._move(st, "install_done", out):
-            self._wake(st, event.ts)
-
-    def _on_activate(self, st: _SwEngineState, event: TraceEvent, out: Decision) -> None:
-        if not self._move(st, "activate", out):
-            self._wake(st, event.ts)
+    def _bracket(self, st: _SwEngineState, event: TraceEvent, out: Decision, handler: Any) -> None:
+        """The bracket step, then ``handler``, which may be the capability gate.
+        An end with no open start raises in the open loop, as in forensics; the
+        closed loop refuses it, because its start was suppressed with the worker."""
+        try:
+            st.brackets.step(event)
+        except UnbalancedBrackets:
+            if not self._refuse(out):
+                raise
+        handler(self, st, event, out)
 
     def _on_update_found(self, st: _SwEngineState, event: TraceEvent, out: Decision) -> None:
-        if self._move(st, "update_found", out):
-            return
-        if st.record.process is _RUNNING:
-            # Self-update chain: anchor at the activation it is extending.
-            if not st.update_chain:
-                st.update_chain = True
-                st.chain_anchor = st.activation_start
-                st.dirty = True
-        else:
-            self._wake(st, event.ts)  # browser-scheduled update; no cap anchor
+        # A stopped worker wakes for a browser-scheduled update, with no cap
+        # anchor; a running one starts a self-update chain, anchored at the
+        # activation it is extending.
+        running = st.record.process is _RUNNING
+        if not self._by_row(st, event, out) and running and not st.update_chain:
+            st.update_chain = True
+            st.chain_anchor = st.activation_start
+            st.dirty = True
 
     def _on_push(self, st: _SwEngineState, event: TraceEvent, out: Decision) -> None:
         record = st.record
@@ -870,25 +863,6 @@ class PolicyEngine:
         st.pending_silent.append((event.ts, event.ts + SILENT_PUSH_GRACE_MS))
         st.dirty = True
 
-    def _on_sync(self, st: _SwEngineState, event: TraceEvent, out: Decision) -> None:
-        self._wake(st, event.ts)
-
-    _on_periodicsync = _on_sync
-
-    def _on_fetch_event_start(self, st: _SwEngineState, event: TraceEvent, out: Decision) -> None:
-        self._wake(st, event.ts)
-        st.bracket_depth += 1
-
-    def _on_fetch_event_end(self, st: _SwEngineState, event: TraceEvent, out: Decision) -> None:
-        if st.bracket_depth == 0:
-            if self._refuse(out):
-                return  # its start was suppressed with the worker
-            raise UnbalancedBrackets(f"fetch_event_end at ts {event.ts} without open start"
-                                     f" for {event.sw_id!r}")
-        st.bracket_depth -= 1
-        if st.bracket_depth == 0:
-            st.last_bracket_end = event.ts
-
     def _on_fetch_request(self, st: _SwEngineState, event: TraceEvent, out: Decision) -> None:
         if not event.payload.get("initiator_is_sw"):
             return  # page-initiated; not worker execution
@@ -896,7 +870,7 @@ class PolicyEngine:
             if self._refuse(out):
                 return
             self._wake(st, event.ts)  # open loop: the recorded event shows it running
-        if st.bracket_depth > 0 or event.ts == st.last_bracket_end:
+        if st.brackets.depth or event.ts == st.brackets.last_end:
             return  # foreground: inside a fetch handler, or at its end
         if url_registrable_domain(event.payload.get("url", "")) in st.first_party:
             return

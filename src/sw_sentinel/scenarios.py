@@ -240,10 +240,6 @@ def gen_benign(
     allocated so the daily execution total equals exec_min_per_day exactly.
     """
     del seed  # even spacing; deterministic by construction
-    push_rate = int(push_rate)
-    exec_min_per_day = float(exec_min_per_day)
-    fetches = int(fetches_per_activation)
-
     origin, sw = "https://goodapp.example", "sw-benign"
     events = _opening(origin, sw)
     events.append(_mk(0, "page_visit", origin))
@@ -262,7 +258,7 @@ def gen_benign(
         events.append(_mk(ts, "push", origin, sw, _ro(push_id=f"p{idx:05d}")))
         events.append(_mk(ts + 150, "notification_show", origin, sw,
                           _ro(notif_id=f"nb{idx:05d}", title="Daily digest")))
-        for j in range(fetches):
+        for j in range(fetches_per_activation):
             events.append(_mk(ts + 300 + j * 50, "fetch_request", origin, sw, beacon))
         events.append(_mk(ts + max(alloc, 1_000), "terminate", origin, sw))
     return _sorted(events)

@@ -2,13 +2,15 @@
 
 One event per line, UTF-8 JSON objects with required keys ``ts`` (integer
 virtual milliseconds), ``kind``, ``origin``, optional ``sw_id`` / ``scope``,
-plus kind-specific payload keys. Unknown payload keys survive a round-trip.
+plus kind-specific payload keys (``KINDS``). Unknown payload keys survive a
+round-trip.
 Timestamps are non-decreasing within a trace.
 """
 
 from __future__ import annotations
 
 import json
+from dataclasses import dataclass
 from functools import lru_cache
 from types import MappingProxyType
 from typing import Any, Iterable, Iterator, Mapping, NamedTuple, Optional
@@ -42,43 +44,44 @@ class InvariantViolation(SwSentinelError):
 
 
 class UnbalancedBrackets(SwSentinelError):
-    """A fetch_event_end arrived without an open fetch_event_start."""
+    """A fetch_event_end came with no open fetch_event_start, or a start was left open."""
 
 
-EVENT_KINDS = frozenset(
-    {
-        "register",
-        "install",
-        "activate",
-        "update_check",
-        "update_found",
-        "push",
-        "notification_show",
-        "notification_close",
-        "notification_click",
-        "fetch_event_start",
-        "fetch_event_end",
-        "fetch_request",
-        "sync",
-        "periodicsync",
-        "terminate",
-        "page_visit",
-        "permission_grant",
-        "code_tampered",
-    }
-)
+class Kind(NamedTuple):
+    """What one event kind means to every layer: a row of ``KINDS``."""
 
-# Payload keys that must be present (and json-typed as shown) per kind.
-_REQUIRED_PAYLOAD: dict[str, tuple[tuple[str, type], ...]] = {
-    "push": (("push_id", str),),
-    "fetch_request": (("url", str), ("initiator_is_sw", bool)),
-    "notification_show": (("notif_id", str), ("title", str)),
-    "notification_close": (("notif_id", str),),
-    "notification_click": (("notif_id", str),),
-    "permission_grant": (("permission", str),),
-    "update_found": (("version", int),),
-    "code_tampered": (("source", str),),
+    payload: tuple[tuple[str, type], ...] = ()  # required keys, json-typed as shown
+    capability: Optional[Capability] = None  # a worker lacking it is refused the event
+    lifecycle: Optional[str] = None  # the model's row that moves the registration
+    activity: bool | str = False  # shows the worker executing; a str: when that flag is true
+    bracket: int = 0  # 1 opens a fetch-handler bracket, -1 closes one
+
+
+# The one table of event kinds: the reader's checks, the engine's handlers and
+# capability gates, and forensics' activations and brackets all read it.
+KINDS: dict[str, Kind] = {
+    "register": Kind(lifecycle="register"),
+    "install": Kind(lifecycle="install_done", activity=True),
+    "activate": Kind(lifecycle="activate", activity=True),
+    "update_check": Kind(lifecycle="update_check"),
+    "update_found": Kind((("version", int),), lifecycle="update_found", activity=True),
+    "push": Kind((("push_id", str),), Capability.PUSH, activity=True),
+    "notification_show": Kind((("notif_id", str), ("title", str)), Capability.NOTIFICATIONS,
+                              activity=True),
+    "notification_close": Kind((("notif_id", str),), Capability.NOTIFICATIONS),
+    "notification_click": Kind((("notif_id", str),), Capability.NOTIFICATIONS, activity=True),
+    "fetch_event_start": Kind(capability=Capability.FETCH_INTERCEPT, activity=True, bracket=1),
+    "fetch_event_end": Kind(capability=Capability.FETCH_INTERCEPT, bracket=-1),
+    "fetch_request": Kind((("url", str), ("initiator_is_sw", bool)), Capability.FETCH_INTERCEPT,
+                          activity="initiator_is_sw"),
+    "sync": Kind(capability=Capability.SYNC, activity=True),
+    "periodicsync": Kind(capability=Capability.PERIODIC_SYNC, activity=True),
+    "terminate": Kind(),
+    "page_visit": Kind(),
+    "permission_grant": Kind((("permission", str),)),
+    "code_tampered": Kind((("source", str),)),
 }
+EVENT_KINDS = frozenset(KINDS)
 
 _CAPABILITY_VALUES = frozenset(capability.value for capability in Capability)
 
@@ -142,6 +145,36 @@ class TraceEvent(NamedTuple):
         return obj
 
 
+def is_activity(event: TraceEvent) -> bool:
+    """Whether ``event`` shows its worker executing, by its kind's row."""
+    activity = KINDS[event.kind].activity
+    return activity is True or (activity is not False and bool(event.payload.get(activity)))
+
+
+@dataclass(slots=True)
+class Brackets:
+    """One worker's fetch-handler brackets, and the one home of the bracket
+    rule that the engine and forensics share: nested brackets merge into one
+    span, and ``last_end`` is the ts where the depth last fell to 0."""
+
+    depth: int = 0
+    last_end: Optional[int] = None
+
+    def step(self, event: TraceEvent) -> bool:
+        """Open or close a bracket by ``event``'s kind; True when a span opens.
+        An end with no open start raises UnbalancedBrackets."""
+        if KINDS[event.kind].bracket > 0:
+            self.depth += 1
+            return self.depth == 1
+        if not self.depth:
+            raise UnbalancedBrackets(
+                f"fetch_event_end at ts {event.ts} for {event.sw_id!r} has no open start")
+        self.depth -= 1
+        if not self.depth:
+            self.last_end = event.ts
+        return False
+
+
 # new_record(TraceEvent, (ts, kind, origin, sw_id, scope, payload)) builds a
 # NamedTuple record without the Python frame of its generated __new__, at half
 # its cost; the reader, the generators and the engine build many.
@@ -169,7 +202,7 @@ def _check_header(kind: Any, origin: Any, sw_id: Any, scope: Any, line_no: int) 
     order kind, origin, sw_id, scope."""
     if not isinstance(kind, str):
         raise MalformedLine("'kind' must be a string", line_no)
-    if kind not in EVENT_KINDS:
+    if kind not in KINDS:
         raise UnknownEventKind(f"unknown event kind {kind!r}", line_no)
     if not isinstance(origin, str) or "://" not in origin:
         raise MalformedLine("'origin' must look like scheme://host[:port]", line_no)
@@ -198,7 +231,7 @@ def _check_payload(kind: str, payload: dict[str, Any], line_no: int) -> None:
         raise MalformedLine(
             f"'capabilities' must be a list of {sorted(_CAPABILITY_VALUES)}", line_no
         )
-    for key, typ in _REQUIRED_PAYLOAD.get(kind, ()):
+    for key, typ in KINDS[kind].payload:
         value = payload.get(key)
         if type(value) is typ:  # what every well-formed line holds
             continue

@@ -409,6 +409,10 @@ class TestHostileArguments:
           "--param", "renew_after=0"], None),
         (["simulate", "--scenario", "push_flood", "--param", "pushes_per_hour=20",
           "--param", "renew_after=0"], None),
+        (["gen", "--scenario", "benign", "--param", "push_rate=2.7",
+          "--param", "duration_ms=3600000"], None),
+        (["gen", "--scenario", "benign", "--param", "fetches_per_activation=1.5",
+          "--param", "duration_ms=3600000"], None),
     ], ids=["threshold_zero", "severity", "engagement_text", "policies_number",
             "allow_list_number", "spec_number", "not_json", "threshold_infinity",
             "threshold_nan", "threshold_1e308", "threshold_nan_counting", "engagement_nan",
@@ -418,7 +422,8 @@ class TestHostileArguments:
             "meta_list", "meta_import_domains_number",
             "corpus_line_list", "corpus_headers_number", "meta_int_past_digit_limit",
             "corpus_int_past_digit_limit", "gen_float_duration", "simulate_float_duration",
-            "gen_bool_duration", "gen_renew_after_zero", "simulate_renew_after_zero"])
+            "gen_bool_duration", "gen_renew_after_zero", "simulate_renew_after_zero",
+            "gen_benign_float_push_rate", "gen_benign_float_fetches"])
     def test_exits_two_with_an_error_line(self, tmp_path, capsys, argv, file_text):
         if argv[0] in ("enforce", "analyze"):
             trace = tmp_path / "t.jsonl"

@@ -1,7 +1,8 @@
 """``forensics.analyze_trace`` folds a trace in one forward pass.
 
-Below is the analysis it replaced, kept unchanged as the reference, in the
-way ``ScanEngine`` keeps the old clock: a whole-trace bracket pass
+Below is the analysis it replaced, kept as the reference, in the way
+``ScanEngine`` keeps the old clock (its one change since: a bracket with no
+sw_id belongs to no worker, as in both layers): a whole-trace bracket pass
 (``bracket_intervals``), a split by worker, then per-worker loops with one
 ``classify_background_fetch`` bisect per worker fetch. On every generator
 trace, on the traces ``simulate`` delivers, on the benchmark's fleet and on
@@ -23,11 +24,11 @@ import pytest
 
 from sw_sentinel import scenarios, trace
 from sw_sentinel.domains import registrable_domain, url_registrable_domain
-from sw_sentinel.forensics import BehaviorReport, _is_activity, analyze_trace
+from sw_sentinel.forensics import BehaviorReport, analyze_trace
 from sw_sentinel.model import Origin
 from sw_sentinel.policy import DAY_MS, HOUR_MS, PROFILES, day_segments
 from sw_sentinel.scenarios import Scenario, generate, simulate
-from sw_sentinel.trace import TraceEvent, UnbalancedBrackets, read_trace
+from sw_sentinel.trace import TraceEvent, UnbalancedBrackets, is_activity, read_trace
 
 from test_policy_clock import ALL_GENERATORS, _params
 
@@ -49,13 +50,15 @@ def bracket_intervals(
     open_at: dict[str, int] = {}
     out: dict[str, list[tuple[int, int]]] = {}
     for event in events:
+        if event.sw_id is None:
+            continue
         if event.kind == "fetch_event_start":
-            sw = event.sw_id or ""
+            sw = event.sw_id
             if depth.get(sw, 0) == 0:
                 open_at[sw] = event.ts
             depth[sw] = depth.get(sw, 0) + 1
         elif event.kind == "fetch_event_end":
-            sw = event.sw_id or ""
+            sw = event.sw_id
             if depth.get(sw, 0) == 0:
                 raise UnbalancedBrackets(
                     f"fetch_event_end at ts {event.ts} for {sw!r} has no open start"
@@ -145,7 +148,7 @@ def reference_analyze_trace(
         activations: list[tuple[int, int]] = []
         start: Optional[int] = None
         for event in sw_events:
-            if start is None and _is_activity(event):
+            if start is None and is_activity(event):
                 start = event.ts
             elif start is not None and event.kind == "terminate":
                 activations.append((start, event.ts))
@@ -370,9 +373,9 @@ def _fetch(ts, sw_id="sw-a"):
     # two zero-length activations at one ts: all three count toward the first
     ([_ev(0, "sync"), _fetch(10), _ev(10, "terminate"), _fetch(10), _ev(10, "terminate"),
       _fetch(10)], [3, 0, 0]),
-    # a bracket with no sw_id holds the fetches of the worker named ""
+    # a bracket with no sw_id belongs to no worker, not even the one named ""
     ([_ev(0, "fetch_event_start", None), _fetch(5, ""), _ev(9, "fetch_event_end", None),
-      _fetch(9, ""), _fetch(10, "")], [1]),
+      _fetch(9, ""), _fetch(10, "")], [3]),
 ])
 def test_same_ts_fetches_count_where_the_reference_counts_them(events, counts):
     reports = assert_fold_matches(events)

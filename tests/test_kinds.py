@@ -1,0 +1,58 @@
+"""One table of event kinds: ``trace.KINDS``.
+
+What each of the 18 kinds means (its payload, its capability, its lifecycle
+row, whether it shows the worker executing, whether it opens or closes a
+fetch-handler bracket) has one home. These tests guard against a module
+keeping its own list of kinds again, and against an engine handler for a
+kind the table does not know.
+"""
+
+import ast
+from pathlib import Path
+
+import sw_sentinel
+from sw_sentinel.policy import PolicyEngine
+from sw_sentinel.trace import EVENT_KINDS, KINDS
+
+PACKAGE_DIR = Path(sw_sentinel.__file__).parent
+# The model's rows are its own vocabulary (install_done, event_arrived, ...),
+# a few of which share a kind's name.
+EXEMPT = ("trace.py", "model.py")
+
+
+def _kind_displays(path):
+    """Line numbers where ``path`` holds a set, dict or tuple display of two
+    or more event-kind strings."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Dict):
+            items = node.keys
+        elif isinstance(node, (ast.Set, ast.Tuple)):
+            items = node.elts
+        else:
+            continue
+        kinds = [item for item in items
+                 if isinstance(item, ast.Constant) and item.value in EVENT_KINDS]
+        if len(kinds) >= 2:
+            found.append(node.lineno)
+    return found
+
+
+def test_only_the_kind_table_lists_event_kinds():
+    modules = sorted(PACKAGE_DIR.glob("*.py"))
+    assert len(modules) > 2
+    offenders = {
+        path.name: lines for path in modules
+        if path.name not in EXEMPT and (lines := _kind_displays(path))
+    }
+    assert offenders == {}, "read what a kind means from trace.KINDS"
+
+
+def test_guard_sees_the_kind_table():
+    assert _kind_displays(PACKAGE_DIR / "trace.py")
+
+
+def test_every_engine_handler_is_a_row_of_kinds():
+    handlers = [name for name in dir(PolicyEngine) if name.startswith("_on_")]
+    assert handlers
+    assert [name for name in handlers if name[4:] not in KINDS] == []

@@ -13,15 +13,25 @@ whole trace. So on hand-made traces whose worker fetch shares its ts with a
 later bracket start, or with an earlier terminate, the background counts
 differ (``test_same_ts_fetches_are_where_the_layers_part``). No generator
 trace and no fleet below holds such a fetch.
+
+Both layers take a worker's fetch-handler brackets through the one bracket
+step, ``trace.Brackets.step``, so they reject the same traces for an end
+with no open start, with the same message: ``enforce`` takes the step before
+the capability gate, and an event with no sw_id belongs to no worker in
+either layer. Only a trace that ends inside a bracket still parts them:
+``analyze`` rejects it and ``enforce`` accepts it.
 """
 
 import random
 
 import pytest
 
+from sw_sentinel.cli import run as cli_run
 from sw_sentinel.forensics import analyze_trace
+from sw_sentinel.model import Capability
 from sw_sentinel.policy import PROFILES, PolicyEngine, default_policies
 from sw_sentinel.scenarios import Scenario, generate
+from sw_sentinel.trace import KINDS, TraceEvent, UnbalancedBrackets, emit_trace, parse_trace
 
 from test_forensics_fold import _ev, _fetch
 from test_policy_clock import ALL_GENERATORS, _params, merged_fleet
@@ -93,3 +103,114 @@ def test_same_ts_fetches_are_where_the_layers_part(events, engine_counts, forens
     assert engine.window_counts("sw-a", "bg_fetch_per_activation") == engine_counts
     report = analyze_trace(events)["sw-a"]
     assert report.bg_third_party_fetches_per_activation == forensics_counts
+
+
+# -- which traces the layers accept ------------------------------------------
+
+TRACE_ORIGINS = ("https://a.example", "https://b.example", "https://c.example")
+CAPABILITIES = sorted(cap.value for cap in Capability)
+UNMATCHED_END = "has no open start"
+
+
+def _payload(kind, rng):
+    """A payload that passes the reader's checks for ``kind``."""
+    if kind == "fetch_request":
+        return {"url": rng.choice(["https://victim.example/x", "https://a.example/own"]),
+                "initiator_is_sw": rng.random() < 0.7}
+    if kind == "register" and rng.random() < 0.3:
+        return {"capabilities": rng.sample(CAPABILITIES, rng.randint(0, 3))}
+    values = {str: "x", int: 2, bool: True}
+    return {key: values[typ] for key, typ in KINDS[kind].payload}
+
+
+def random_kinds_trace(rng):
+    """1-25 well-formed events of every kind for two workers on three
+    origins: a register carries ``capabilities`` now and then, and a bracket
+    event names no worker now and then."""
+    events, ts = [], 0
+    for _ in range(rng.randint(1, 25)):
+        ts += rng.choice([0, 1, 1_000, 60_000])
+        kind = rng.choice(sorted(KINDS))
+        sw_id = rng.choice(["s1", "s2"])
+        if KINDS[kind].bracket and rng.random() < 0.15:
+            sw_id = None
+        events.append(TraceEvent(ts, kind, rng.choice(TRACE_ORIGINS), sw_id, "/",
+                                 _payload(kind, rng)))
+    return parse_trace(emit_trace(events))
+
+
+def _error(judge, events):
+    """The message of the UnbalancedBrackets ``judge`` raises, or None."""
+    try:
+        judge(events)
+    except UnbalancedBrackets as exc:
+        return str(exc)
+    return None
+
+
+def _enforce(events):
+    return PolicyEngine(default_policies(), "chrome", mode="enforce").run(events)
+
+
+def _gated_end(events, message):
+    """Whether the unmatched end of ``message`` comes from a worker whose
+    capabilities lack fetch_intercept."""
+    first = {}
+    for event in events:
+        first.setdefault(event.sw_id, event)
+    return any(f"for {sw_id!r} {UNMATCHED_END}" in message
+               and "fetch_intercept" not in event.get("capabilities", ["fetch_intercept"])
+               for sw_id, event in first.items())
+
+
+def test_enforce_rejects_an_unmatched_end_exactly_when_analyze_does():
+    """``enforce`` raises UnbalancedBrackets, with the same message, exactly
+    when ``analyze`` raises it for an end with no open start; a trace that
+    only ends inside a bracket is the one disagreement left. The closed
+    loop refuses such an end and never raises."""
+    rng = random.Random(11)
+    seen = dict.fromkeys(["both accept", "both reject", "left open", "gated end",
+                          "accepted bracket with no sw_id"], 0)
+    for _ in range(3_000):
+        events = random_kinds_trace(rng)
+        analyzed, enforced = _error(analyze_trace, events), _error(_enforce, events)
+        if analyzed is not None and UNMATCHED_END not in analyzed:
+            assert enforced is None, events
+            seen["left open"] += 1
+            continue
+        assert enforced == analyzed, events
+        PolicyEngine(default_policies(), "chrome", mode="simulate").run(events)
+        if analyzed is None:
+            seen["both accept"] += 1
+            seen["accepted bracket with no sw_id"] += any(
+                KINDS[e.kind].bracket and e.sw_id is None for e in events)
+        else:
+            seen["both reject"] += 1
+            seen["gated end"] += _gated_end(events, analyzed)
+    assert min(seen.values()) >= 10, seen
+    assert min(seen["both accept"], seen["both reject"], seen["left open"]) > 300, seen
+
+
+REGISTER_PUSH_ONLY = TraceEvent(0, "register", "https://a.example", "s1", "/",
+                                {"capabilities": ["push"]})
+END = TraceEvent(1, "fetch_event_end", "https://a.example", "s1", "/")
+
+
+@pytest.mark.parametrize("events,error", [
+    # a worker lacking fetch_intercept: the bracket step comes before the gate
+    ([REGISTER_PUSH_ONLY, END], "fetch_event_end at ts 1 for 's1' has no open start"),
+    # an event with no sw_id belongs to no worker, nor do its brackets
+    ([END._replace(ts=0, sw_id=None, scope=None)], None),
+    ([END._replace(ts=0, kind="fetch_event_start", sw_id=None, scope=None),
+      END._replace(sw_id=None, scope=None)], None),
+], ids=["gated_unmatched_end", "end_with_no_sw_id", "pair_with_no_sw_id"])
+def test_both_commands_judge_the_brackets_alike(tmp_path, capsys, events, error):
+    events = parse_trace(emit_trace(events))
+    assert _error(analyze_trace, events) == _error(_enforce, events) == error
+    trace = tmp_path / "t.jsonl"
+    trace.write_text("".join(line + "\n" for line in emit_trace(events)), "utf-8")
+    for command in ("enforce", "analyze"):
+        code = cli_run([command, "--trace", str(trace), "--out", str(tmp_path / command)])
+        assert code == (0 if error is None else 2), command
+    if error is not None:
+        assert capsys.readouterr().err.count(error) == 2

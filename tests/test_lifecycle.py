@@ -2,8 +2,8 @@
 
 The engine wakes and stops workers through that state machine, so
 "running" has one definition: the record's process is RUNNING. These tests
-check that a stopped worker wakes on exactly the events forensics counts
-as activity, and guard against code outside ``model.py`` assigning a
+check that a stopped worker wakes on exactly the events ``trace.KINDS``
+marks as activity, which forensics counts too, and guard against code outside ``model.py`` assigning a
 ``state``, ``phase`` or ``process`` attribute.
 """
 
@@ -13,10 +13,9 @@ from pathlib import Path
 import pytest
 
 import sw_sentinel
-from sw_sentinel import forensics
 from sw_sentinel.model import SwState
 from sw_sentinel.policy import PolicyEngine, default_policies
-from sw_sentinel.trace import EVENT_KINDS, TraceEvent, emit_trace, parse_trace
+from sw_sentinel.trace import EVENT_KINDS, TraceEvent, emit_trace, is_activity, parse_trace
 
 ORIGIN = "https://p.example"
 LIFECYCLE_FIELDS = ("state", "phase", "process")
@@ -60,7 +59,7 @@ def test_stopped_worker_wakes_exactly_on_activity(kind, payload):
     probe = events[-1]
     engine.on_event(probe)
     woke = engine.record("sw-1").state is SwState.RUNNING
-    assert woke == forensics._is_activity(probe)
+    assert woke == is_activity(probe)
 
 
 def _state_assignments(path):

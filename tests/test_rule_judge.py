@@ -6,7 +6,7 @@ pushes per window slot counted from the trace's first ts, same-tag
 replacements per (tag, slot), background third-party fetches per
 activation, every programmatic close faster than the visibility floor, and
 execution per activation and per virtual day over activations rebuilt from
-the trace (a stopped worker wakes on ``forensics._is_activity``, which
+the trace (a stopped worker wakes on ``trace.is_activity``, which
 ``test_lifecycle`` pins to the engine kind by kind). It then replays the
 severity ladder over each worker's violations in the order the engine meets
 them. On seeded random fleets from the real generators, and on seeded
@@ -21,7 +21,6 @@ from collections import Counter
 
 import pytest
 
-from sw_sentinel import forensics
 from sw_sentinel.domains import registrable_domain, url_registrable_domain
 from sw_sentinel.model import Origin
 from sw_sentinel.policy import (
@@ -34,7 +33,7 @@ from sw_sentinel.policy import (
     Severity,
     load_policies,
 )
-from sw_sentinel.trace import TraceEvent
+from sw_sentinel.trace import TraceEvent, is_activity
 
 from test_policy_clock import ALL_GENERATORS, CONFIGS, merged_fleet
 
@@ -51,7 +50,7 @@ def _activations(events):
     for event in events:
         sw = event.sw_id
         if sw is not None:
-            if sw not in running and forensics._is_activity(event):
+            if sw not in running and is_activity(event):
                 number[sw] = number.get(sw, 0) + 1
                 running[sw] = event.ts
             elif sw in running and event.kind == "terminate":
