@@ -2,14 +2,13 @@
 Service worker domain model
 ===========================
 
-Registrations, scope matching, the lifecycle state machine, capability
-restrictions, and cache isolation. Run top to bottom:
+Registrations, scope matching, the lifecycle state machine and capability
+restrictions. Run top to bottom:
 
     python3 demos/01_sw_model_basics.py
 """
 
 from sw_sentinel import (
-    CacheNamespace,
     Capability,
     InsecureOrigin,
     Origin,
@@ -51,24 +50,13 @@ for capability in Capability:
     verdict = "allowed" if check_capability(push_sw, capability) else "DENIED"
     print(f"push worker / {capability.value:16s} {verdict}")
 
-# -- Cache isolation ----------------------------------------------------------
-# Legacy behavior lets any same-origin worker read another scope's cache
-# entries; isolation mode confines each worker to its own scope.
-cache = CacheNamespace()
-print("legacy read of '/' cache:",
-      cache.cache_access(root, Scope("/push/"), "https://shop.example/a", "read"))
-print("isolated read of '/' cache:",
-      cache.cache_access(root, Scope("/push/"), "https://shop.example/a", "read",
-                         isolation="isolated"))
-
 # -- Lifecycle ----------------------------------------------------------------
-# A waiting worker takes over via skipWaiting; 30 idle seconds terminate it;
-# an event wakes it again.
+# A waiting worker takes over when activated; it runs while it handles an
+# event, is terminated, and the next event wakes it again.
 waiting = registry.register_sw(origin, Scope("/beta/"),
                                "https://shop.example/beta/sw.js",
                                has_existing_controller=True)
 print("new version starts in:", waiting.state.value)
-for event in ("skip_waiting", "event_arrived", "event_done", "idle_timeout",
-              "event_arrived"):
+for event in ("activate", "event_arrived", "terminate", "event_arrived"):
     state = apply_lifecycle_event(waiting, event)
     print(f"  after {event:15s} -> {state.value}")

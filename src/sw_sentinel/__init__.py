@@ -2,10 +2,9 @@
 enforcement engine: attack workload generators, closed-loop simulation,
 recorded-trace enforcement, CSP checks, and trace forensics."""
 
-from .model import (CacheNamespace, Capability, CrossOriginScript, DuplicateScope,
-                    IllegalTransition, InsecureOrigin, Origin, Scope, SwRecord,
-                    SwRegistry, SwSentinelError, SwState, apply_lifecycle_event,
-                    check_capability)
+from .model import (Capability, CrossOriginScript, DuplicateScope, IllegalTransition,
+                    InsecureOrigin, Origin, Scope, SwRecord, SwRegistry, SwSentinelError,
+                    SwState, apply_lifecycle_event, check_capability)
 from .trace import EVENT_KINDS, TraceEvent, emit_trace, parse_trace, read_trace
 from .policy import (BrowserProfile, EnforcementAction, EngagementScore, PolicyConfig,
                      PolicyEngine, PolicySpec, PROFILES, Severity, ViolationRecord,

@@ -104,7 +104,9 @@ def analyze_trace(
     its worker holds its ts, ends included, and counts toward the first
     activation that ends at or after it. Raises UnbalancedBrackets on an end
     without a start or a start left open at trace end. An event with no
-    sw_id belongs to no worker, and neither do its brackets.
+    sw_id belongs to no worker, and neither do its brackets. Nor does a
+    ``page_visit`` or ``permission_grant``, the origin's events: as in the
+    engine, its sw_id makes no worker and no report.
     """
     sw_metadata = sw_metadata or {}
     if not events:
@@ -114,7 +116,7 @@ def analyze_trace(
     started: dict[str, _Worker] = {}  # workers in the order their first bracket opened
     for event in events:
         ts, kind, origin, sw_id, _scope, payload = event
-        if sw_id is None:
+        if sw_id is None or KINDS[kind].of_origin:
             continue
         w = workers.get(sw_id)
         if w is None:

@@ -1,16 +1,16 @@
 """Domain model of the service worker subsystem.
 
 Covers origins, scopes, the registration registry, the lifecycle state
-machine, capability gating, and the scope-keyed cache namespace. Everything
-here is a plain single-writer value; all mutation goes through the operations
-on :class:`SwRegistry` / :func:`apply_lifecycle_event`, the only code that
-moves a worker's two lifecycle fields, for the registry and the policy engine
+machine and capability gating: what a worker does from registration through
+activation, the events it handles and its termination. Everything here is a
+plain single-writer value; all mutation goes through the operations on
+:class:`SwRegistry` / :func:`apply_lifecycle_event`, the only code that moves
+a worker's two lifecycle fields, for the registry and the policy engine
 alike: its registration's ``phase`` and its ``process``.
 """
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import InitVar, dataclass
 from enum import Enum
 from functools import lru_cache
@@ -140,40 +140,36 @@ class SwState(Enum):
     WAITING = "waiting"
     ACTIVATED = "activated"
     RUNNING = "running"
-    IDLE = "idle"
     TERMINATED = "terminated"
     DEREGISTERED = "deregistered"
 
 
 # States from which a worker can control pages / receive events.
-CONTROLLING_STATES = frozenset({SwState.ACTIVATED, SwState.RUNNING, SwState.IDLE})
+CONTROLLING_STATES = frozenset({SwState.ACTIVATED, SwState.RUNNING})
 
 # The members the lifecycle compares with, bound once: a member looked up on
 # an Enum class costs 0.1 to 0.25 us in CPython 3.11. The tuples are searched
 # by identity, with no call to the Enum's Python __hash__.
 _INSTALLING, _WAITING, _ACTIVATED = SwState.INSTALLING, SwState.WAITING, SwState.ACTIVATED
-_RUNNING, _IDLE = SwState.RUNNING, SwState.IDLE
-_TERMINATED, _DEREGISTERED = SwState.TERMINATED, SwState.DEREGISTERED
-_ACTIVATE_ROWS = ("activate", "skip_waiting", "predecessor_gone")
+_RUNNING, _TERMINATED, _DEREGISTERED = SwState.RUNNING, SwState.TERMINATED, SwState.DEREGISTERED
 # Each process row: the process states it moves from (None: never run), and to.
-_STOP_ROW = ((None, _RUNNING, _IDLE), _TERMINATED)
-_PROCESS_ROWS = {"event_arrived": ((None, _IDLE, _TERMINATED), _RUNNING),
-                 "event_done": ((_RUNNING,), _IDLE), "idle_timeout": ((_IDLE,), _TERMINATED),
-                 "hard_timeout": _STOP_ROW, "terminate": _STOP_ROW}
-LIFECYCLE_EVENTS = frozenset({"register", "install_done", "update_check", "update_found",
-                              "deregister", *_ACTIVATE_ROWS, *_PROCESS_ROWS})
+_PROCESS_ROWS = {"event_arrived": ((None, _TERMINATED), _RUNNING),
+                 "terminate": ((None, _RUNNING), _TERMINATED)}
+LIFECYCLE_EVENTS = frozenset({"register", "install_done", "activate", "update_check",
+                              "update_found", "deregister", *_PROCESS_ROWS})
 
 
 @dataclass
 class SwRecord:
     """One registered service worker, in two lifecycles that only this module
     moves: its registration's ``phase`` (installing, waiting, activated or
-    deregistered) and its ``process`` (None until it first runs, then
-    running, idle or terminated). As the spec's registration keeps a waiting
-    or active worker beside an installing one, ``predecessor`` holds the
-    older version's phase. ``update_checked`` marks an update check the
-    worker ran, ``update_refused`` one refused to it. ``state`` derives the
-    one value both replace, and ``SwRecord(state=...)`` sets them from it.
+    deregistered) and its ``process`` (None until it first runs, then running
+    or terminated; an event wakes a terminated one). As the spec's
+    registration keeps a waiting or active worker beside an installing one,
+    ``predecessor`` holds the older version's phase. ``update_checked`` marks
+    an update check the worker ran, ``update_refused`` one refused to it.
+    ``state`` derives the one value both replace, and ``SwRecord(state=...)``
+    sets them from it.
 
     ``capabilities is None`` means the registration carried no restriction:
     the worker may use every capability. ``version`` increments on each
@@ -196,14 +192,10 @@ class SwRecord:
     update_refused: bool = False
 
     def __post_init__(self, state: Optional[SwState]) -> None:
-        if state in (_RUNNING, _IDLE, _TERMINATED):
+        if state in (_RUNNING, _TERMINATED):
             self.phase, self.process = _ACTIVATED, state
         elif state is not None:
             self.phase = state
-
-    @property
-    def unrestricted(self) -> bool:
-        return self.capabilities is None
 
 
 def _state(record: SwRecord) -> SwState:
@@ -236,7 +228,7 @@ def lifecycle_allows(record: SwRecord, event_kind: str) -> bool:
         return process in _PROCESS_ROWS[event_kind][0]
     if event_kind == "install_done":
         return phase is _INSTALLING or process is _RUNNING
-    if event_kind in _ACTIVATE_ROWS:
+    if event_kind == "activate":
         return _WAITING in (phase, record.predecessor) or process is _RUNNING
     if event_kind == "update_check":
         return process is _RUNNING
@@ -265,7 +257,7 @@ def apply_lifecycle_event(record: SwRecord, event_kind: str, force: bool = False
     if event_kind in ("deregister", "install_done"):
         record.phase = _DEREGISTERED if event_kind == "deregister" else _WAITING
         record.predecessor = None
-    elif event_kind in _ACTIVATE_ROWS:
+    elif event_kind == "activate":
         if phase is _WAITING:
             record.phase = _ACTIVATED
         elif record.predecessor is _WAITING:
@@ -359,48 +351,3 @@ class SwRegistry:
                 best = record
         return best
 
-
-class CacheNamespace:
-    """Cache entries keyed by (origin, scope, resource URL); payloads stored
-    as digests only. Isolation mode confines a worker to its own scope's keys;
-    legacy mode allows any same-origin key."""
-
-    def __init__(self) -> None:
-        self.entries: dict[tuple[str, str, str], str] = {}
-
-    @staticmethod
-    def access(
-        record: SwRecord,
-        key_origin: Origin,
-        key_scope: Scope,
-        mode: str,
-        isolation: str = "legacy",
-    ) -> bool:
-        """Whether the record may read/write a key under (key_origin, key_scope)."""
-        if mode not in ("read", "write"):
-            raise ModelError(f"unknown cache mode {mode!r}")
-        if isolation not in ("legacy", "isolated"):
-            raise ModelError(f"unknown isolation mode {isolation!r}")
-        if not check_capability(record, Capability.CACHE):
-            return False
-        if key_origin != record.origin:
-            return False
-        if isolation == "isolated":
-            return key_scope.path_prefix == record.scope.path_prefix
-        return True
-
-    def cache_access(
-        self,
-        record: SwRecord,
-        key_scope: Scope,
-        resource: str,
-        mode: str,
-        isolation: str = "legacy",
-        payload: bytes = b"",
-    ) -> bool:
-        """Attempt a cache operation; returns whether it was allowed."""
-        allowed = self.access(record, record.origin, key_scope, mode, isolation)
-        if allowed and mode == "write":
-            digest = hashlib.sha256(payload).hexdigest()
-            self.entries[(str(record.origin), key_scope.path_prefix, resource)] = digest
-        return allowed

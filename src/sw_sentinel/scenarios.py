@@ -21,7 +21,7 @@ from types import MappingProxyType
 from typing import Any, Iterable, Iterator, Mapping, Optional
 
 from .policy import DAY_MS, HOUR_MS, PolicyConfig, PolicyEngine, SimulationResult
-from .trace import _NO_PAYLOAD, TraceEvent, new_record
+from .trace import _NO_PAYLOAD, MalformedLine, TraceEvent, _check_payload, new_record
 
 IDLE_TIMEOUT_MS = 30_000
 # How long a generated worker's handler runs after its last activity.
@@ -165,12 +165,17 @@ def gen_ddos(
     target: str = "https://victim.example/hit",
 ) -> list[TraceEvent]:
     """One push-triggered activation issuing req_per_s background fetches per
-    second against the target for burst_minutes."""
+    second against the target for burst_minutes. A target the trace reader
+    would reject raises ValueError with the reader's message."""
     del seed  # evenly spaced requests; nothing to jitter
+    fetch = _ro(url=target, initiator_is_sw=True)
+    try:
+        _check_payload("fetch_request", fetch, 0)
+    except MalformedLine as exc:
+        raise ValueError(str(exc)) from exc
     origin, sw = "https://stresser.example", "sw-ddos"
     start = 1_000
     events = _opening(origin, sw) + [_mk(start, "push", origin, sw, _ro(push_id="p00001"))]
-    fetch = _ro(url=target, initiator_is_sw=True)
     events += [new_record(TraceEvent, (start + second * 1_000 + (i * 1_000) // req_per_s,
                                        "fetch_request", origin, sw, "/", fetch))
                for second in range(burst_minutes * 60) for i in range(req_per_s)]

@@ -55,10 +55,11 @@ class Kind(NamedTuple):
     lifecycle: Optional[str] = None  # the model's row that moves the registration
     activity: bool | str = False  # shows the worker executing; a str: when that flag is true
     bracket: int = 0  # 1 opens a fetch-handler bracket, -1 closes one
+    of_origin: bool = False  # the origin's event: it belongs to no worker, sw_id or not
 
 
 # The one table of event kinds: the reader's checks, the engine's handlers and
-# capability gates, and forensics' activations and brackets all read it.
+# capability gates, and forensics' activations, brackets and workers all read it.
 KINDS: dict[str, Kind] = {
     "register": Kind(lifecycle="register"),
     "install": Kind(lifecycle="install_done", activity=True),
@@ -77,8 +78,8 @@ KINDS: dict[str, Kind] = {
     "sync": Kind(capability=Capability.SYNC, activity=True),
     "periodicsync": Kind(capability=Capability.PERIODIC_SYNC, activity=True),
     "terminate": Kind(),
-    "page_visit": Kind(),
-    "permission_grant": Kind((("permission", str),)),
+    "page_visit": Kind(of_origin=True),
+    "permission_grant": Kind((("permission", str),), of_origin=True),
     "code_tampered": Kind((("source", str),)),
 }
 EVENT_KINDS = frozenset(KINDS)

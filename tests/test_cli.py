@@ -444,6 +444,21 @@ class TestHostileArguments:
             assert f"{path}:1: " in captured.err and captured.out == ""
         assert not out.exists()
 
+    @pytest.mark.parametrize("target,reason", [
+        ("5", "fetch_request: missing/invalid 'url'"),
+        ("x", "fetch_request: 'url' must carry scheme and host"),
+    ], ids=["number", "no_scheme"])
+    def test_gen_ddos_refuses_a_target_the_reader_rejects(self, tmp_path, capsys, target,
+                                                           reason):
+        """``gen`` writes no ddos trace that ``enforce`` and ``analyze`` would
+        reject: the reader's own message, one error line, exit 2."""
+        out = tmp_path / "t.jsonl"
+        assert run(["gen", "--scenario", "ddos", "--param", "req_per_s=1",
+                    "--param", "burst_minutes=1", "--param", f"target={target}",
+                    "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: cannot generate scenario: {reason}\n"
+        assert not out.exists()
+
 
     @pytest.mark.parametrize("command,flag", [
         ("analyze", "--meta"), ("csp-audit", "--corpus"),

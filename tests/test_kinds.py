@@ -2,9 +2,10 @@
 
 What each of the 18 kinds means (its payload, its capability, its lifecycle
 row, whether it shows the worker executing, whether it opens or closes a
-fetch-handler bracket) has one home. These tests guard against a module
-keeping its own list of kinds again, and against an engine handler for a
-kind the table does not know.
+fetch-handler bracket, whether it is the origin's event) has one home. These
+tests guard against a module keeping its own list of kinds again, against an
+engine handler for a kind the table does not know, and against an engine
+that treats other kinds as the origin's than the table does.
 """
 
 import ast
@@ -12,7 +13,7 @@ from pathlib import Path
 
 import sw_sentinel
 from sw_sentinel.policy import PolicyEngine
-from sw_sentinel.trace import EVENT_KINDS, KINDS
+from sw_sentinel.trace import EVENT_KINDS, KINDS, TraceEvent
 
 PACKAGE_DIR = Path(sw_sentinel.__file__).parent
 # The model's rows are its own vocabulary (install_done, event_arrived, ...),
@@ -56,3 +57,16 @@ def test_every_engine_handler_is_a_row_of_kinds():
     handlers = [name for name in dir(PolicyEngine) if name.startswith("_on_")]
     assert handlers
     assert [name for name in handlers if name[4:] not in KINDS] == []
+
+
+def test_the_engine_makes_no_worker_for_exactly_the_origins_kinds():
+    """The engine handles the ``of_origin`` kinds before it looks at sw_id,
+    as forensics does by the column."""
+    values = {str: "x", int: 2, bool: True}
+    for kind, row in KINDS.items():
+        payload = {key: values[typ] for key, typ in row.payload}
+        if kind == "fetch_request":
+            payload["url"] = "https://a.example/x"
+        event = TraceEvent(0, kind, "https://a.example", "s9", "/", payload)
+        run = PolicyEngine(mode="simulate").run([event])
+        assert ("s9" in run.final_states) is not row.of_origin, kind

@@ -19,7 +19,9 @@ step, ``trace.Brackets.step``, so they reject the same traces for an end
 with no open start, with the same message: ``enforce`` takes the step before
 the capability gate, and an event with no sw_id belongs to no worker in
 either layer. Only a trace that ends inside a bracket still parts them:
-``analyze`` rejects it and ``enforce`` accepts it.
+``analyze`` rejects it and ``enforce`` accepts it. On a trace both accept,
+both see the same workers: a ``page_visit`` or ``permission_grant`` is the
+origin's event, and its sw_id makes a worker in neither layer.
 """
 
 import random
@@ -167,7 +169,8 @@ def test_enforce_rejects_an_unmatched_end_exactly_when_analyze_does():
     """``enforce`` raises UnbalancedBrackets, with the same message, exactly
     when ``analyze`` raises it for an end with no open start; a trace that
     only ends inside a bracket is the one disagreement left. The closed
-    loop refuses such an end and never raises."""
+    loop refuses such an end and never raises. On a trace both accept, both
+    see the same workers."""
     rng = random.Random(11)
     seen = dict.fromkeys(["both accept", "both reject", "left open", "gated end",
                           "accepted bracket with no sw_id"], 0)
@@ -181,6 +184,7 @@ def test_enforce_rejects_an_unmatched_end_exactly_when_analyze_does():
         assert enforced == analyzed, events
         PolicyEngine(default_policies(), "chrome", mode="simulate").run(events)
         if analyzed is None:
+            assert set(analyze_trace(events)) == set(_enforce(events).final_states), events
             seen["both accept"] += 1
             seen["accepted bracket with no sw_id"] += any(
                 KINDS[e.kind].bracket and e.sw_id is None for e in events)
@@ -214,3 +218,13 @@ def test_both_commands_judge_the_brackets_alike(tmp_path, capsys, events, error)
         assert code == (0 if error is None else 2), command
     if error is not None:
         assert capsys.readouterr().err.count(error) == 2
+
+
+@pytest.mark.parametrize("events", [
+    [TraceEvent(0, "page_visit", "https://a.example", "s9", "/")],
+    [TraceEvent(0, "permission_grant", "https://a.example", "s9", "/",
+                {"permission": "notifications"})],
+], ids=["page_visit", "permission_grant"])
+def test_the_origins_events_make_no_worker_in_either_layer(events):
+    events = parse_trace(emit_trace(events))
+    assert analyze_trace(events) == {} and _enforce(events).final_states == {}

@@ -7,7 +7,6 @@ import pytest
 
 import sw_sentinel
 from sw_sentinel.model import (
-    CacheNamespace,
     Capability,
     CrossOriginScript,
     DuplicateScope,
@@ -76,7 +75,7 @@ class TestRegisterSw:
         rec = reg.register_sw(Origin.parse("https://a.example"), Scope("/"),
                               "https://a.example/sw.js")
         assert rec.state is SwState.ACTIVATED
-        assert rec.unrestricted
+        assert rec.capabilities is None
 
     def test_insecure_origin_rejected(self):
         reg = SwRegistry()
@@ -191,19 +190,6 @@ class TestMatchScope:
 
 
 class TestLifecycle:
-    def test_skip_waiting_activates(self):
-        rec = make_record(state=SwState.WAITING)
-        assert apply_lifecycle_event(rec, "skip_waiting") is SwState.ACTIVATED
-
-    def test_idle_timeout_terminates(self):
-        rec = make_record(state=SwState.IDLE)
-        assert apply_lifecycle_event(rec, "idle_timeout") is SwState.TERMINATED
-
-    def test_event_done_from_terminated_is_illegal(self):
-        rec = make_record(state=SwState.TERMINATED)
-        with pytest.raises(IllegalTransition):
-            apply_lifecycle_event(rec, "event_done")
-
     def test_update_found_restarts_installing_with_version(self):
         rec = make_record()
         version = rec.version
@@ -266,32 +252,6 @@ class TestCapabilities:
             for cap in caps:
                 if not check_capability(rec_full, cap):
                     assert not check_capability(rec_small, cap)
-
-
-class TestCacheNamespace:
-    def test_legacy_allows_same_origin_other_scope(self):
-        ns = CacheNamespace()
-        rec = make_record(scope="/push/")
-        assert ns.cache_access(rec, Scope("/"), "https://a.example/x", "read",
-                               isolation="legacy")
-
-    def test_isolated_denies_other_scope(self):
-        ns = CacheNamespace()
-        rec = make_record(scope="/push/")
-        assert not ns.cache_access(rec, Scope("/"), "https://a.example/x", "read",
-                                   isolation="isolated")
-
-    def test_isolated_allows_own_scope(self):
-        ns = CacheNamespace()
-        rec = make_record(scope="/push/")
-        assert ns.cache_access(rec, Scope("/push/"), "https://a.example/x", "write",
-                               isolation="isolated", payload=b"data")
-        assert len(ns.entries) == 1
-
-    def test_cache_capability_required(self):
-        ns = CacheNamespace()
-        rec = make_record(caps=frozenset({Capability.PUSH}))
-        assert not ns.cache_access(rec, Scope("/"), "https://a.example/x", "read")
 
 
 def test_every_package_exception_derives_from_the_one_base():
