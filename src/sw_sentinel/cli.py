@@ -31,7 +31,7 @@ from . import forensics
 from .model import ModelError, Origin, SwSentinelError
 from .policy import (ActionEntry, Notice, PolicyConfig, PolicyConfigError, PolicyEngine, PROFILES,
                      ViolationRecord, load_policies)
-from .scenarios import GENERATORS, Scenario, generate, simulate
+from .scenarios import GENERATORS, PARAM_TYPES, Scenario, generate, simulate
 from .trace import TraceError, TraceEvent, UnbalancedBrackets, emit_trace, read_trace
 
 ENV_CONFIG = "SW_SENTINEL_CONFIG"
@@ -39,28 +39,6 @@ ENV_CONFIG = "SW_SENTINEL_CONFIG"
 
 class CliError(SwSentinelError):
     """IO/validation failure reported as exit code 2."""
-
-
-def _coerce(text: str) -> Any:
-    lowered = text.lower()
-    if lowered in ("true", "false"):
-        return lowered == "true"
-    for cast in (int, float):
-        try:
-            return cast(text)
-        except ValueError:
-            continue
-    return text
-
-
-def _parse_params(pairs: Iterable[str]) -> dict[str, Any]:
-    params: dict[str, Any] = {}
-    for pair in pairs:
-        if "=" not in pair:
-            raise CliError(f"--param expects k=v, got {pair!r}")
-        key, value = pair.split("=", 1)
-        params[key] = _coerce(value)
-    return params
 
 
 def _load_config(path: Optional[str]) -> PolicyConfig:
@@ -173,12 +151,21 @@ def _jsonl(row: Callable[[Any], str], records: Iterable[Any]) -> str:
 
 
 def _generate(args: argparse.Namespace) -> list[TraceEvent]:
-    """The one generation path of ``gen`` and ``simulate``."""
-    params = _parse_params(args.param or [])
-    duration = params.pop("duration_ms", None)
+    """The one generation path of ``gen`` and ``simulate``. Each ``--param k=v``
+    reads v as the type the generator declares for k (a bool as true or false);
+    other text stays text, for ``generate`` to refuse with the parameter's name."""
+    params: dict[str, Any] = {}
+    for pair in args.param or []:
+        if "=" not in pair:
+            raise CliError(f"--param expects k=v, got {pair!r}")
+        key, text = pair.split("=", 1)
+        kind = PARAM_TYPES[args.scenario].get(key, (str,))[0]
+        try:
+            params[key] = {"true": True, "false": False}[text] if kind is bool else kind(text)
+        except (KeyError, ValueError):
+            params[key] = text
     try:
-        return generate(Scenario(name=args.scenario, seed=args.seed, params=params,
-                                 duration_ms=duration))
+        return generate(Scenario(name=args.scenario, seed=args.seed, params=params))
     except (KeyError, TypeError, ValueError) as exc:  # unknown, missing or bad params
         raise CliError(f"cannot generate scenario: {exc}") from exc
 

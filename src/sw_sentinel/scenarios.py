@@ -9,16 +9,19 @@ real browser would never have let happen.
 
 Worker termination is explicit in generated traces: a ``terminate`` marks
 the process exit HANDLER_MS + IDLE_TIMEOUT_MS after each activity that the
-next one does not follow within that time, and after the last.
+next one does not follow within that time, and after the last. A generator's
+signature is the one home of its parameters' types (``PARAM_TYPES``), and a
+value rule that only one generator has lives in that generator.
 """
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass, field
 from operator import itemgetter
 from types import MappingProxyType
-from typing import Any, Iterable, Iterator, Mapping, Optional
+from typing import Any, Iterable, Iterator, Mapping, Optional, get_args
 
 from .policy import DAY_MS, HOUR_MS, PolicyConfig, PolicyEngine, SimulationResult
 from .trace import _NO_PAYLOAD, MalformedLine, TraceEvent, _check_payload, new_record
@@ -245,6 +248,8 @@ def gen_benign(
     allocated so the daily execution total equals exec_min_per_day exactly.
     """
     del seed  # even spacing; deterministic by construction
+    if not exec_min_per_day <= 1_440:
+        raise ValueError(f"parameter exec_min_per_day must be <= 1440: {exec_min_per_day!r}")
     origin, sw = "https://goodapp.example", "sw-benign"
     events = _opening(origin, sw)
     events.append(_mk(0, "page_visit", origin))
@@ -280,6 +285,16 @@ GENERATORS = {
 }
 
 
+def _admits(annotation: Any) -> tuple[type, ...]:
+    """Its own type only (a bool is no count), None too if Optional, int too if float."""
+    return (float, int) if annotation is float else get_args(annotation) or (annotation,)
+
+
+PARAM_TYPES = {name: {key: _admits(param.annotation) for key, param in
+                      inspect.signature(gen, eval_str=True).parameters.items() if key != "seed"}
+               for name, gen in GENERATORS.items()}
+
+
 @dataclass(frozen=True)
 class Scenario:
     """Named workload with parameters; identical scenarios generate
@@ -292,16 +307,18 @@ class Scenario:
 
 
 def generate(scenario: Scenario) -> list[TraceEvent]:
+    """The scenario's trace; a parameter of a wrong type or range is a ValueError naming it."""
     if scenario.name not in GENERATORS:
         raise KeyError(f"unknown scenario {scenario.name!r}")
     kwargs = dict(scenario.params)
     if scenario.duration_ms is not None:
         kwargs["duration_ms"] = scenario.duration_ms
-    duration = kwargs.get("duration_ms", 0)
-    if type(duration) is not int:  # a trace's ts is an integer millisecond count
-        raise ValueError(f"parameter duration_ms must be an integer: {duration!r}")
     for key, value in kwargs.items():
-        if isinstance(value, (int, float)) and not 0 <= value < math.inf:
+        types = PARAM_TYPES[scenario.name].get(key, (type(value),))  # a key it lacks: TypeError
+        if type(value) not in types:
+            raise ValueError(f"parameter {key} must be "
+                             f"{' or '.join(t.__name__ for t in types)}: {value!r}")
+        if type(value) in (int, float) and not 0 <= value < math.inf:
             raise ValueError(f"parameter {key} must be a finite number >= 0: {value!r}")
     return GENERATORS[scenario.name](scenario.seed, **kwargs)
 

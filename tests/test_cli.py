@@ -413,6 +413,11 @@ class TestHostileArguments:
           "--param", "duration_ms=3600000"], None),
         (["gen", "--scenario", "benign", "--param", "fetches_per_activation=1.5",
           "--param", "duration_ms=3600000"], None),
+        (["gen", "--scenario", "push_flood", "--param", "pushes_per_hour=true"], None),
+        (["simulate", "--scenario", "push_flood", "--param", "pushes_per_hour=5",
+          "--param", "silent=x"], None),
+        (["gen", "--scenario", "benign", "--param", "exec_min_per_day=1e308"], None),
+        (["simulate", "--scenario", "benign", "--param", "exec_min_per_day=1e308"], None),
     ], ids=["threshold_zero", "severity", "engagement_text", "policies_number",
             "allow_list_number", "spec_number", "not_json", "threshold_infinity",
             "threshold_nan", "threshold_1e308", "threshold_nan_counting", "engagement_nan",
@@ -423,7 +428,9 @@ class TestHostileArguments:
             "corpus_line_list", "corpus_headers_number", "meta_int_past_digit_limit",
             "corpus_int_past_digit_limit", "gen_float_duration", "simulate_float_duration",
             "gen_bool_duration", "gen_renew_after_zero", "simulate_renew_after_zero",
-            "gen_benign_float_push_rate", "gen_benign_float_fetches"])
+            "gen_benign_float_push_rate", "gen_benign_float_fetches", "gen_bool_pushes_per_hour",
+            "simulate_text_silent", "gen_exec_min_per_day_1e308",
+            "simulate_exec_min_per_day_1e308"])
     def test_exits_two_with_an_error_line(self, tmp_path, capsys, argv, file_text):
         if argv[0] in ("enforce", "analyze"):
             trace = tmp_path / "t.jsonl"
@@ -444,8 +451,27 @@ class TestHostileArguments:
             assert f"{path}:1: " in captured.err and captured.out == ""
         assert not out.exists()
 
+    @pytest.mark.parametrize("command,param", [
+        ("gen", "pushes_per_hour=true"), ("simulate", "silent=x"), ("gen", "silent=1"),
+        ("gen", "exec_min_per_day=1e308"), ("gen", "exec_min_per_day=true"),
+        ("gen", "duration_ms=6e5"), ("simulate", "duration_ms=3.6e6"),
+        ("gen", "renew_after=x"),
+    ])
+    def test_a_param_of_the_wrong_type_or_range_is_named(self, tmp_path, capsys, command,
+                                                          param):
+        """Each ``--param`` reads as the type its generator declares; text that
+        does not read as one is refused with the parameter's name."""
+        scenario = "benign" if param.startswith("exec_min") else "push_flood"
+        argv = [command, "--scenario", scenario, "--param", param, "--out", str(tmp_path / "o")]
+        if scenario == "push_flood" and not param.startswith("pushes_per_hour"):
+            argv += ["--param", "pushes_per_hour=5"]
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot generate scenario: parameter {param.split('=')[0]} ")
+        assert err.count("\n") == 1
+
     @pytest.mark.parametrize("target,reason", [
-        ("5", "fetch_request: missing/invalid 'url'"),
+        ("5", "fetch_request: 'url' must carry scheme and host"),
         ("x", "fetch_request: 'url' must carry scheme and host"),
     ], ids=["number", "no_scheme"])
     def test_gen_ddos_refuses_a_target_the_reader_rejects(self, tmp_path, capsys, target,
