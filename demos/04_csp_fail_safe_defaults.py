@@ -15,8 +15,7 @@ from sw_sentinel.csp import effective_sw_policy
 ORIGIN = "https://shop.example"
 
 # -- No header at all: deny-by-default ----------------------------------------
-print("effective policy with no header:",
-      effective_sw_policy(None).serialize())
+print("effective script-src with no header:", effective_sw_policy(None).script_src())
 for url in (f"{ORIGIN}/helpers.js", "https://cdn.pushprovider.example/sdk.js"):
     verdict = check_import(None, ORIGIN, url)
     print(f"  import {url}: {'allow' if verdict.allowed else 'deny'} ({verdict.rule})")

@@ -316,16 +316,8 @@ def _cmd_csp_audit(args: argparse.Namespace) -> int:
     except (OSError, UnicodeDecodeError) as exc:
         raise CliError(f"cannot read corpus {args.corpus}: {exc}") from exc
     summary = csp_mod.audit_headers(corpus)
-    print(json.dumps(
-        {
-            "total": summary.total,
-            "with_csp": summary.with_csp,
-            "with_script_src": summary.with_script_src,
-            "csp_fraction": summary.csp_fraction,
-            "script_src_fraction": summary.script_src_fraction,
-        },
-        sort_keys=True,
-    ))
+    print(json.dumps({**dataclasses.asdict(summary), "csp_fraction": summary.csp_fraction,
+                      "script_src_fraction": summary.script_src_fraction}, sort_keys=True))
     return 0
 
 

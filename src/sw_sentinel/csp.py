@@ -45,15 +45,6 @@ class CspPolicy:
     def script_src(self) -> Optional[tuple[str, ...]]:
         return self.directives.get("script-src")
 
-    def serialize(self) -> str:
-        return "; ".join(
-            name if not sources else f"{name} {' '.join(sources)}"
-            for name, sources in self.directives.items()
-        )
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, CspPolicy) and self.directives == other.directives
-
 
 @dataclass(frozen=True)
 class CspVerdict:

@@ -366,6 +366,7 @@ class _SwEngineState:
     handlers: dict[str, Any]  # kind -> handler, its capability gate resolved
     activation_start: int = 0
     activation: int = 0  # the number of the current (or last) activation
+    day_cursor: Optional[int] = None  # see _day_crossing
     run_intervals: list[tuple[int, int]] = field(default_factory=list)
     # rule counters and the keys already reported, both by (policy, key)
     counts: dict[tuple[str, Any], int] = field(default_factory=dict)
@@ -409,11 +410,15 @@ class PolicyEngine:
         cls = type(self)
         refusals = {cap: partial(cls._refuse_capability, reason=f"capability:{cap.value}")
                     for cap in Capability}
-        self._handlers = {}
+        self._handlers, self._origin_handlers = {}, {}
         for kind, row in KINDS.items():
-            pair = getattr(cls, "_on_" + kind, cls._by_row), refusals.get(row.capability)
+            handler = getattr(cls, "_on_" + kind, cls._by_row)
+            if row.of_origin:  # the origin's kind: it belongs to no worker's table
+                self._origin_handlers[kind] = handler
+                continue
+            pair = handler, refusals.get(row.capability)
             if row.bracket:  # both behind the bracket step
-                pair = tuple(partial(cls._bracket, handler=handler) for handler in pair)
+                pair = tuple(partial(cls._bracket, handler=inner) for inner in pair)
             self._handlers[kind] = (row.capability, *pair)
         self._t0: Optional[int] = None
         self._states: dict[str, _SwEngineState] = {}
@@ -445,7 +450,8 @@ class PolicyEngine:
         replacement keeps the registration order of the state it replaces,
         as ``_states`` keeps its key's position. A new state has no deadline
         until its first handler runs, so it is not put on the clock heap. Its
-        table maps a kind gated on a capability the record lacks to a refusal."""
+        table has no origin's kind, and maps a kind gated on a capability the
+        record lacks to a refusal."""
         handlers = {kind: handler if needed is None or check_capability(record, needed) else refusal
                     for kind, (needed, handler, refusal) in self._handlers.items()}
         st = _SwEngineState(record=record, handlers=handlers,
@@ -586,6 +592,7 @@ class PolicyEngine:
         apply_lifecycle_event(record, "event_arrived")
         st.activation_start = ts
         st.activation += 1
+        st.day_cursor = None
         st.update_chain = st.chain_capped = False
         st.brackets.last_end = None
         st.dirty = True
@@ -723,28 +730,37 @@ class PolicyEngine:
         return min(candidates) if candidates else None
 
     def _day_crossing(self, st: _SwEngineState, now: int) -> Optional[_Crossing]:
+        """The running activation's first day-budget crossing up to ``now``. The
+        scan starts at ``st.day_cursor`` (None: the activation's first day) and
+        moves it past each day over by ``now`` with no crossing. Such a day never
+        crosses later, in either mode: its crossing lies past its end, its
+        ``done`` changes only in ``_stop``, which ends the activation, and only
+        its own crossing marks it violated."""
         spec = self._specs["exec_per_day"]
         if spec is None:
             return None
         name, budget_ms = spec.name, int(spec.threshold * 60_000)
         t0 = self._t0 or 0
-        day = (st.activation_start - t0) // DAY_MS
+        day = (st.activation_start - t0) // DAY_MS if st.day_cursor is None else st.day_cursor
         last_day = (now - t0) // DAY_MS
         while day <= last_day:
             day_start = t0 + day * DAY_MS
+            day_end = day_start + DAY_MS
             live_start = max(st.activation_start, day_start)
             if (name, day) in st.violated:
                 # Only meaningful in closed loop; open loop reported already.
                 if self._closed_loop:
                     crossing = self._tick_after(live_start)
-                    if crossing <= min(now, day_start + DAY_MS):
+                    if crossing <= min(now, day_end):
                         return crossing, name, None, 0.0
             else:
                 done = st.day_exec_ms.get(day, 0)
                 crossing = self._tick_after(live_start + max(budget_ms - done, 0))
-                if crossing <= min(now, day_start + DAY_MS):
+                if crossing <= min(now, day_end):
                     return crossing, name, day, (done + crossing - live_start) / 60_000
             day += 1
+            if day_end <= now:
+                st.day_cursor = day
         return None
 
     def _silent_push_detected(self, st: _SwEngineState, ts: int, out: Decision) -> None:
@@ -761,25 +777,17 @@ class PolicyEngine:
     # -- main event entry point --------------------------------------------
 
     def on_event(self, event: TraceEvent, out: Optional[Decision] = None) -> Decision:
-        """Advance the clock to the event, then judge the event itself. The
-        records go into ``out`` when given, else into a fresh Decision; a
-        refusal clears its ``deliver``. The Decision is returned."""
-        ts, kind, origin, sw_id, _scope, payload = event
+        """Advance the clock to the event, then judge it: an origin's kind by the
+        engine's own handler, any other by its worker's table. The records go
+        into ``out`` when given, else into a fresh Decision; a refusal clears
+        its ``deliver``. The Decision is returned."""
+        ts, kind, _origin, sw_id, _scope, _payload = event
         if self._t0 is None:
             self._t0 = ts
         out = self.advance(ts, out)
-        if kind == "page_visit":
-            self.engagement_for(str(Origin.parse(origin))).visit(ts)
-            return out
-        if kind == "permission_grant":
-            group = self._by_origin.get(str(Origin.parse(origin)), {})
-            for st in sorted(group.values(), key=attrgetter("order")):
-                record = st.record
-                renewed = not record.push_subscribed or record.silent_push_count > 0
-                record.push_subscribed, record.silent_push_count = True, 0
-                if renewed:
-                    out.notices.append(Notice(ts, record.sw_id, "subscription_renewed",
-                                              payload.get("permission", "notifications")))
+        origin_handler = self._origin_handlers.get(kind)
+        if origin_handler is not None:
+            origin_handler(self, event, out)
             return out
         if sw_id is None:
             return out
@@ -805,6 +813,19 @@ class PolicyEngine:
         return False
 
     # -- per-kind handlers ---------------------------------------------------
+
+    def _on_page_visit(self, event: TraceEvent, out: Decision) -> None:
+        self.engagement_for(str(Origin.parse(event.origin))).visit(event.ts)
+
+    def _on_permission_grant(self, event: TraceEvent, out: Decision) -> None:
+        group = self._by_origin.get(str(Origin.parse(event.origin)), {})
+        for st in sorted(group.values(), key=attrgetter("order")):  # registration order
+            record = st.record
+            renewed = not record.push_subscribed or record.silent_push_count > 0
+            record.push_subscribed, record.silent_push_count = True, 0
+            if renewed:
+                out.notices.append(Notice(event.ts, record.sw_id, "subscription_renewed",
+                                          event.get("permission", "notifications")))
 
     def _refuse_capability(self, st: _SwEngineState, event: TraceEvent, out: Decision,
                            reason: str) -> None:

@@ -135,16 +135,6 @@ class TraceEvent(NamedTuple):
     def get(self, key: str, default: Any = None) -> Any:
         return self.payload.get(key, default)
 
-    def to_obj(self) -> dict[str, Any]:
-        obj: dict[str, Any] = {"ts": self.ts, "kind": self.kind, "origin": self.origin}
-        if self.sw_id is not None:
-            obj["sw_id"] = self.sw_id
-        if self.scope is not None:
-            obj["scope"] = self.scope
-        for key in sorted(self.payload):
-            obj[key] = self.payload[key]
-        return obj
-
 
 def is_activity(event: TraceEvent) -> bool:
     """Whether ``event`` shows its worker executing, by its kind's row."""
@@ -372,16 +362,17 @@ def _header_text(kind: Any, origin: Any, sw_id: Any, scope: Any) -> str:
 def emit_trace(events: Iterable[TraceEvent]) -> Iterator[str]:
     """Serialize events to canonical lines; inverse of parse_trace.
 
-    Each line is the text ``_LINE_ENCODER.encode(event.to_obj())`` gives,
-    written from pieces made once per call: the text of each distinct header
-    and payload key, and all after ``ts`` of a line whose header and
-    read-only payload came before (a dict payload, which may change, is
-    written every time; a call whose first bodies rarely repeat stops
-    remembering them). A line with an int ``ts`` whose payload and header
-    fields are the very objects of the last body remembered or found reuses
-    it (identity: 1, True and 1.0 are equal, with other texts). A payload
-    key that is not a string, or that names a header field, would not parse
-    back: it raises InvariantViolation.
+    Each line is the text ``_LINE_ENCODER`` gives an object of ``ts``,
+    ``kind`` and ``origin``, then ``sw_id`` and ``scope`` when not None, then
+    the payload's keys in sorted order. It is written from pieces made once
+    per call: the text of each distinct header and payload key, and all
+    after ``ts`` of a line whose header and read-only payload came before
+    (a dict payload, which may change, is written every time; a call whose
+    first bodies rarely repeat stops remembering them). A line with an int
+    ``ts`` whose payload and header fields are the very objects of the last
+    body remembered or found reuses it (identity: 1, True and 1.0 are equal,
+    with other texts). A payload key that is not a string, or that names a
+    header field, would not parse back: it raises InvariantViolation.
     """
     headers: dict[tuple, str] = {}
     keys: dict[str, str] = {}

@@ -2,14 +2,22 @@
 
 Each case generates one small trace, runs ``simulate`` under all five
 browser profiles, and runs ``enforce`` (all five profiles) plus
-``analyze`` over the generated trace. A change that alters any output
-byte fails here and names the files that moved.
+``analyze`` over the generated trace. Three more cases run the paths that
+no generated trace reaches: ``analyze --meta`` on the tracking library's
+trace; a hand-written trace with a clicked notification and a worker
+refused the fetch events it lacks the capability for, through ``enforce``
+and ``analyze``; and ``csp-check`` and ``csp-audit``, whose stdout is
+pinned. A change that alters any output byte fails here and names the
+files that moved.
 
 After an intended output change, rewrite the table with
-``PYTHONPATH=src python tests/test_golden_outputs.py --write``.
+``PYTHONPATH=src python tests/test_golden_outputs.py --write``; it prints
+the entries it added, changed and removed.
 """
 
+import contextlib
 import hashlib
+import io
 import json
 import os
 import sys
@@ -38,6 +46,50 @@ CASES = (
 )
 
 
+# Import domains for the tracking library's worker, so that its fetches to
+# the tracking server count as first party in ``analyze --meta``.
+TRACKING_META = {"sw-tracking": {"origin": "https://host-site.example", "rank": 1,
+                                 "import_domains": ["tracking.example"]}}
+
+# A notification the user clicks, and a worker registered with push alone
+# whose fetch handler runs: each of its fetch events is refused and throttled.
+CLICK_AND_REFUSE = (
+    '{"ts":0,"kind":"register","origin":"https://clicks.example","sw_id":"sw-click",'
+    '"scope":"/"}',
+    '{"ts":0,"kind":"permission_grant","origin":"https://clicks.example",'
+    '"permission":"notifications"}',
+    '{"ts":1000,"kind":"push","origin":"https://clicks.example","sw_id":"sw-click",'
+    '"scope":"/","push_id":"p1"}',
+    '{"ts":1200,"kind":"notification_show","origin":"https://clicks.example",'
+    '"sw_id":"sw-click","scope":"/","notif_id":"n1","title":"Hello"}',
+    '{"ts":2000,"kind":"register","origin":"https://pushonly.example",'
+    '"sw_id":"sw-push-only","scope":"/","capabilities":["push"]}',
+    '{"ts":3000,"kind":"fetch_event_start","origin":"https://pushonly.example",'
+    '"sw_id":"sw-push-only","scope":"/"}',
+    '{"ts":3010,"kind":"fetch_request","origin":"https://pushonly.example",'
+    '"sw_id":"sw-push-only","scope":"/","url":"https://pushonly.example/a.js",'
+    '"initiator_is_sw":true}',
+    '{"ts":3020,"kind":"fetch_event_end","origin":"https://pushonly.example",'
+    '"sw_id":"sw-push-only","scope":"/"}',
+    '{"ts":9000,"kind":"notification_click","origin":"https://clicks.example",'
+    '"sw_id":"sw-click","scope":"/","notif_id":"n1"}',
+    '{"ts":40000,"kind":"terminate","origin":"https://clicks.example","sw_id":"sw-click",'
+    '"scope":"/"}',
+)
+
+# A header whose host sources allow every import below, and eval.
+CSP_HEADER = "script-src 'self' https://cdn.example *.push.example:* 'unsafe-eval'"
+CSP_IMPORTS = ("/lib.js", "https://cdn.example/sdk.js", "https://a.push.example:8443/w.js")
+CSP_CORPUS = (
+    {"url": "https://a.example/sw.js",
+     "headers": {"Service-Worker": "script", "Content-Security-Policy": "script-src 'self'"}},
+    {"url": "https://b.example/sw.js",
+     "headers": {"service-worker": "script", "content-security-policy": "default-src 'self'"}},
+    {"url": "https://c.example/sw.js", "headers": {"Service-Worker": "script"}},
+    {"url": "https://d.example/page.html", "headers": {"Content-Security-Policy": "img-src *"}},
+)
+
+
 def _sha256(path):
     with open(path, "rb") as fh:
         return hashlib.sha256(fh.read()).hexdigest()
@@ -46,6 +98,21 @@ def _sha256(path):
 def _run(argv):
     code = run(argv)
     assert code == 0, f"exit {code}: {' '.join(argv)}"
+
+
+def _write(path, text):
+    os.makedirs(os.path.dirname(path), exist_ok=True)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
+    return path
+
+
+def _run_to_file(path, argv):
+    """Run a command whose output is its stdout, and write that to ``path``."""
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        _run(argv)
+    _write(path, stdout.getvalue())
 
 
 def produce(root):
@@ -62,6 +129,23 @@ def produce(root):
             _run(["enforce", "--trace", trace, "--profile", profile,
                   "--out", os.path.join(case, f"enforce-{profile}")])
         _run(["analyze", "--trace", trace, "--out", os.path.join(case, "analyze")])
+    case = os.path.join(root, "tracking_library")
+    meta = _write(os.path.join(case, "meta.json"), json.dumps(TRACKING_META))
+    _run(["analyze", "--trace", os.path.join(case, "trace.jsonl"), "--meta", meta,
+          "--out", os.path.join(case, "analyze-meta")])
+    case = os.path.join(root, "click_and_refuse")
+    trace = _write(os.path.join(case, "trace.jsonl"), "\n".join(CLICK_AND_REFUSE) + "\n")
+    for profile in sorted(PROFILES):
+        _run(["enforce", "--trace", trace, "--profile", profile,
+              "--out", os.path.join(case, f"enforce-{profile}")])
+    _run(["analyze", "--trace", trace, "--out", os.path.join(case, "analyze")])
+    case = os.path.join(root, "csp")
+    _run_to_file(os.path.join(case, "check.txt"),
+                 ["csp-check", "--header", CSP_HEADER, "--origin", "https://app.example",
+                  *(arg for url in CSP_IMPORTS for arg in ("--import", url))])
+    corpus = _write(os.path.join(case, "corpus.jsonl"),
+                    "".join(json.dumps(entry) + "\n" for entry in CSP_CORPUS))
+    _run_to_file(os.path.join(case, "audit.txt"), ["csp-audit", "--corpus", corpus])
     digests = {}
     for directory, _subdirs, files in os.walk(root):
         for name in files:
@@ -86,7 +170,16 @@ if __name__ == "__main__":
         sys.exit("usage: PYTHONPATH=src python tests/test_golden_outputs.py --write")
     with tempfile.TemporaryDirectory() as tmp:
         table = produce(tmp)
+    with open(TABLE, encoding="utf-8") as fh:
+        pinned = json.load(fh)
     with open(TABLE, "w", encoding="utf-8") as fh:
         json.dump(table, fh, indent=1, sort_keys=True)
         fh.write("\n")
     print(f"pinned {len(table)} files to {TABLE}")
+    for label, names in (("added", table.keys() - pinned.keys()),
+                         ("changed", {name for name in table.keys() & pinned.keys()
+                                      if table[name] != pinned[name]}),
+                         ("removed", pinned.keys() - table.keys())):
+        print(f"{len(names)} {label}")
+        for name in sorted(names):
+            print(f"  {name}")

@@ -70,3 +70,28 @@ def test_the_engine_makes_no_worker_for_exactly_the_origins_kinds():
         event = TraceEvent(0, kind, "https://a.example", "s9", "/", payload)
         run = PolicyEngine(mode="simulate").run([event])
         assert ("s9" in run.final_states) is not row.of_origin, kind
+
+
+def test_the_origins_kinds_go_to_the_engines_own_handlers():
+    """No worker's dispatch table holds an ``of_origin`` kind, not even a
+    worker restricted to some capabilities, and ``on_event`` sends each of
+    them, with a sw_id or without, to the engine's handler of its name."""
+    origin_kinds = {kind for kind, row in KINDS.items() if row.of_origin}
+    seen = []
+
+    def recording(self, event, out):
+        seen.append(event)
+
+    engine_cls = type("Recording", (PolicyEngine,),
+                      {"_on_" + kind: recording for kind in origin_kinds})
+    engine = engine_cls(mode="enforce")
+    origin = "https://a.example"
+    events = [TraceEvent(0, "register", origin, "s1", "/"),
+              TraceEvent(0, "register", origin, "s2", "/", {"capabilities": ["push"]})]
+    offered = [TraceEvent(1, kind, origin, sw_id, sw_id and "/", {"permission": "push"})
+               for kind in sorted(origin_kinds) for sw_id in ("s1", None)]
+    engine.run(events + offered)
+    assert seen == offered
+    assert sorted(engine.states()) == ["s1", "s2"]
+    for sw_id in ("s1", "s2"):
+        assert origin_kinds.isdisjoint(engine._states[sw_id].handlers), sw_id

@@ -282,3 +282,61 @@ def test_run_reaches_on_event_and_finish_through_the_instance(monkeypatch, mode)
                     "refused": len(run.suppressed_events)}
     assert run.actions and run.violations and run.notices
     assert (mode == "simulate") == bool(run.suppressed_events)
+
+
+class _CountingSet(set):
+    """A worker's ``violated`` set that counts its membership tests: the day
+    scan makes one per day it visits."""
+
+    def __init__(self):
+        super().__init__()
+        self.tests = 0
+
+    def __contains__(self, key):
+        self.tests += 1
+        return super().__contains__(key)
+
+
+class _CountingEngine(PolicyEngine):
+    def _add_state(self, record):
+        st = super()._add_state(record)
+        st.violated = _CountingSet()
+        return st
+
+
+# No exec_per_activation stop, and a day's whole length as its budget: the
+# closed loop keeps the worker running and no day ever crosses.
+NEVER_CROSSES = load_policies(
+    '[{"name": "exec_per_day", "severity": "low", "threshold": 1440,'
+    ' "duration_in_minutes": 1440}]')
+
+
+def _day_scan_work(mode, days):
+    """Membership tests of one activation that runs for ``days`` days. In
+    ``enforce`` it is a push and a terminate, and every day crosses its
+    budget. In ``simulate`` a sync each day has the clock judge the
+    activation again."""
+    origin = "https://long.example"
+    events = [TraceEvent(0, "push", origin, "sw-long", "/", {"push_id": "p1"})]
+    config = default_policies()
+    if mode == "simulate":
+        config = NEVER_CROSSES
+        events += [TraceEvent(day * DAY_MS + DAY_MS // 2, "sync", origin, "sw-long", "/")
+                   for day in range(days)]
+    events.append(TraceEvent(days * DAY_MS, "terminate", origin, "sw-long", "/"))
+    engine = _CountingEngine(config, "chrome", mode=mode)
+    run = engine.run(events)
+    assert run.running_intervals["sw-long"] == [(0, days * DAY_MS)]
+    if mode == "enforce":
+        assert len(run.violations) == days + 1  # every day, and the activation once
+    return engine._states["sw-long"].violated.tests
+
+
+@pytest.mark.parametrize("mode", ["simulate", "enforce"])
+def test_day_scan_work_grows_linearly_with_the_activation(mode):
+    """Work is counted, not timed: when the span doubles, the day scan may do
+    at most twice the work plus a constant. A scan that restarted at the
+    activation's first day would grow with the square of the span."""
+    work = {days: _day_scan_work(mode, days) for days in (200, 400, 800)}
+    for days in (200, 400):
+        assert work[2 * days] <= 2 * work[days] + 50, work
