@@ -12,7 +12,7 @@ import logging
 import re
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Mapping, Optional
-from urllib.parse import urlsplit
+from urllib.parse import urljoin, urlsplit
 
 from .model import Origin
 
@@ -149,14 +149,16 @@ def check_import(
     if parts.hostname:
         scheme = parts.scheme or sw_origin.scheme
         same_origin = Origin.parse(f"{scheme}://{parts.netloc}") == sw_origin
-    else:
-        same_origin = True  # path-only URL resolves against the worker origin
+        url = import_url
+    else:  # a path-only URL resolves against the worker origin
+        same_origin = True
+        url = urljoin(f"{sw_origin}/", import_url)
     for source in sources:
         if source == SELF and same_origin:
             return CspVerdict(True, SELF)
         if source in _KEYWORDS or source.startswith("'"):
             continue
-        if host_source_matches(source, import_url):
+        if host_source_matches(source, url):
             return CspVerdict(True, source)
     return CspVerdict(False, f"script-src has no source allowing {import_url}")
 

@@ -98,8 +98,9 @@ def analyze_trace(
 ) -> dict[str, BehaviorReport]:
     """Per-worker BehaviorReport for a valid trace, in one forward pass.
 
-    ``sw_metadata`` maps sw_id to {origin, rank, import_domains}; import
-    domains are treated as first-party when classifying background fetches.
+    ``sw_metadata`` maps sw_id to {origin, rank, import_domains}; the
+    registrable domain of each import domain is treated as first-party when
+    classifying background fetches, as a fetch URL's host is.
     A worker-initiated fetch is foreground when a fetch-handler bracket of
     its worker holds its ts, ends included, and counts toward the first
     activation that ends at or after it. Raises UnbalancedBrackets on an end
@@ -123,7 +124,8 @@ def analyze_trace(
             imports = sw_metadata.get(sw_id, {}).get("import_domains", ())
             w = workers[sw_id] = _Worker(
                 BehaviorReport(sw_id=sw_id, import_origin_count=len(imports)),
-                frozenset({registrable_domain(Origin.parse(origin).host), *imports}))
+                frozenset({registrable_domain(Origin.parse(origin).host),
+                           *map(registrable_domain, imports)}))
         if w.start is None and is_activity(event):
             w.start = ts
             w.report.bg_third_party_fetches_per_activation.append(0)

@@ -24,11 +24,16 @@ Two methods hold that difference. ``_refuse`` is the one refusal point: a
 handler that meets an event the closed loop would not let happen calls it,
 and in ``simulate`` the event is suppressed and the handler stops, while in
 ``enforce`` the handler carries on with the recorded event as fact.
-``_apply_action`` is the one applier: it stops or deregisters the worker in
-``simulate`` and does nothing in ``enforce``. ``PolicyEngine.run`` is the one
-loop that drives the engine over a whole trace: it judges every event into one
-reused ``Decision`` (``on_event``, ``advance`` and ``finish`` fill the ``out``
-they are given) and moves its records into the result.
+``_apply_action`` is the one applier of stops and deregistrations: it stops or
+deregisters the worker in ``simulate`` and does nothing in ``enforce``. A
+throttle stops nothing, so it is reported where its event is judged:
+``_count`` appends a counting rule's throttle itself, one per event of a
+flood, and the closed loop carries it out by ``_refuse``; the capability
+gate's, which both modes carry out, goes through ``_apply_action``.
+``PolicyEngine.run`` is the one loop that drives the engine over a whole
+trace: it judges every event into one reused ``Decision`` (``on_event``,
+``advance`` and ``finish`` fill the ``out`` they are given) and moves its
+records into the result.
 
 Two smaller differences follow from the same contract. Once a day's
 execution budget is spent, only the closed loop keeps stopping the worker
@@ -563,17 +568,17 @@ class PolicyEngine:
         if count <= spec.threshold:
             return False
         throttles = _THROTTLES[name]
-        if throttles:
-            self._apply_action(st, ts, _THROTTLE, name, out)
+        if throttles:  # a flood's every event: reported here, carried out by ``_refuse``
+            out.actions.append(new_record(ActionEntry, (ts, st.record.sw_id, _THROTTLE, name)))
         if counter not in st.violated:  # a flood past the threshold skips the call
             self._violate(st, spec, key, ts, count, out)
-        return throttles and self._refuse(out)
+        return throttles and self._closed_loop and self._refuse(out)
 
     def _apply_action(self, st: _SwEngineState, ts: int, action: EnforcementAction,
                       reason: str, out: Decision) -> None:
-        """The one applier: every action is reported, and only the closed
-        loop stops or deregisters the worker. A throttle is carried out
-        where its event is judged, through ``_refuse``."""
+        """The one applier of stops and deregistrations: every action is
+        reported, and only the closed loop stops or deregisters the worker. A
+        throttle is carried out where its event is judged, through ``_refuse``."""
         out.actions.append(new_record(ActionEntry, (ts, st.record.sw_id, action, reason)))
         if not self._closed_loop:
             return
@@ -777,14 +782,19 @@ class PolicyEngine:
     # -- main event entry point --------------------------------------------
 
     def on_event(self, event: TraceEvent, out: Optional[Decision] = None) -> Decision:
-        """Advance the clock to the event, then judge it: an origin's kind by the
-        engine's own handler, any other by its worker's table. The records go
-        into ``out`` when given, else into a fresh Decision; a refusal clears
-        its ``deliver``. The Decision is returned."""
+        """Advance the clock to the event when a worker is due, then judge it:
+        an origin's kind by the engine's own handler, any other by its
+        worker's table. The records go into ``out`` when given, else into a
+        fresh Decision; a refusal clears its ``deliver``. The Decision is
+        returned."""
         ts, kind, _origin, sw_id, _scope, _payload = event
         if self._t0 is None:
             self._t0 = ts
-        out = self.advance(ts, out)
+        if out is None:
+            out = Decision(True)
+        heap = self._heap
+        if heap and heap[0][0] <= ts:  # a worker is due: ``advance`` has work
+            self.advance(ts, out)
         origin_handler = self._origin_handlers.get(kind)
         if origin_handler is not None:
             origin_handler(self, event, out)

@@ -39,6 +39,10 @@ class UnknownEventKind(TraceError):
     pass
 
 
+class TraceSpanTooLong(TraceError):
+    pass
+
+
 class InvariantViolation(SwSentinelError):
     """Events handed to emit_trace broke a trace invariant."""
 
@@ -97,6 +101,10 @@ _HEADER_KEYS = frozenset({"ts", "kind", "origin", "sw_id", "scope"})
 # json.loads' whitespace skipping, and parse_trace words the scanner's
 # failures as json.loads does.
 _SCAN_ONCE = json.JSONDecoder().scan_once
+
+# The longest span from a trace's first ts to its last that parse_trace
+# accepts: 366 days. The engine and forensics do work for each virtual day.
+MAX_TRACE_SPAN_MS = 366 * 86_400_000
 
 # How many distinct headers, and how many line bodies, one parse remembers as
 # checked. Past it the memory is dropped and refilled from the lines that follow.
@@ -254,6 +262,15 @@ def parse_trace(lines: Iterable[str]) -> list[TraceEvent]:
     scope) is checked once per distinct value, the kind-specific keys on
     every line. A parse whose first lines rarely repeat a body stops
     remembering bodies. Every payload is a read-only mapping.
+
+    A run of lines that repeat one body costs only its digits: once two
+    adjacent lines find the same remembered body, the raw text after the
+    second one's ts is the run's tail, and each following line that is
+    ``{"ts":`` plus canonical digits, no smaller than the last ts, plus that
+    tail is the run's next event. Any other line ends the run.
+
+    A trace whose last ts is more than ``MAX_TRACE_SPAN_MS`` after its first
+    raises TraceSpanTooLong.
     """
     events: list[TraceEvent] = []
     append = events.append
@@ -262,13 +279,32 @@ def parse_trace(lines: Iterable[str]) -> list[TraceEvent]:
     bodies: Optional[dict[str, tuple]] = {}
     hits = misses = 0
     last_ts: Optional[int] = None
+    # The run: the raw text after its ts, or None, and where that text starts
+    # counted from the line's end; the last hit's entry and line number.
+    tail: Optional[str] = None
+    cut = 0
+    hit_entry: tuple = ()
+    hit_no = 0
     for line_no, line in enumerate(lines, start=1):
-        line = line.strip()
-        if not line:
+        if tail is not None:
+            if line.startswith('{"ts":') and line.endswith(tail):
+                digits = line[6:cut]
+                # The ts rule of a hit below; a ts of more than 18 digits,
+                # which int() might refuse, is read there.
+                if (digits.isdigit() and digits.isascii() and len(digits) < 19
+                        and (digits[0] != "0" or digits == "0")
+                        and (ts := int(digits)) >= last_ts):
+                    hits += 1
+                    last_ts = ts
+                    append(new_record(TraceEvent, (ts,) + hit_entry))
+                    continue
+            tail = None
+        text = line.strip()
+        if not text:
             continue
         body = None
         if bodies is not None:
-            head, _, body = line.partition(",")
+            head, _, body = text.partition(",")
             digits = head[6:]
             # A hit needs the ts JSON reads: canonical ASCII digits after
             # '{"ts":'. Other lines go to the decoder, as does a new body with
@@ -281,10 +317,14 @@ def parse_trace(lines: Iterable[str]) -> list[TraceEvent]:
                 try:
                     ts = int(digits)
                 except ValueError as exc:  # more digits than int() converts
-                    raise _decode_error(line, exc, line_no) from exc
+                    raise _decode_error(text, exc, line_no) from exc
                 if last_ts is not None and ts < last_ts:
                     raise OutOfOrderTimestamp(f"ts {ts} precedes previous ts {last_ts}", line_no)
                 last_ts = ts
+                if entry is hit_entry and hit_no == line_no - 1 and line.startswith(head):
+                    tail = line[len(head):]
+                    cut = -len(tail)
+                hit_entry, hit_no = entry, line_no
                 append(new_record(TraceEvent, (ts,) + entry))
                 continue
             elif '"ts"' in body or "\\" in body:
@@ -293,10 +333,10 @@ def parse_trace(lines: Iterable[str]) -> list[TraceEvent]:
             if misses >= 256 and hits < misses:  # bodies rarely repeat here
                 bodies = body = None
         try:
-            obj, end = _SCAN_ONCE(line, 0)
+            obj, end = _SCAN_ONCE(text, 0)
         except (StopIteration, ValueError, RecursionError) as exc:
-            raise _decode_error(line, exc, line_no) from exc
-        if end != len(line):
+            raise _decode_error(text, exc, line_no) from exc
+        if end != len(text):
             raise MalformedLine("invalid JSON (Extra data)", line_no)
         if type(obj) is not dict:
             raise MalformedLine("record is not an object", line_no)
@@ -330,6 +370,10 @@ def parse_trace(lines: Iterable[str]) -> list[TraceEvent]:
                 bodies.clear()
             bodies[body] = (kind, origin, sw_id, scope, payload)
         append(new_record(TraceEvent, (ts, kind, origin, sw_id, scope, payload)))
+    if events and events[-1].ts - events[0].ts > MAX_TRACE_SPAN_MS:
+        raise TraceSpanTooLong(
+            f"ts {events[-1].ts} is more than {MAX_TRACE_SPAN_MS} ms "
+            f"({MAX_TRACE_SPAN_MS // 86_400_000} days) after the first ts {events[0].ts}")
     return events
 
 
@@ -368,11 +412,12 @@ def emit_trace(events: Iterable[TraceEvent]) -> Iterator[str]:
     per call: the text of each distinct header and payload key, and all
     after ``ts`` of a line whose header and read-only payload came before
     (a dict payload, which may change, is written every time; a call whose
-    first bodies rarely repeat stops remembering them). A line with an int
-    ``ts`` whose payload and header fields are the very objects of the last
-    body remembered or found reuses it (identity: 1, True and 1.0 are equal,
-    with other texts). A payload key that is not a string, or that names a
-    header field, would not parse back: it raises InvariantViolation.
+    first bodies rarely repeat stops remembering them). Once a line finds
+    the body of the line before it, each next line with an int ``ts`` whose
+    payload and header fields are the very objects of that body reuses it
+    (identity: 1, True and 1.0 are equal, with other texts). A payload key
+    that is not a string, or that names a header field, would not parse
+    back: it raises InvariantViolation.
     """
     headers: dict[tuple, str] = {}
     keys: dict[str, str] = {}
@@ -382,7 +427,7 @@ def emit_trace(events: Iterable[TraceEvent]) -> Iterator[str]:
     hits = misses = 0
     last_ts: Optional[int] = None
     m_payload = forgotten = object()  # no event's payload
-    m_kind = m_origin = m_sw_id = m_scope = m_body = None
+    m_kind = m_origin = m_sw_id = m_scope = m_body = last_entry = None
     for event in events:
         ts, kind, origin, sw_id, scope, payload = event
         if last_ts is not None and ts < last_ts:
@@ -403,9 +448,11 @@ def emit_trace(events: Iterable[TraceEvent]) -> Iterator[str]:
                 entry = body_key = None
             if entry is not None:
                 hits += 1
-                m_payload, m_kind, m_origin, m_sw_id, m_scope, m_body = (
-                    payload, kind, origin, sw_id, scope, entry[1])
-                yield line + m_body
+                if entry is last_entry:  # a run: its next line is one comparison
+                    m_payload, m_kind, m_origin, m_sw_id, m_scope, m_body = (
+                        payload, kind, origin, sw_id, scope, entry[1])
+                last_entry = entry
+                yield line + entry[1]
                 continue
             misses += 1
             if misses >= 256 and hits < misses:  # bodies rarely repeat here
@@ -450,9 +497,7 @@ def emit_trace(events: Iterable[TraceEvent]) -> Iterator[str]:
             continue
         if len(bodies) >= _HEADER_CACHE_SIZE:
             bodies.clear()
-        bodies[body_key] = (payload, body)
-        m_payload, m_kind, m_origin, m_sw_id, m_scope, m_body = (
-            payload, kind, origin, sw_id, scope, body)
+        last_entry = bodies[body_key] = (payload, body)
         yield line + body
 
 

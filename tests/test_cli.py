@@ -10,7 +10,7 @@ import pytest
 from sw_sentinel import cli
 from sw_sentinel.cli import run
 from sw_sentinel.policy import ActionEntry, EnforcementAction, Notice, ViolationRecord
-from sw_sentinel.trace import read_trace
+from sw_sentinel.trace import MAX_TRACE_SPAN_MS, read_trace
 
 
 def lines(path):
@@ -485,6 +485,24 @@ class TestHostileArguments:
         assert capsys.readouterr().err == f"error: cannot generate scenario: {reason}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["enforce", "analyze"])
+    def test_a_trace_past_the_span_bound_exits_two(self, tmp_path, capsys, command):
+        """A push at ts 0 and a terminate at ts 1e17, 1.16e12 days later: both
+        commands do work per day of a trace, so the reader refuses it."""
+        trace = tmp_path / "t.jsonl"
+        write_lines(trace, [
+            {"ts": 0, "kind": "push", "origin": "https://a.example", "sw_id": "s1",
+             "scope": "/", "push_id": "p"},
+            {"ts": 10**17, "kind": "terminate", "origin": "https://a.example", "sw_id": "s1",
+             "scope": "/"},
+        ])
+        out = tmp_path / "out"
+        assert run([command, "--trace", str(trace), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: invalid trace {trace}: ts 100000000000000000 is more than "
+            f"{MAX_TRACE_SPAN_MS} ms (366 days) after the first ts 0\n")
+        assert not out.exists()
+
 
     @pytest.mark.parametrize("command,flag", [
         ("analyze", "--meta"), ("csp-audit", "--corpus"),
@@ -579,6 +597,19 @@ class TestCspCommands:
         assert code == 1
         out = capsys.readouterr().out
         assert "fine.js: allow" in out and "bad.js: deny" in out
+
+    @pytest.mark.parametrize("header,code", [
+        ("script-src https://app.example", 1),
+        ("script-src https://app.example 'unsafe-eval'", 0),
+    ], ids=["eval_denied", "eval_allowed"])
+    def test_check_resolves_a_path_only_import_against_the_origin(self, capsys, header, code):
+        """A host source allows ``/lib.js`` from its own origin as it allows the
+        absolute URL; only the eval verdict sets the exit code."""
+        assert run(["csp-check", "--header", header, "--origin", "https://app.example",
+                    "--import", "/lib.js", "--import", "https://app.example/lib.js"]) == code
+        assert capsys.readouterr().out.splitlines()[:2] == [
+            "import /lib.js: allow (https://app.example)",
+            "import https://app.example/lib.js: allow (https://app.example)"]
 
     @pytest.mark.parametrize("origin,import_url", [
         ("https://a.example", "https://b.example:99999/x.js"),

@@ -108,6 +108,19 @@ class TestAnalyzeTrace:
         assert with_imports.bg_third_party_fetches_per_activation == [0]
         assert with_imports.import_origin_count == 1
 
+    @pytest.mark.parametrize("domain", ["tracking.example", "Tracking.Example",
+                                        "cdn.tracking.example"])
+    def test_import_domains_are_first_party_by_registrable_domain(self, domain):
+        """An import domain joins the first party as its registrable domain,
+        as each fetch URL's host does; the count keeps the entries as written."""
+        events = generate(Scenario("tracking_library", 0, {"page_visits": 3}))
+        plain = analyze_trace(events)["sw-tracking"]
+        assert plain.bg_third_party_fetches_per_activation == [3]
+        for imports in ([domain], [domain, domain.upper()]):
+            report = analyze_trace(events, {"sw-tracking": {"import_domains": imports}})
+            assert report["sw-tracking"].bg_third_party_fetches_per_activation == [0]
+            assert report["sw-tracking"].import_origin_count == len(imports)
+
     @staticmethod
     def _brute_force(events, sw_id, import_domains=frozenset()):
         """Independent recomputation with plain nested scans."""

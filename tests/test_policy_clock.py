@@ -33,6 +33,12 @@ class ScanEngine(PolicyEngine):
     the heap clock it fills the ``out`` it is given and sorts by ts only the
     records it appended."""
 
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # ``on_event`` advances only when the heap's head is due: a head that
+        # always is makes it call this clock on every event.
+        self._heap.append((float("-inf"),))
+
     def advance(self, now: int, out=None) -> Decision:
         if out is None:
             out = Decision(deliver=True)

@@ -23,10 +23,12 @@ from sw_sentinel.trace import (
     _HEADER_CACHE_SIZE,
     _SCAN_ONCE,
     EVENT_KINDS,
+    MAX_TRACE_SPAN_MS,
     MalformedLine,
     OutOfOrderTimestamp,
     TraceError,
     TraceEvent,
+    TraceSpanTooLong,
     UnknownEventKind,
     _check_header,
     _check_payload,
@@ -34,6 +36,7 @@ from sw_sentinel.trace import (
     emit_trace,
     new_record,
     parse_trace,
+    read_trace,
 )
 
 from test_policy_clock import _params, merged_fleet
@@ -112,6 +115,15 @@ def _reference_validate(obj, line_no):
                       payload=payload)
 
 
+def _check_span(events):
+    """Rule added with the span bound: the last ts at most MAX_TRACE_SPAN_MS
+    after the first."""
+    if events and events[-1].ts - events[0].ts > MAX_TRACE_SPAN_MS:
+        raise TraceSpanTooLong(
+            f"ts {events[-1].ts} is more than {MAX_TRACE_SPAN_MS} ms (366 days) after the "
+            f"first ts {events[0].ts}")
+
+
 def reference_parse(lines):
     """Oracle: decode each line with json.loads and run every check on it."""
     events = []
@@ -135,6 +147,7 @@ def reference_parse(lines):
             )
         last_ts = event.ts
         events.append(event)
+    _check_span(events)
     return events
 
 
@@ -183,6 +196,7 @@ def onepass_parse(lines):
         if not obj:
             obj = {}
         append(new_record(TraceEvent, (ts, kind, origin, sw_id, scope, obj)))
+    _check_span(events)
     return events
 
 
@@ -325,7 +339,7 @@ def test_an_out_of_order_ts_on_a_remembered_body_is_reported_as_before():
     [SEEN, '{"ts":7,' + BODY[:-1] + ',"n":' + "9" * 4_301 + "}"],
     [SEEN, '{"ts":6,"kind":"update_found","origin":"https://a.example","version":'
      + "1" * 5_000 + "}"],
-    [SEEN, '{"ts":' + "9" * 4_300 + "," + BODY, '{"ts":' + "9" * 4_300 + "," + BODY],
+    ['{"ts":' + "9" * 4_300 + "," + BODY] * 3,
 ], ids=["first_ts", "remembered_ts", "negative_ts", "payload", "version", "at_the_limit"])
 def test_integers_past_the_digit_limit_are_malformed(lines):
     """CPython converts integers of at most 4,300 digits from text; a longer
@@ -333,10 +347,101 @@ def test_integers_past_the_digit_limit_are_malformed(lines):
     ts is read in front of a remembered body."""
     result = assert_readers_agree(lines)
     if lines[-1].startswith('{"ts":' + "9" * 4_300 + ","):
-        assert [event.ts for event in result[1:]] == [int("9" * 4_300)] * 2
+        assert [event.ts for event in result] == [int("9" * 4_300)] * 3
     else:
         assert result[:2] == (MalformedLine, len(lines))
         assert "4300 digits" in result[2]
+
+
+def _line(ts, body=BODY, end=""):
+    return f'{{"ts":{ts},{body}{end}'
+
+
+OTHER = BODY.replace('"p1"', '"p2"')
+
+
+def _share_one_payload(events):
+    return len({id(event.payload) for event in events}) == 1
+
+
+@pytest.mark.parametrize("end", ["", "\n", "\r\n"], ids=["item", "lf", "crlf"])
+@pytest.mark.parametrize("ts", [
+    "007", "-5", "+5", "1_000", " 5", "\u0663", "\u00b2", "9" * 4_301, "1" + "0" * 18,
+    "6", "7",
+], ids=["leading_zeros", "minus", "plus", "underscore", "space", "arabic_indic_digit",
+        "superscript_digit", "past_the_digit_limit", "nineteen_digits", "smaller", "equal"])
+def test_a_line_with_the_runs_tail_and_a_hostile_ts_agrees(ts, end):
+    """Lines 2 and 3 repeat the body of line 1, so line 4 ends with the
+    remembered tail; its ts is not canonical digits, or is not after line 3's."""
+    lines = [_line(5, end=end), _line(6, end=end), _line(7, end=end), _line(ts, end=end),
+             _line(9, end=end)]
+    result = assert_readers_agree(lines)
+    if ts == "7":
+        assert [event.ts for event in result] == [5, 6, 7, 7, 9]
+        assert _share_one_payload(parse_trace(lines))
+
+
+def test_an_indented_repeat_starts_no_run():
+    """A tail is taken only from a line that starts with its ts: after an
+    indented repeat, a line that ends as its text does is decoded."""
+    indented = "  " + _line(7)
+    result = assert_readers_agree([_line(5), _line(6), indented, '{"ts":8' + indented[7:]])
+    assert result[:2] == (MalformedLine, 4)
+
+
+def test_a_run_broken_by_another_body_resumes():
+    lines = [_line(ts) for ts in range(5, 10)] + [_line(10, OTHER), _line(10, OTHER)]
+    lines += [_line(ts) for ts in range(11, 16)] + [_line(16, OTHER)] + [_line(17)]
+    assert assert_readers_agree(lines)
+    events = parse_trace(lines)
+    assert [event.ts for event in events] == [*range(5, 10), 10, 10, *range(11, 18)]
+    assert _share_one_payload([event for event in events if event.payload["push_id"] == "p1"])
+    assert _share_one_payload([event for event in events if event.payload["push_id"] == "p2"])
+
+
+def test_a_run_across_the_body_cache_clear():
+    """A long run keeps the parse remembering bodies; distinct bodies then
+    fill the cache until it is cleared, and the run's body comes back
+    decoded afresh."""
+    lines = [_line(ts) for ts in range(4_200)]
+    lines += [_line(4_200 + i, BODY.replace('"p1"', f'"q{i}"'))
+              for i in range(_HEADER_CACHE_SIZE)]
+    lines += [_line(ts) for ts in range(9_000, 9_004)]
+    assert assert_readers_agree(lines)
+    events = parse_trace(lines)
+    before, after = events[:4_200], events[-4:]
+    assert _share_one_payload(before) and _share_one_payload(after)
+    assert after[0].payload is not before[0].payload
+
+
+@pytest.mark.parametrize("distinct", [290, 400])
+def test_run_lines_count_as_hits_for_the_stop_remembering_switch(distinct):
+    """300 lines of one body are 299 hits: 290 distinct bodies after them
+    leave the parse remembering, so the body's return shares its payload;
+    400 make it stop, and the body is decoded afresh."""
+    lines = [_line(ts) for ts in range(300)]
+    lines += [_line(300 + i, BODY.replace('"p1"', f'"q{i}"')) for i in range(distinct)]
+    lines += [_line(1_000), _line(1_001)]
+    assert assert_readers_agree(lines)
+    events = parse_trace(lines)
+    assert (events[-1].payload is events[0].payload) == (distinct == 290)
+    assert _share_one_payload(events[:300])
+
+
+def test_a_crlf_file_reads_as_its_lines(tmp_path):
+    lines = [_line(ts) for ts in range(5, 12)] + [_line(12, OTHER), _line(13)]
+    path = tmp_path / "t.jsonl"
+    path.write_bytes("".join(line + "\r\n" for line in lines).encode())
+    events = read_trace(str(path))
+    assert events == assert_readers_agree([line + "\r\n" for line in lines])
+    assert _share_one_payload(events[:7] + events[8:])
+
+
+def test_a_span_past_the_bound_is_refused():
+    last = _line(5 + MAX_TRACE_SPAN_MS)
+    assert len(assert_readers_agree([_line(5), _line(6), last])) == 3
+    result = assert_readers_agree([_line(5), _line(6), _line(6 + MAX_TRACE_SPAN_MS)])
+    assert result[:2] == (TraceSpanTooLong, 0)
 
 
 def test_payloads_are_shared_read_only_mappings():
