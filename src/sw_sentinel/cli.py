@@ -166,7 +166,7 @@ def _generate(args: argparse.Namespace) -> list[TraceEvent]:
             params[key] = text
     try:
         return generate(Scenario(name=args.scenario, seed=args.seed, params=params))
-    except (KeyError, TypeError, ValueError) as exc:  # unknown, missing or bad params
+    except (KeyError, TypeError, ValueError, TraceError) as exc:  # bad params, or a long span
         raise CliError(f"cannot generate scenario: {exc}") from exc
 
 

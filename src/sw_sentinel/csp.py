@@ -140,19 +140,19 @@ def host_source_matches(source: str, url: str) -> bool:
 def check_import(
     policy: Optional[CspPolicy], sw_origin: Origin | str, import_url: str
 ) -> CspVerdict:
-    """Verdict for an importScripts URL against the effective script-src."""
+    """Verdict for an importScripts URL against the effective script-src.
+
+    The URL resolves against the worker's origin. It is same-origin only when
+    the resolved URL has a host and its origin is the worker's: a ``data:``,
+    ``blob:`` or ``javascript:`` URL never is."""
     if isinstance(sw_origin, str):
         sw_origin = Origin.parse(sw_origin)
     effective = effective_sw_policy(policy)
     sources = effective.directives["script-src"]
-    parts = urlsplit(import_url)
-    if parts.hostname:
-        scheme = parts.scheme or sw_origin.scheme
-        same_origin = Origin.parse(f"{scheme}://{parts.netloc}") == sw_origin
-        url = import_url
-    else:  # a path-only URL resolves against the worker origin
-        same_origin = True
-        url = urljoin(f"{sw_origin}/", import_url)
+    url = urljoin(f"{sw_origin}/", import_url)
+    parts = urlsplit(url)
+    same_origin = bool(parts.hostname) and (
+        Origin.parse(f"{parts.scheme}://{parts.netloc}") == sw_origin)
     for source in sources:
         if source == SELF and same_origin:
             return CspVerdict(True, SELF)

@@ -15,10 +15,11 @@ import math
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Mapping, Optional, Sequence, TextIO
 
-from .domains import registrable_domain, url_registrable_domain
+from .domains import registrable_domain
 from .model import Origin, SwSentinelError
 from .policy import DAY_MS, HOUR_MS, day_segments
-from .trace import KINDS, Brackets, TraceEvent, UnbalancedBrackets, is_activity
+from .trace import (KINDS, Brackets, TraceEvent, UnbalancedBrackets, background_third_party,
+                    is_activity)
 
 
 class EmptyInput(SwSentinelError):
@@ -99,15 +100,14 @@ def analyze_trace(
     """Per-worker BehaviorReport for a valid trace, in one forward pass.
 
     ``sw_metadata`` maps sw_id to {origin, rank, import_domains}; the
-    registrable domain of each import domain is treated as first-party when
-    classifying background fetches, as a fetch URL's host is.
-    A worker-initiated fetch is foreground when a fetch-handler bracket of
-    its worker holds its ts, ends included, and counts toward the first
-    activation that ends at or after it. Raises UnbalancedBrackets on an end
-    without a start or a start left open at trace end. An event with no
-    sw_id belongs to no worker, and neither do its brackets. Nor does a
-    ``page_visit`` or ``permission_grant``, the origin's events: as in the
-    engine, its sw_id makes no worker and no report.
+    registrable domain of each import domain is first party to
+    ``trace.background_third_party``, as the worker's own is. A background
+    fetch counts toward the first activation that ends at or after it.
+    Raises UnbalancedBrackets on an end without a start or a start left open
+    at trace end. An event with no sw_id belongs to no worker, and neither
+    do its brackets. Nor does a ``page_visit`` or ``permission_grant``, the
+    origin's events: as in the engine, its sw_id makes no worker and no
+    report.
     """
     sw_metadata = sw_metadata or {}
     if not events:
@@ -130,8 +130,7 @@ def analyze_trace(
             w.start = ts
             w.report.bg_third_party_fetches_per_activation.append(0)
         if kind == "fetch_request":
-            if (not payload.get("initiator_is_sw") or w.brackets.depth or ts == w.brackets.last_end
-                    or url_registrable_domain(payload.get("url", "")) in w.first_party):
+            if not background_third_party(w.brackets, ts, payload, w.first_party):
                 continue
             counts = w.report.bg_third_party_fetches_per_activation
             index = w.end_index if w.end_ts == ts else len(counts) - 1

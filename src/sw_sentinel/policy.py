@@ -39,9 +39,9 @@ Two smaller differences follow from the same contract. Once a day's
 execution budget is spent, only the closed loop keeps stopping the worker
 (``_day_crossing``). And only the closed loop drops a worker's open fetch
 brackets when it stops (``_stop``): its fetch handler dies with it. The open
-loop counts the recorded brackets as forensics does, but judges a fetch before
-it sees later events of its ts: nested brackets merge, and a fetch at a
-bracket's end is still inside it.
+loop counts the recorded brackets as forensics does, and judges a fetch by the
+rule forensics uses (``trace.background_third_party``), but before it sees
+later events of its ts.
 
 Both modes move a worker only by the rows of ``model.apply_lifecycle_event``.
 Its process moves by ``_wake``, ``_stop`` and an applied deregistration, so it
@@ -62,11 +62,12 @@ from importlib import resources
 from operator import attrgetter
 from typing import Any, Iterator, NamedTuple, Optional, Sequence
 
-from .domains import registrable_domain, url_registrable_domain
+from .domains import registrable_domain
 from .model import (Capability, Origin, Scope, SwRecord, SwSentinelError, SwState,
                     apply_lifecycle_event, check_capability, lifecycle_allows,
                     refuse_lifecycle_event)
-from .trace import KINDS, Brackets, TraceEvent, UnbalancedBrackets, new_record
+from .trace import (KINDS, Brackets, TraceEvent, UnbalancedBrackets, background_third_party,
+                    is_activity, new_record)
 
 TICK_MS = 1_000
 HOUR_MS = 3_600_000
@@ -895,18 +896,14 @@ class PolicyEngine:
         st.dirty = True
 
     def _on_fetch_request(self, st: _SwEngineState, event: TraceEvent, out: Decision) -> None:
-        if not event.payload.get("initiator_is_sw"):
-            return  # page-initiated; not worker execution
-        if st.record.process is not _RUNNING:
+        # A page-initiated fetch is no execution of the worker: it neither wakes nor is refused.
+        if st.record.process is not _RUNNING and is_activity(event):
             if self._refuse(out):
                 return
             self._wake(st, event.ts)  # open loop: the recorded event shows it running
-        if st.brackets.depth or event.ts == st.brackets.last_end:
-            return  # foreground: inside a fetch handler, or at its end
-        if url_registrable_domain(event.payload.get("url", "")) in st.first_party:
-            return
         spec = self._specs["bg_fetch_per_activation"]
-        if spec is not None:
+        if spec is not None and background_third_party(st.brackets, event.ts, event.payload,
+                                                       st.first_party):
             self._count(st, spec, st.activation, event.ts, out)
 
     def _on_notification_show(self, st: _SwEngineState, event: TraceEvent, out: Decision) -> None:

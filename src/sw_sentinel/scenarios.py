@@ -24,7 +24,7 @@ from types import MappingProxyType
 from typing import Any, Iterable, Iterator, Mapping, Optional, get_args
 
 from .policy import DAY_MS, HOUR_MS, PolicyConfig, PolicyEngine, SimulationResult
-from .trace import _NO_PAYLOAD, MalformedLine, TraceEvent, _check_payload, new_record
+from .trace import _NO_PAYLOAD, MalformedLine, TraceEvent, _check_payload, check_span, new_record
 
 IDLE_TIMEOUT_MS = 30_000
 # How long a generated worker's handler runs after its last activity.
@@ -307,7 +307,8 @@ class Scenario:
 
 
 def generate(scenario: Scenario) -> list[TraceEvent]:
-    """The scenario's trace; a parameter of a wrong type or range is a ValueError naming it."""
+    """The scenario's trace; a parameter of a wrong type or range is a ValueError naming it,
+    and a trace the reader would refuse for its span raises TraceSpanTooLong."""
     if scenario.name not in GENERATORS:
         raise KeyError(f"unknown scenario {scenario.name!r}")
     kwargs = dict(scenario.params)
@@ -320,7 +321,9 @@ def generate(scenario: Scenario) -> list[TraceEvent]:
                              f"{' or '.join(t.__name__ for t in types)}: {value!r}")
         if type(value) in (int, float) and not 0 <= value < math.inf:
             raise ValueError(f"parameter {key} must be a finite number >= 0: {value!r}")
-    return GENERATORS[scenario.name](scenario.seed, **kwargs)
+    events = GENERATORS[scenario.name](scenario.seed, **kwargs)
+    check_span(events)
+    return events
 
 
 def simulate(

@@ -13,7 +13,7 @@ import json
 from dataclasses import dataclass
 from functools import lru_cache
 from types import MappingProxyType
-from typing import Any, Iterable, Iterator, Mapping, NamedTuple, Optional
+from typing import Any, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 from .domains import url_registrable_domain
 from .model import Capability, ModelError, Origin, Scope, SwSentinelError
@@ -172,6 +172,18 @@ class Brackets:
         if not self.depth:
             self.last_end = event.ts
         return False
+
+
+def background_third_party(brackets: Brackets, ts: int, payload: Mapping[str, Any],
+                           first_party: frozenset[str]) -> bool:
+    """The one rule of a background third-party fetch, which the engine and
+    forensics share: a ``fetch_request`` at ``ts`` with ``payload`` is one when
+    the worker initiated it, none of its ``brackets`` holds ``ts`` (a bracket's
+    end counts as inside), and its URL's registrable domain is not among the
+    worker's ``first_party`` domains."""
+    if not payload.get("initiator_is_sw") or brackets.depth or ts == brackets.last_end:
+        return False
+    return url_registrable_domain(payload.get("url", "")) not in first_party
 
 
 # new_record(TraceEvent, (ts, kind, origin, sw_id, scope, payload)) builds a
@@ -370,11 +382,18 @@ def parse_trace(lines: Iterable[str]) -> list[TraceEvent]:
                 bodies.clear()
             bodies[body] = (kind, origin, sw_id, scope, payload)
         append(new_record(TraceEvent, (ts, kind, origin, sw_id, scope, payload)))
+    check_span(events)
+    return events
+
+
+def check_span(events: Sequence[TraceEvent]) -> None:
+    """Raise TraceSpanTooLong when the last ts of ``events`` is more than
+    ``MAX_TRACE_SPAN_MS`` after the first: the one span bound of the reader
+    and the generators."""
     if events and events[-1].ts - events[0].ts > MAX_TRACE_SPAN_MS:
         raise TraceSpanTooLong(
             f"ts {events[-1].ts} is more than {MAX_TRACE_SPAN_MS} ms "
             f"({MAX_TRACE_SPAN_MS // 86_400_000} days) after the first ts {events[0].ts}")
-    return events
 
 
 def _value_text(value: Any) -> str:

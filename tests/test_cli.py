@@ -418,6 +418,8 @@ class TestHostileArguments:
           "--param", "silent=x"], None),
         (["gen", "--scenario", "benign", "--param", "exec_min_per_day=1e308"], None),
         (["simulate", "--scenario", "benign", "--param", "exec_min_per_day=1e308"], None),
+        (["gen", "--scenario", "benign", "--param", "duration_ms=31708800000"], None),
+        (["simulate", "--scenario", "benign", "--param", "duration_ms=31708800000"], None),
     ], ids=["threshold_zero", "severity", "engagement_text", "policies_number",
             "allow_list_number", "spec_number", "not_json", "threshold_infinity",
             "threshold_nan", "threshold_1e308", "threshold_nan_counting", "engagement_nan",
@@ -430,7 +432,7 @@ class TestHostileArguments:
             "gen_bool_duration", "gen_renew_after_zero", "simulate_renew_after_zero",
             "gen_benign_float_push_rate", "gen_benign_float_fetches", "gen_bool_pushes_per_hour",
             "simulate_text_silent", "gen_exec_min_per_day_1e308",
-            "simulate_exec_min_per_day_1e308"])
+            "simulate_exec_min_per_day_1e308", "gen_span_367_days", "simulate_span_367_days"])
     def test_exits_two_with_an_error_line(self, tmp_path, capsys, argv, file_text):
         if argv[0] in ("enforce", "analyze"):
             trace = tmp_path / "t.jsonl"
@@ -501,6 +503,17 @@ class TestHostileArguments:
         assert capsys.readouterr().err == (
             f"error: invalid trace {trace}: ts 100000000000000000 is more than "
             f"{MAX_TRACE_SPAN_MS} ms (366 days) after the first ts 0\n")
+        assert not out.exists()
+
+    def test_a_generated_trace_past_the_span_bound_names_it(self, tmp_path, capsys):
+        """``gen`` and ``simulate`` refuse the span the reader would refuse,
+        however the generator's parameters reach it."""
+        out = tmp_path / "out.jsonl"
+        assert run(["gen", "--scenario", "benign", "--param", "duration_ms=31708800000",
+                    "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot generate scenario: ts ")
+        assert err.endswith(f"{MAX_TRACE_SPAN_MS} ms (366 days) after the first ts 0\n")
         assert not out.exists()
 
 
@@ -610,6 +623,22 @@ class TestCspCommands:
         assert capsys.readouterr().out.splitlines()[:2] == [
             "import /lib.js: allow (https://app.example)",
             "import https://app.example/lib.js: allow (https://app.example)"]
+
+    @pytest.mark.parametrize("import_url,status", [
+        ("data:text/javascript,alert(1)", "deny"),
+        ("blob:https://evil.example/x", "deny"),
+        ("javascript:alert(1)", "deny"),
+        ("/lib.js", "allow"),
+        ("//a.example/x.js", "allow"),
+    ], ids=["data", "blob", "javascript", "path_only", "scheme_relative"])
+    def test_self_allows_only_an_import_that_resolves_to_the_origin(self, capsys, import_url,
+                                                                     status):
+        """An import resolves against the worker's origin; one with no host
+        there, as a ``data:``, ``blob:`` or ``javascript:`` URL, is not 'self'."""
+        run(["csp-check", "--header", "script-src 'self'", "--origin", "https://a.example",
+             "--import", import_url])
+        line = capsys.readouterr().out.splitlines()[0]
+        assert line.startswith(f"import {import_url}: {status} (")
 
     @pytest.mark.parametrize("origin,import_url", [
         ("https://a.example", "https://b.example:99999/x.js"),

@@ -642,7 +642,7 @@ def test_analyze_past_the_cache_bound_matches_uncached(monkeypatch):
 
     monkeypatch.setattr(domains, "registrable_domain", registrable_domain.__wrapped__)
     monkeypatch.setattr(forensics, "registrable_domain", registrable_domain.__wrapped__)
-    monkeypatch.setattr(forensics, "url_registrable_domain", url_registrable_domain.__wrapped__)
+    monkeypatch.setattr(trace, "url_registrable_domain", url_registrable_domain.__wrapped__)
     uncached = forensics.analyze_trace(events)
     assert cached == uncached
     counts = cached["sw-1"].bg_third_party_fetches_per_activation

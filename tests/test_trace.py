@@ -1,13 +1,17 @@
+import ast
 import json
 import random
+from pathlib import Path
 from types import MappingProxyType
 
 import pytest
 
-from sw_sentinel import trace
+from sw_sentinel import forensics, policy, trace
+from sw_sentinel.policy import PolicyEngine
 from sw_sentinel.scenarios import Scenario, generate
 from sw_sentinel.trace import (
     EVENT_KINDS,
+    Brackets,
     InvariantViolation,
     MalformedLine,
     OutOfOrderTimestamp,
@@ -459,3 +463,71 @@ class TestClassification:
                 got = classify_background_fetch(events, event, first_party,
                                                 intervals=intervals)
                 assert got == self._oracle(events, event, first_party)
+
+
+class TestBackgroundThirdParty:
+    """``trace.background_third_party`` is the one rule of a background
+    third-party fetch: the engine and forensics both call it."""
+
+    FIRST_PARTY = frozenset({"t.example", "ally.example"})
+    THIRD_PARTY = "https://victim.example/x"
+
+    @pytest.mark.parametrize("depth,last_end,url,by_sw,expected", [
+        (0, None, THIRD_PARTY, False, False),
+        (1, None, THIRD_PARTY, True, False),
+        (0, 50, THIRD_PARTY, True, False),
+        (0, 49, THIRD_PARTY, True, True),
+        (0, None, "https://sub.t.example/own", True, False),
+        (0, None, "https://cdn.ally.example/lib.js", True, False),
+        (0, None, THIRD_PARTY, True, True),
+    ], ids=["page_initiated", "inside_a_bracket", "at_a_brackets_end", "after_a_brackets_end",
+            "first_party_subdomain", "domain_passed_as_first_party", "third_party"])
+    def test_truth_table(self, depth, last_end, url, by_sw, expected):
+        brackets = Brackets(depth=depth, last_end=last_end)
+        payload = {"url": url, "initiator_is_sw": by_sw}
+        assert trace.background_third_party(brackets, 50, payload, self.FIRST_PARTY) is expected
+
+    def test_enforce_and_analyze_count_by_it(self, monkeypatch):
+        """With the predicate answering False, neither layer counts a
+        background fetch on a trace whose every tracking fetch is one."""
+        events = generate(Scenario("tracking_library", 0, {"page_visits": 5}))
+
+        def counts():
+            engine = PolicyEngine(mode="enforce")
+            engine.run(events)
+            reports = forensics.analyze_trace(events)
+            return (sum(engine.window_counts("sw-tracking", "bg_fetch_per_activation").values()),
+                    sum(reports["sw-tracking"].bg_third_party_fetches_per_activation))
+
+        assert counts() == (5, 5)
+        for module in (policy, forensics):  # the name each layer calls it by
+            monkeypatch.setattr(module, "background_third_party", lambda *args: False)
+        assert counts() == (0, 0)
+
+
+def _fetch_classifying_reads(path):
+    """Line numbers where ``path`` holds the constant "initiator_is_sw", loads
+    a ``last_end`` attribute, or names ``url_registrable_domain``."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if (isinstance(node, ast.Constant) and node.value == "initiator_is_sw"
+                or isinstance(node, ast.Attribute) and node.attr == "last_end"
+                and isinstance(node.ctx, ast.Load)
+                or isinstance(node, ast.Name) and node.id == "url_registrable_domain"
+                or isinstance(node, ast.alias) and node.name == "url_registrable_domain"):
+            found.append(node.lineno)
+    return found
+
+
+def test_only_the_trace_module_classifies_a_fetch():
+    """A store such as the engine's reset of ``last_end`` is no read, and a
+    generator's ``initiator_is_sw=`` keyword is no constant."""
+    modules = sorted(Path(trace.__file__).parent.glob("*.py"))
+    assert len(modules) > 2
+    offenders = {path.name: lines for path in modules
+                 if path.name != "trace.py" and (lines := _fetch_classifying_reads(path))}
+    assert offenders == {}, "classify a fetch through trace.background_third_party"
+
+
+def test_fetch_guard_sees_the_predicate():
+    assert _fetch_classifying_reads(Path(trace.__file__))
