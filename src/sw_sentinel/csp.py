@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Any, Iterable, Mapping, Optional
 from urllib.parse import urljoin, urlsplit
 
-from .model import Origin
+from .model import DEFAULT_PORTS, Origin
 
 logger = logging.getLogger(__name__)
 
@@ -31,8 +31,6 @@ _HOST_SOURCE_RE = re.compile(
     r"(?::(?P<port>\d+|\*))?$",
     re.IGNORECASE,
 )
-
-_DEFAULT_PORTS = {"https": 443, "http": 80}
 
 
 @dataclass
@@ -128,12 +126,12 @@ def host_source_matches(source: str, url: str) -> bool:
         return False
     if not _host_matches(match.group("host").lower(), parts.hostname.lower()):
         return False
-    url_port = parts.port or _DEFAULT_PORTS.get(scheme)
+    url_port = parts.port or DEFAULT_PORTS.get(scheme)
     want_port = match.group("port")
     if want_port == "*":
         return True
     if want_port is None:
-        return url_port == _DEFAULT_PORTS.get(want_scheme)
+        return url_port == DEFAULT_PORTS.get(want_scheme)
     return url_port == int(want_port)
 
 

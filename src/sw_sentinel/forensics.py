@@ -18,8 +18,8 @@ from typing import Any, Iterable, Mapping, Optional, Sequence, TextIO
 from .domains import registrable_domain
 from .model import Origin, SwSentinelError
 from .policy import DAY_MS, HOUR_MS, day_segments
-from .trace import (KINDS, Brackets, TraceEvent, UnbalancedBrackets, background_third_party,
-                    is_activity)
+from .trace import (KINDS, Brackets, Shown, TraceEvent, UnbalancedBrackets,
+                    background_third_party, is_activity)
 
 
 class EmptyInput(SwSentinelError):
@@ -76,7 +76,7 @@ class _Worker:
     bg_ts: Optional[int] = None
     bg_index: int = 0
     bg_n: int = 0
-    shown: dict[str, int] = field(default_factory=dict)  # notif_id -> ts of its last show
+    shown: Shown = field(default_factory=Shown)
 
     def close(self, end: int, t0: int) -> None:
         """End the open activation at ``end``: its minutes, split over days."""
@@ -102,9 +102,11 @@ def analyze_trace(
     ``sw_metadata`` maps sw_id to {origin, rank, import_domains}; the
     registrable domain of each import domain is first party to
     ``trace.background_third_party``, as the worker's own is. A background
-    fetch counts toward the first activation that ends at or after it.
-    Raises UnbalancedBrackets on an end without a start or a start left open
-    at trace end. An event with no sw_id belongs to no worker, and neither
+    fetch counts toward the first activation that ends at or after it. A
+    programmatic close yields a close delta only while ``trace.Shown``, the
+    engine's visibility rule, holds its notification visible. Raises
+    UnbalancedBrackets on an end without a start or a start left open at
+    trace end. An event with no sw_id belongs to no worker, and neither
     do its brackets. Nor does a ``page_visit`` or ``permission_grant``, the
     origin's events: as in the engine, its sw_id makes no worker and no
     report.
@@ -156,10 +158,12 @@ def analyze_trace(
                     w.report.bg_third_party_fetches_per_activation[w.bg_index] -= w.bg_n
                     w.bg_n = 0
         elif kind == "notification_show":
-            w.shown[payload.get("notif_id", "")] = ts
-        elif kind == "notification_close" and not payload.get("by_user", False):
-            show_ts = w.shown.get(payload.get("notif_id", ""))
-            if show_ts is not None:
+            w.shown.show(ts, payload)
+        elif kind == "notification_click":
+            w.shown.hide(payload)
+        elif kind == "notification_close":
+            show_ts = w.shown.hide(payload)
+            if show_ts is not None and not payload.get("by_user", False):
                 w.report.notification_close_deltas_s.append((ts - show_ts) / 1_000)
     for key, state in started.items():
         if state.brackets.depth:

@@ -46,7 +46,8 @@ class InvalidScope(ModelError):
     """Scope path failed normalization rules."""
 
 
-_DEFAULT_PORTS = {"https": 443, "http": 80}
+# The port a scheme implies, which an origin and a CSP host source may omit.
+DEFAULT_PORTS = {"https": 443, "http": 80}
 
 
 @dataclass(frozen=True)
@@ -89,7 +90,7 @@ def _parse_origin(cls: type[Origin], text: str) -> Origin:
         raise ModelError(f"not an origin: {text!r}: {exc}") from exc
     if not parts.scheme or not host:
         raise ModelError(f"not an origin: {text!r}")
-    if port == _DEFAULT_PORTS.get(parts.scheme):
+    if port == DEFAULT_PORTS.get(parts.scheme):
         port = None
     return cls(parts.scheme.lower(), host.lower(), port)
 

@@ -66,8 +66,8 @@ from .domains import registrable_domain
 from .model import (Capability, Origin, Scope, SwRecord, SwSentinelError, SwState,
                     apply_lifecycle_event, check_capability, lifecycle_allows,
                     refuse_lifecycle_event)
-from .trace import (KINDS, Brackets, TraceEvent, UnbalancedBrackets, background_third_party,
-                    is_activity, new_record)
+from .trace import (KINDS, Brackets, Shown, TraceEvent, UnbalancedBrackets,
+                    background_third_party, is_activity, new_record)
 
 TICK_MS = 1_000
 HOUR_MS = 3_600_000
@@ -379,7 +379,7 @@ class _SwEngineState:
     violated: set[tuple[str, Any]] = field(default_factory=set)
     day_exec_ms: dict[int, int] = field(default_factory=dict)
     pending_silent: deque = field(default_factory=deque)
-    visible: dict[str, tuple[int, Optional[str]]] = field(default_factory=dict)
+    shown: Shown = field(default_factory=Shown)
     brackets: Brackets = field(default_factory=Brackets)
     update_chain: bool = False
     chain_anchor: int = 0
@@ -913,19 +913,13 @@ class PolicyEngine:
         if st.pending_silent:
             st.pending_silent.popleft()  # this push did show a notification
             st.dirty = True
-        tag = event.get("tag")
-        if tag is not None:
-            replaced = [notif_id for notif_id, (_ts, seen) in st.visible.items() if seen == tag]
-            for notif_id in replaced:
-                del st.visible[notif_id]
-            spec = self._specs["tag_reuse"]
-            if replaced and spec is not None:
-                self._count(st, spec, (tag, self._slot(event.ts, spec.duration_in_minutes)),
-                            event.ts, out)
-        st.visible[event.get("notif_id", "")] = (event.ts, tag)
+        spec = self._specs["tag_reuse"]
+        if st.shown.show(event.ts, event.payload) and spec is not None:
+            key = (event.get("tag"), self._slot(event.ts, spec.duration_in_minutes))
+            self._count(st, spec, key, event.ts, out)
 
     def _on_notification_click(self, st: _SwEngineState, event: TraceEvent, out: Decision) -> None:
-        if st.visible.pop(event.get("notif_id", ""), None) is None and self._refuse(out):
+        if st.shown.hide(event.payload) is None and self._refuse(out):
             return  # cannot click a notification never shown
         self._wake(st, event.ts)
 
@@ -933,12 +927,12 @@ class PolicyEngine:
         by_user = bool(event.get("by_user", False))
         if not by_user and st.record.process is not _RUNNING and self._refuse(out):
             return
-        shown = st.visible.pop(event.get("notif_id", ""), None)
-        if shown is None:
+        show_ts = st.shown.hide(event.payload)
+        if show_ts is None:
             self._refuse(out)
             return
         spec = self._specs["notif_min_visible"]
-        delta_s = (event.ts - shown[0]) / 1_000
+        delta_s = (event.ts - show_ts) / 1_000
         if not by_user and spec is not None and delta_s < spec.threshold:
             self._violate(st, spec, None, event.ts, delta_s, out)
 

@@ -10,7 +10,7 @@ Timestamps are non-decreasing within a trace.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from types import MappingProxyType
 from typing import Any, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
@@ -184,6 +184,34 @@ def background_third_party(brackets: Brackets, ts: int, payload: Mapping[str, An
     if not payload.get("initiator_is_sw") or brackets.depth or ts == brackets.last_end:
         return False
     return url_registrable_domain(payload.get("url", "")) not in first_party
+
+
+@dataclass(slots=True)
+class Shown:
+    """One worker's visible notifications, and the one home of the
+    visibility rule that the engine and forensics share: a notification is
+    visible from its show until a click or a close of its ``notif_id``, or a
+    later show with its ``tag``. A show of a visible ``notif_id`` shows it
+    afresh."""
+
+    visible: dict[str, tuple[int, Optional[str]]] = field(default_factory=dict)
+
+    def show(self, ts: int, payload: Mapping[str, Any]) -> bool:
+        """Show the notification of ``payload`` at ``ts``; True when it
+        replaced a visible notification with its tag."""
+        tag, visible = payload.get("tag"), self.visible
+        replaced = [] if tag is None else [
+            notif_id for notif_id, (_ts, seen) in visible.items() if seen == tag]
+        for notif_id in replaced:
+            del visible[notif_id]
+        visible[payload.get("notif_id", "")] = (ts, tag)
+        return bool(replaced)
+
+    def hide(self, payload: Mapping[str, Any]) -> Optional[int]:
+        """Hide the notification a click or a close of ``payload`` names: the
+        ts of its show, or None when no such notification is visible."""
+        shown = self.visible.pop(payload.get("notif_id", ""), None)
+        return None if shown is None else shown[0]
 
 
 # new_record(TraceEvent, (ts, kind, origin, sw_id, scope, payload)) builds a

@@ -186,17 +186,29 @@ class TestAnalyzeTrace:
                     break
         report.bg_third_party_fetches_per_activation = counts
 
-        for close in sw_events:
+        # A programmatic close measures from the latest show of its notif_id
+        # before it, unless a click or close of that id, or a show of that
+        # show's tag, came in between and hid the notification.
+        for index, close in enumerate(sw_events):
             if close.kind != "notification_close" or close.get("by_user", False):
                 continue
-            for show in sw_events:
-                if (show.kind == "notification_show"
-                        and show.get("notif_id") == close.get("notif_id")
-                        and show.ts <= close.ts):
+            notif_id = close.get("notif_id")
+            for before in range(index - 1, -1, -1):
+                show = sw_events[before]
+                if show.kind != "notification_show" or show.get("notif_id") != notif_id:
+                    continue
+                tag = show.get("tag")
+                hidden = any(
+                    e.kind in ("notification_click", "notification_close")
+                    and e.get("notif_id") == notif_id
+                    or e.kind == "notification_show" and tag is not None and e.get("tag") == tag
+                    for e in sw_events[before + 1:index]
+                )
+                if not hidden:
                     report.notification_close_deltas_s.append(
                         (close.ts - show.ts) / 1_000
                     )
-                    break
+                break
         return report
 
     def test_reports_match_brute_force_on_random_traces(self):

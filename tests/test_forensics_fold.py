@@ -1,8 +1,10 @@
 """``forensics.analyze_trace`` folds a trace in one forward pass.
 
 Below is the analysis it replaced, kept as the reference, in the way
-``ScanEngine`` keeps the old clock (its one change since: a bracket with no
-sw_id belongs to no worker, as in both layers): a whole-trace bracket pass
+``ScanEngine`` keeps the old clock (its changes since: a bracket with no
+sw_id belongs to no worker, as in both layers, and a programmatic close
+counts a delta only while its notification is visible, by the browser's rule
+the engine applies, written out here on its own): a whole-trace bracket pass
 (``bracket_intervals``), a split by worker, then per-worker loops with one
 ``classify_background_fetch`` bisect per worker fetch. On every generator
 trace, on the traces ``simulate`` delivers, on the benchmark's fleet and on
@@ -188,16 +190,23 @@ def reference_analyze_trace(
             counts[index] += 1
         report.bg_third_party_fetches_per_activation = counts
 
-        # Programmatic close deltas paired by notif_id.
-        shown: dict[str, int] = {}
+        # Programmatic close deltas of visible notifications: one is visible
+        # from its show until a click or close of its notif_id, or a later
+        # show of its tag.
+        visible: dict[str, tuple[int, Optional[str]]] = {}
         for event in sw_events:
+            notif_id = event.get("notif_id", "")
             if event.kind == "notification_show":
-                shown[event.get("notif_id", "")] = event.ts
-            elif event.kind == "notification_close" and not event.get("by_user", False):
-                show_ts = shown.get(event.get("notif_id", ""))
-                if show_ts is not None:
+                tag = event.get("tag")
+                visible = {other: shown for other, shown in visible.items()
+                           if tag is None or shown[1] != tag}
+                visible[notif_id] = (event.ts, tag)
+            elif event.kind in ("notification_click", "notification_close"):
+                shown = visible.pop(notif_id, None)
+                if (shown is not None and event.kind == "notification_close"
+                        and not event.get("by_user", False)):
                     report.notification_close_deltas_s.append(
-                        (event.ts - show_ts) / 1_000
+                        (event.ts - shown[0]) / 1_000
                     )
         reports[sw_id] = report
     return reports

@@ -14,6 +14,15 @@ later bracket start, or with an earlier terminate, the background counts
 differ (``test_same_ts_fetches_are_where_the_layers_part``). No generator
 trace and no fleet below holds such a fetch.
 
+Both layers take a worker's notifications through the one visibility rule,
+``trace.Shown``: a notification is visible from its show until a click or a
+close of its ``notif_id``, or a later show with its tag. Only a programmatic
+close of a visible notification counts, so on seeded random traces of shows,
+clicks and closes every close the ``notif_min_visible`` rule judges is a
+close delta forensics measures, with the same value, in order. A worker that
+lacks the notifications capability still parts them: the engine refuses its
+notification events, forensics, which knows no capabilities, folds them.
+
 Both layers take a worker's fetch-handler brackets through the one bracket
 step, ``trace.Brackets.step``, so they reject the same traces for an end
 with no open start, with the same message: ``enforce`` takes the step before
@@ -31,7 +40,8 @@ import pytest
 from sw_sentinel.cli import run as cli_run
 from sw_sentinel.forensics import analyze_trace
 from sw_sentinel.model import Capability
-from sw_sentinel.policy import PROFILES, PolicyEngine, default_policies
+from sw_sentinel.policy import (PROFILES, PolicyConfig, PolicyEngine, PolicySpec, Severity,
+                                default_policies)
 from sw_sentinel.scenarios import Scenario, generate
 from sw_sentinel.trace import KINDS, TraceEvent, UnbalancedBrackets, emit_trace, parse_trace
 
@@ -105,6 +115,72 @@ def test_same_ts_fetches_are_where_the_layers_part(events, engine_counts, forens
     assert engine.window_counts("sw-a", "bg_fetch_per_activation") == engine_counts
     report = analyze_trace(events)["sw-a"]
     assert report.bg_third_party_fetches_per_activation == forensics_counts
+
+
+# -- close deltas -------------------------------------------------------------
+
+# Every programmatic close of a visible notification is a violation of it.
+JUDGE_EVERY_CLOSE = PolicyConfig((PolicySpec("notif_min_visible", Severity.LOW, 1e12, 0),))
+NOTIFICATION_KINDS = ["notification_show"] * 3 + ["notification_click"] + [
+    "notification_close"] * 3 + ["push", "terminate"]
+
+
+def random_notification_trace(rng):
+    """1-3 workers with every capability, each showing 2-3 notif_ids, some
+    tagged from a pool of two tags, then clicking and closing them by user
+    or not, among pushes and terminates; events crowd onto few timestamps."""
+    workers = rng.sample(["s1", "s2", "s3"], rng.randint(1, 3))
+    ids = {sw_id: [f"{sw_id}-n{i}" for i in range(rng.randint(2, 3))] for sw_id in workers}
+    events, ts = [], 0
+    for _ in range(rng.randint(1, 40)):
+        ts += rng.choice([0, 1, 250, 5_000])
+        sw_id = rng.choice(workers)
+        kind = rng.choice(NOTIFICATION_KINDS)
+        payload = {"notif_id": rng.choice(ids[sw_id])}
+        if kind == "notification_show":
+            payload["title"] = "t"
+            if rng.random() < 0.5:
+                payload["tag"] = rng.choice(["a", "b"])
+        elif kind == "notification_close":
+            payload["by_user"] = rng.random() < 0.3
+        elif kind == "push":
+            payload = {"push_id": f"p{len(events)}"}
+        elif kind == "terminate":
+            payload = {}
+        events.append(TraceEvent(ts, kind, f"https://{sw_id}.example", sw_id, "/", payload))
+    return parse_trace(emit_trace(events))
+
+
+def close_delta_disagreements(events):
+    """Per worker, the values the engine judges and the close deltas
+    forensics measures, where they differ."""
+    run = PolicyEngine(JUDGE_EVERY_CLOSE, "chrome", mode="enforce").run(events)
+    judged = {}
+    for violation in run.violations:
+        judged.setdefault(violation.sw_id, []).append(violation.observed)
+    return [(sw_id, judged.get(sw_id, []), report.notification_close_deltas_s)
+            for sw_id, report in analyze_trace(events).items()
+            if judged.get(sw_id, []) != report.notification_close_deltas_s]
+
+
+def test_enforce_judges_every_close_delta_analyze_measures():
+    """On seeded random traces the engine judges exactly the closes whose
+    deltas forensics measures. The traces hold the closes the rule leaves
+    out although their notif_id was shown before: after a click, a tag
+    replacement, a close or a user close."""
+    rng = random.Random(25)
+    measured = left_out = 0
+    for _ in range(1_500):
+        events = random_notification_trace(rng)
+        assert close_delta_disagreements(events) == [], events
+        measured += sum(len(r.notification_close_deltas_s)
+                        for r in analyze_trace(events).values())
+        for index, event in enumerate(events):
+            if event.kind == "notification_close" and not event.get("by_user"):
+                left_out += any(e.kind == "notification_show" and e.get("notif_id")
+                                == event.get("notif_id") for e in events[:index])
+    left_out -= measured
+    assert measured > 1_000 and left_out > 1_000, (measured, left_out)
 
 
 # -- which traces the layers accept ------------------------------------------

@@ -531,3 +531,81 @@ def test_only_the_trace_module_classifies_a_fetch():
 
 def test_fetch_guard_sees_the_predicate():
     assert _fetch_classifying_reads(Path(trace.__file__))
+
+
+class TestShown:
+    """``trace.Shown`` is the one visibility rule of notifications: the engine
+    and forensics both show and hide through it."""
+
+    @pytest.mark.parametrize("steps,expected", [
+        ([("show", "A", None), ("close", "A", None)], [False, 0]),
+        ([("show", "A", None), ("click", "A", None), ("close", "A", None)], [False, 0, None]),
+        ([("show", "A", "t"), ("show", "B", "t"), ("close", "A", None), ("close", "B", None)],
+         [False, True, None, 10]),
+        ([("show", "A", None), ("show", "A", None), ("close", "A", None)], [False, False, 10]),
+        ([("show", "A", "t"), ("show", "A", "t"), ("close", "A", None)], [False, True, 10]),
+        ([("show", "A", None), ("close", "A", None), ("close", "A", None)], [False, 0, None]),
+        ([("show", "A", None), ("close", "A", True), ("close", "A", False)], [False, 0, None]),
+        ([("show", "A", None), ("show", "B", None), ("close", "A", None), ("close", "B", None)],
+         [False, False, 0, 10]),
+    ], ids=["show_close", "show_click_close", "tag_replacement", "same_id_shown_again",
+            "same_id_shown_again_with_its_tag", "double_close", "user_close_then_programmatic",
+            "no_tag"])
+    def test_truth_table(self, steps, expected):
+        """Each step, at ts 0, 10, 20, ...: a show of a notif_id with a tag,
+        or a click or close of a notif_id (a close's third field is
+        ``by_user``). Forensics measures a close delta exactly for each
+        programmatic close that finds its notification visible."""
+        shown, got, events = trace.Shown(), [], []
+        for index, (step, notif_id, extra) in enumerate(steps):
+            ts = 10 * index
+            if step == "show":
+                payload = {"notif_id": notif_id, "title": "t"}
+                if extra is not None:
+                    payload["tag"] = extra
+                got.append(shown.show(ts, payload))
+            else:
+                payload = {"notif_id": notif_id}
+                if extra is not None:
+                    payload["by_user"] = extra
+                got.append(shown.hide(payload))
+            events.append(ev(ts, f"notification_{step}", **payload))
+        assert got == expected
+        measured = [(event.ts - show_ts) / 1_000 for event, show_ts in zip(events, got)
+                    if event.kind == "notification_close" and show_ts is not None
+                    and not event.get("by_user")]
+        assert forensics.analyze_trace(events)["sw-1"].notification_close_deltas_s == measured
+
+    def test_enforce_and_analyze_hide_by_it(self, monkeypatch):
+        """With ``hide`` finding nothing visible, neither layer reports a
+        close on a trace whose every notification is closed at once."""
+        events = generate(Scenario("notification_hider", 0, {}))
+
+        def closes():
+            run = PolicyEngine(mode="enforce").run(events)
+            reports = forensics.analyze_trace(events)
+            return (sum(v.policy_name == "notif_min_visible" for v in run.violations),
+                    len(reports["sw-hider"].notification_close_deltas_s))
+
+        assert closes() == (10, 10)
+        monkeypatch.setattr(trace.Shown, "hide", lambda self, payload: None)
+        assert closes() == (0, 0)
+
+
+def _notif_id_constants(path):
+    """Line numbers where ``path`` holds the constant "notif_id"."""
+    return [node.lineno for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, ast.Constant) and node.value == "notif_id"]
+
+
+def test_only_the_trace_module_reads_a_notif_id():
+    """A generator's ``notif_id=`` keyword is no constant."""
+    modules = sorted(Path(trace.__file__).parent.glob("*.py"))
+    assert len(modules) > 2
+    offenders = {path.name: lines for path in modules
+                 if path.name != "trace.py" and (lines := _notif_id_constants(path))}
+    assert offenders == {}, "show and hide a notification through trace.Shown"
+
+
+def test_notif_id_guard_sees_the_rule():
+    assert _notif_id_constants(Path(trace.__file__))
