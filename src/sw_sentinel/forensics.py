@@ -5,7 +5,8 @@ The timeline is cut into tumbling slots (one hour) and virtual days (24 h)
 anchored at the first trace event. An activation is the span from a
 worker's first execution-implying event to its terminate event; a worker
 still running at trace end contributes a right-censored duration.
-``analyze_trace`` makes one forward pass with per-worker accumulators.
+``analyze_trace`` makes one forward pass in which each worker is a
+``trace.Activity``, the record the engine keeps too.
 """
 
 from __future__ import annotations
@@ -17,9 +18,8 @@ from typing import Any, Iterable, Mapping, Optional, Sequence, TextIO
 
 from .domains import registrable_domain
 from .model import Origin, SwSentinelError
-from .policy import DAY_MS, HOUR_MS, day_segments
-from .trace import (KINDS, Brackets, Shown, TraceEvent, UnbalancedBrackets,
-                    background_third_party, is_activity)
+from .trace import (DAY_MS, HOUR_MS, KINDS, Activity, TraceEvent, UnbalancedBrackets,
+                    background_third_party, day_segments, is_activity)
 
 
 class EmptyInput(SwSentinelError):
@@ -62,13 +62,10 @@ class BehaviorReport:
 
 
 @dataclass(slots=True, eq=False)
-class _Worker:
+class _Worker(Activity):
     """What ``analyze_trace`` keeps of one worker while it folds the trace."""
 
     report: BehaviorReport
-    first_party: frozenset[str]
-    brackets: Brackets = field(default_factory=Brackets)
-    start: Optional[int] = None  # ts of the open activation's first activity
     # the ts of the last activation's end, and the first activation that ended then
     end_ts: Optional[int] = None
     end_index: int = 0
@@ -76,21 +73,6 @@ class _Worker:
     bg_ts: Optional[int] = None
     bg_index: int = 0
     bg_n: int = 0
-    shown: Shown = field(default_factory=Shown)
-
-    def close(self, end: int, t0: int) -> None:
-        """End the open activation at ``end``: its minutes, split over days."""
-        report, begin = self.report, self.start
-        report.exec_minutes_per_activation.append((end - begin) / 60_000)
-        totals = report.exec_minutes_per_day
-        for day, ms in day_segments(begin, end, t0):
-            if day >= len(totals):
-                totals.extend([0.0] * (day + 1 - len(totals)))
-            totals[day] += ms / 60_000
-        if end != self.end_ts:  # the activations are numbered as their counts are
-            self.end_ts = end
-            self.end_index = len(report.bg_third_party_fetches_per_activation) - 1
-        self.start = None
 
 
 def analyze_trace(
@@ -103,13 +85,13 @@ def analyze_trace(
     registrable domain of each import domain is first party to
     ``trace.background_third_party``, as the worker's own is. A background
     fetch counts toward the first activation that ends at or after it. A
-    programmatic close yields a close delta only while ``trace.Shown``, the
-    engine's visibility rule, holds its notification visible. Raises
-    UnbalancedBrackets on an end without a start or a start left open at
-    trace end. An event with no sw_id belongs to no worker, and neither
-    do its brackets. Nor does a ``page_visit`` or ``permission_grant``, the
-    origin's events: as in the engine, its sw_id makes no worker and no
-    report.
+    programmatic close yields a close delta only while the worker's
+    ``trace.Activity``, by the engine's visibility rule, holds its
+    notification visible. Raises UnbalancedBrackets on an end without a
+    start or a start left open at trace end. An event with no sw_id belongs
+    to no worker, and neither do its brackets. Nor does a ``page_visit`` or
+    ``permission_grant``, the origin's events: as in the engine, its sw_id
+    makes no worker and no report.
     """
     sw_metadata = sw_metadata or {}
     if not events:
@@ -126,13 +108,13 @@ def analyze_trace(
             imports = sw_metadata.get(sw_id, {}).get("import_domains", ())
             w = workers[sw_id] = _Worker(
                 BehaviorReport(sw_id=sw_id, import_origin_count=len(imports)),
-                frozenset({registrable_domain(Origin.parse(origin).host),
-                           *map(registrable_domain, imports)}))
+                first_party=frozenset({registrable_domain(Origin.parse(origin).host),
+                                       *map(registrable_domain, imports)}))
         if w.start is None and is_activity(event):
-            w.start = ts
+            w.wake(ts)
             w.report.bg_third_party_fetches_per_activation.append(0)
         if kind == "fetch_request":
-            if not background_third_party(w.brackets, ts, payload, w.first_party):
+            if not background_third_party(w, ts, payload):
                 continue
             counts = w.report.bg_third_party_fetches_per_activation
             index = w.end_index if w.end_ts == ts else len(counts) - 1
@@ -149,32 +131,39 @@ def analyze_trace(
             slots[slot] += 1
         elif kind == "terminate":
             if w.start is not None:
-                w.close(ts, t0)
+                w.stop(ts, t0)
+                if ts != w.end_ts:  # the activations are numbered as their counts are
+                    w.end_ts = ts
+                    w.end_index = len(w.report.bg_third_party_fetches_per_activation) - 1
         elif KINDS[kind].bracket:
             # Background fetches counted at the ts where a span opens were inside it.
-            if w.brackets.step(event):
+            if w.step(event):
                 started.setdefault(sw_id, w)
                 if w.bg_ts == ts and w.bg_n:
                     w.report.bg_third_party_fetches_per_activation[w.bg_index] -= w.bg_n
                     w.bg_n = 0
         elif kind == "notification_show":
-            w.shown.show(ts, payload)
+            w.show(ts, payload)
         elif kind == "notification_click":
-            w.shown.hide(payload)
+            w.hide(payload)
         elif kind == "notification_close":
-            show_ts = w.shown.hide(payload)
+            show_ts = w.hide(payload)
             if show_ts is not None and not payload.get("by_user", False):
                 w.report.notification_close_deltas_s.append((ts - show_ts) / 1_000)
     for key, state in started.items():
-        if state.brackets.depth:
+        if state.depth:
             raise UnbalancedBrackets(f"fetch_event_start left open for {key!r}")
     days = (ts - t0) // DAY_MS + 1
     for w in workers.values():
+        report = w.report
         if w.start is not None:  # still running at trace end: right-censored
-            w.close(ts, t0)
-            w.report.right_censored_activation = True
-        totals = w.report.exec_minutes_per_day
-        totals.extend([0.0] * (days - len(totals)))
+            w.stop(ts, t0)
+            report.right_censored_activation = True
+        report.exec_minutes_per_activation = [(end - begin) / 60_000 for begin, end in w.intervals]
+        totals = report.exec_minutes_per_day = [0.0] * days
+        for begin, end in w.intervals:  # minutes by segment: day_ms would round otherwise
+            for day, ms in day_segments(begin, end, t0):
+                totals[day] += ms / 60_000
     return {sw_id: w.report for sw_id, w in workers.items()}
 
 

@@ -39,9 +39,9 @@ Two smaller differences follow from the same contract. Once a day's
 execution budget is spent, only the closed loop keeps stopping the worker
 (``_day_crossing``). And only the closed loop drops a worker's open fetch
 brackets when it stops (``_stop``): its fetch handler dies with it. The open
-loop counts the recorded brackets as forensics does, and judges a fetch by the
-rule forensics uses (``trace.background_third_party``), but before it sees
-later events of its ts.
+loop keeps the recorded brackets in a worker's ``trace.Activity``, the record
+forensics keeps too, and judges a fetch by forensics' rule
+(``trace.background_third_party``), but before it sees later events of its ts.
 
 Both modes move a worker only by the rows of ``model.apply_lifecycle_event``.
 Its process moves by ``_wake``, ``_stop`` and an applied deregistration, so it
@@ -60,18 +60,16 @@ from enum import Enum
 from functools import cache, partial
 from importlib import resources
 from operator import attrgetter
-from typing import Any, Iterator, NamedTuple, Optional, Sequence
+from typing import Any, NamedTuple, Optional, Sequence
 
 from .domains import registrable_domain
 from .model import (Capability, Origin, Scope, SwRecord, SwSentinelError, SwState,
                     apply_lifecycle_event, check_capability, lifecycle_allows,
                     refuse_lifecycle_event)
-from .trace import (KINDS, Brackets, Shown, TraceEvent, UnbalancedBrackets,
+from .trace import (DAY_MS, KINDS, Activity, TraceEvent, UnbalancedBrackets,
                     background_third_party, is_activity, new_record)
 
 TICK_MS = 1_000
-HOUR_MS = 3_600_000
-DAY_MS = 86_400_000
 SILENT_PUSH_GRACE_MS = 5_000
 ENGAGEMENT_VISIT_POINTS = 2.0
 ENGAGEMENT_CAP = 100.0
@@ -351,36 +349,18 @@ class SimulationResult:
         return max((end - start for start, end in intervals), default=0)
 
 
-def day_segments(start: int, end: int, t0: int) -> Iterator[tuple[int, int]]:
-    """Split the span [start, end) at the virtual midnights counted from
-    ``t0``: each virtual day it touches, with its milliseconds in that day."""
-    day = (start - t0) // DAY_MS
-    while start < end:
-        day_end = t0 + (day + 1) * DAY_MS
-        yield day, min(end, day_end) - start
-        start = day_end
-        day += 1
-
-
 _Crossing = tuple[int, str, Any, float]  # see _next_crossing
 
 
-@dataclass
-class _SwEngineState:
+@dataclass(kw_only=True)
+class _SwEngineState(Activity):
     record: SwRecord
-    first_party: frozenset[str]
     handlers: dict[str, Any]  # kind -> handler, its capability gate resolved
-    activation_start: int = 0
-    activation: int = 0  # the number of the current (or last) activation
     day_cursor: Optional[int] = None  # see _day_crossing
-    run_intervals: list[tuple[int, int]] = field(default_factory=list)
     # rule counters and the keys already reported, both by (policy, key)
     counts: dict[tuple[str, Any], int] = field(default_factory=dict)
     violated: set[tuple[str, Any]] = field(default_factory=set)
-    day_exec_ms: dict[int, int] = field(default_factory=dict)
     pending_silent: deque = field(default_factory=deque)
-    shown: Shown = field(default_factory=Shown)
-    brackets: Brackets = field(default_factory=Brackets)
     update_chain: bool = False
     chain_anchor: int = 0
     chain_capped: bool = False
@@ -596,25 +576,21 @@ class PolicyEngine:
         if record.process is _RUNNING or record.phase is _DEREGISTERED:
             return
         apply_lifecycle_event(record, "event_arrived")
-        st.activation_start = ts
-        st.activation += 1
+        st.wake(ts)
         st.day_cursor = None
         st.update_chain = st.chain_capped = False
-        st.brackets.last_end = None
+        st.last_end = None
         st.dirty = True
 
     def _stop(self, st: _SwEngineState, ts: int) -> None:
         if st.record.process is not _RUNNING:
             return
-        start = st.activation_start
-        st.run_intervals.append((start, ts))
-        for day, ms in day_segments(start, ts, self._t0 or 0):
-            st.day_exec_ms[day] = st.day_exec_ms.get(day, 0) + ms
+        st.stop(ts, self._t0 or 0)
         apply_lifecycle_event(st.record, "terminate")
         st.update_chain = False
         st.dirty = True
         if self._closed_loop:
-            st.brackets.depth = 0  # the closed loop kills open fetch handlers
+            st.depth = 0  # the closed loop kills open fetch handlers
 
     # -- clock advance: execution caps and silent-push deadlines -----------
 
@@ -719,11 +695,10 @@ class PolicyEngine:
         None when the crossing only stops the worker, or the self-update cap."""
         candidates: list[_Crossing] = []
         spec = self._specs["exec_per_activation"]
-        if spec is not None and (spec.name, st.activation) not in st.violated:
-            ts = self._tick_after(st.activation_start + int(spec.threshold * 60_000))
+        if spec is not None and (spec.name, st.number) not in st.violated:
+            ts = self._tick_after(st.start + int(spec.threshold * 60_000))
             if ts <= now:
-                candidates.append((ts, spec.name, st.activation,
-                                   (ts - st.activation_start) / 60_000))
+                candidates.append((ts, spec.name, st.number, (ts - st.start) / 60_000))
         crossing = self._day_crossing(st, now)
         if crossing is not None:
             candidates.append(crossing)
@@ -747,12 +722,12 @@ class PolicyEngine:
             return None
         name, budget_ms = spec.name, int(spec.threshold * 60_000)
         t0 = self._t0 or 0
-        day = (st.activation_start - t0) // DAY_MS if st.day_cursor is None else st.day_cursor
+        day = (st.start - t0) // DAY_MS if st.day_cursor is None else st.day_cursor
         last_day = (now - t0) // DAY_MS
         while day <= last_day:
             day_start = t0 + day * DAY_MS
             day_end = day_start + DAY_MS
-            live_start = max(st.activation_start, day_start)
+            live_start = max(st.start, day_start)
             if (name, day) in st.violated:
                 # Only meaningful in closed loop; open loop reported already.
                 if self._closed_loop:
@@ -760,7 +735,7 @@ class PolicyEngine:
                     if crossing <= min(now, day_end):
                         return crossing, name, None, 0.0
             else:
-                done = st.day_exec_ms.get(day, 0)
+                done = st.day_ms.get(day, 0)
                 crossing = self._tick_after(live_start + max(budget_ms - done, 0))
                 if crossing <= min(now, day_end):
                     return crossing, name, day, (done + crossing - live_start) / 60_000
@@ -864,7 +839,7 @@ class PolicyEngine:
         An end with no open start raises in the open loop, as in forensics; the
         closed loop refuses it, because its start was suppressed with the worker."""
         try:
-            st.brackets.step(event)
+            st.step(event)
         except UnbalancedBrackets:
             if not self._refuse(out):
                 raise
@@ -877,7 +852,7 @@ class PolicyEngine:
         running = st.record.process is _RUNNING
         if not self._by_row(st, event, out) and running and not st.update_chain:
             st.update_chain = True
-            st.chain_anchor = st.activation_start
+            st.chain_anchor = st.start
             st.dirty = True
 
     def _on_push(self, st: _SwEngineState, event: TraceEvent, out: Decision) -> None:
@@ -902,9 +877,8 @@ class PolicyEngine:
                 return
             self._wake(st, event.ts)  # open loop: the recorded event shows it running
         spec = self._specs["bg_fetch_per_activation"]
-        if spec is not None and background_third_party(st.brackets, event.ts, event.payload,
-                                                       st.first_party):
-            self._count(st, spec, st.activation, event.ts, out)
+        if spec is not None and background_third_party(st, event.ts, event.payload):
+            self._count(st, spec, st.number, event.ts, out)
 
     def _on_notification_show(self, st: _SwEngineState, event: TraceEvent, out: Decision) -> None:
         if st.record.process is not _RUNNING and self._refuse(out):
@@ -914,12 +888,12 @@ class PolicyEngine:
             st.pending_silent.popleft()  # this push did show a notification
             st.dirty = True
         spec = self._specs["tag_reuse"]
-        if st.shown.show(event.ts, event.payload) and spec is not None:
+        if st.show(event.ts, event.payload) and spec is not None:
             key = (event.get("tag"), self._slot(event.ts, spec.duration_in_minutes))
             self._count(st, spec, key, event.ts, out)
 
     def _on_notification_click(self, st: _SwEngineState, event: TraceEvent, out: Decision) -> None:
-        if st.shown.hide(event.payload) is None and self._refuse(out):
+        if st.hide(event.payload) is None and self._refuse(out):
             return  # cannot click a notification never shown
         self._wake(st, event.ts)
 
@@ -927,7 +901,7 @@ class PolicyEngine:
         by_user = bool(event.get("by_user", False))
         if not by_user and st.record.process is not _RUNNING and self._refuse(out):
             return
-        show_ts = st.shown.hide(event.payload)
+        show_ts = st.hide(event.payload)
         if show_ts is None:
             self._refuse(out)
             return
@@ -982,7 +956,7 @@ class PolicyEngine:
         all_notices += notices
         for sw_id, st in self._states.items():
             result.final_states[sw_id] = st.record.state
-            intervals = result.running_intervals[sw_id] = list(st.run_intervals)
+            intervals = result.running_intervals[sw_id] = list(st.intervals)
             if st.record.process is _RUNNING:
-                intervals.append((st.activation_start, end_ts))
+                intervals.append((st.start, end_ts))
         return result

@@ -23,8 +23,9 @@ from operator import itemgetter
 from types import MappingProxyType
 from typing import Any, Iterable, Iterator, Mapping, Optional, get_args
 
-from .policy import DAY_MS, HOUR_MS, PolicyConfig, PolicyEngine, SimulationResult
-from .trace import _NO_PAYLOAD, MalformedLine, TraceEvent, _check_payload, check_span, new_record
+from .policy import PolicyConfig, PolicyEngine, SimulationResult
+from .trace import (_NO_PAYLOAD, DAY_MS, HOUR_MS, MalformedLine, TraceEvent, _check_payload,
+                    check_span, new_record)
 
 IDLE_TIMEOUT_MS = 30_000
 # How long a generated worker's handler runs after its last activity.

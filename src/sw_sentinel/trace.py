@@ -102,9 +102,11 @@ _HEADER_KEYS = frozenset({"ts", "kind", "origin", "sw_id", "scope"})
 # failures as json.loads does.
 _SCAN_ONCE = json.JSONDecoder().scan_once
 
+HOUR_MS = 3_600_000
+DAY_MS = 86_400_000
 # The longest span from a trace's first ts to its last that parse_trace
 # accepts: 366 days. The engine and forensics do work for each virtual day.
-MAX_TRACE_SPAN_MS = 366 * 86_400_000
+MAX_TRACE_SPAN_MS = 366 * DAY_MS
 
 # How many distinct headers, and how many line bodies, one parse remembers as
 # checked. Past it the memory is dropped and refilled from the lines that follow.
@@ -150,18 +152,43 @@ def is_activity(event: TraceEvent) -> bool:
     return activity is True or (activity is not False and bool(event.payload.get(activity)))
 
 
-@dataclass(slots=True)
-class Brackets:
-    """One worker's fetch-handler brackets, and the one home of the bracket
-    rule that the engine and forensics share: nested brackets merge into one
-    span, and ``last_end`` is the ts where the depth last fell to 0."""
+def day_segments(start: int, end: int, t0: int) -> Iterator[tuple[int, int]]:
+    """Split the span [start, end) at the virtual midnights counted from
+    ``t0``: each virtual day it touches, with its milliseconds in that day."""
+    day = (start - t0) // DAY_MS
+    while start < end:
+        day_end = t0 + (day + 1) * DAY_MS
+        yield day, min(end, day_end) - start
+        start = day_end
+        day += 1
 
+
+@dataclass(slots=True, kw_only=True)
+class Activity:
+    """What the engine and forensics both keep of one worker, and the one
+    home of the rules they share: its fetch-handler brackets, its visible
+    notifications, and its activations, which only ``wake`` and ``stop``
+    open and close. Each layer keeps in its own code who decides to wake
+    (the engine by its record's process, after its capability refusals;
+    forensics on ``is_activity`` while ``start`` is None), how it builds
+    ``first_party``, its own resets (the engine's of ``last_end`` at a wake,
+    the closed loop's of ``depth`` at a stop) and checks (forensics' same-ts
+    take-back and bracket left open), and the engine's day cursor, rule
+    counters and ladder."""
+
+    first_party: frozenset[str]  # registrable domains that are not third party
     depth: int = 0
     last_end: Optional[int] = None
+    visible: dict[str, tuple[int, Optional[str]]] = field(default_factory=dict)
+    start: Optional[int] = None  # the open activation's first ts; None while stopped
+    number: int = 0  # the number of the open (or last) activation
+    intervals: list[tuple[int, int]] = field(default_factory=list)  # the closed ones
+    day_ms: dict[int, int] = field(default_factory=dict)  # their milliseconds per virtual day
 
     def step(self, event: TraceEvent) -> bool:
         """Open or close a bracket by ``event``'s kind; True when a span opens.
-        An end with no open start raises UnbalancedBrackets."""
+        Nested brackets merge into one span; ``last_end`` is the ts where the
+        depth last fell to 0. An end with no open start raises UnbalancedBrackets."""
         if KINDS[event.kind].bracket > 0:
             self.depth += 1
             return self.depth == 1
@@ -173,32 +200,11 @@ class Brackets:
             self.last_end = event.ts
         return False
 
-
-def background_third_party(brackets: Brackets, ts: int, payload: Mapping[str, Any],
-                           first_party: frozenset[str]) -> bool:
-    """The one rule of a background third-party fetch, which the engine and
-    forensics share: a ``fetch_request`` at ``ts`` with ``payload`` is one when
-    the worker initiated it, none of its ``brackets`` holds ``ts`` (a bracket's
-    end counts as inside), and its URL's registrable domain is not among the
-    worker's ``first_party`` domains."""
-    if not payload.get("initiator_is_sw") or brackets.depth or ts == brackets.last_end:
-        return False
-    return url_registrable_domain(payload.get("url", "")) not in first_party
-
-
-@dataclass(slots=True)
-class Shown:
-    """One worker's visible notifications, and the one home of the
-    visibility rule that the engine and forensics share: a notification is
-    visible from its show until a click or a close of its ``notif_id``, or a
-    later show with its ``tag``. A show of a visible ``notif_id`` shows it
-    afresh."""
-
-    visible: dict[str, tuple[int, Optional[str]]] = field(default_factory=dict)
-
     def show(self, ts: int, payload: Mapping[str, Any]) -> bool:
         """Show the notification of ``payload`` at ``ts``; True when it
-        replaced a visible notification with its tag."""
+        replaced a visible notification with its tag. A notification stays
+        visible until a click or a close of its ``notif_id``, or a later show
+        with its ``tag``; a show of a visible ``notif_id`` shows it afresh."""
         tag, visible = payload.get("tag"), self.visible
         replaced = [] if tag is None else [
             notif_id for notif_id, (_ts, seen) in visible.items() if seen == tag]
@@ -212,6 +218,31 @@ class Shown:
         ts of its show, or None when no such notification is visible."""
         shown = self.visible.pop(payload.get("notif_id", ""), None)
         return None if shown is None else shown[0]
+
+    def wake(self, ts: int) -> None:
+        """Open the next activation at ``ts``."""
+        self.start = ts
+        self.number += 1
+
+    def stop(self, ts: int, t0: int) -> None:
+        """Close the open activation at ``ts``: its interval, and its
+        milliseconds in each virtual day counted from ``t0``."""
+        start, day_ms = self.start, self.day_ms
+        self.intervals.append((start, ts))
+        for day, ms in day_segments(start, ts, t0):
+            day_ms[day] = day_ms.get(day, 0) + ms
+        self.start = None
+
+
+def background_third_party(activity: Activity, ts: int, payload: Mapping[str, Any]) -> bool:
+    """The one rule of a background third-party fetch, which the engine and
+    forensics share: a ``fetch_request`` at ``ts`` with ``payload`` is one when
+    the worker initiated it, none of its ``activity``'s brackets holds ``ts``
+    (a bracket's end counts as inside), and its URL's registrable domain is
+    not among the worker's ``first_party`` domains."""
+    if not payload.get("initiator_is_sw") or activity.depth or ts == activity.last_end:
+        return False
+    return url_registrable_domain(payload.get("url", "")) not in activity.first_party
 
 
 # new_record(TraceEvent, (ts, kind, origin, sw_id, scope, payload)) builds a
@@ -421,7 +452,7 @@ def check_span(events: Sequence[TraceEvent]) -> None:
     if events and events[-1].ts - events[0].ts > MAX_TRACE_SPAN_MS:
         raise TraceSpanTooLong(
             f"ts {events[-1].ts} is more than {MAX_TRACE_SPAN_MS} ms "
-            f"({MAX_TRACE_SPAN_MS // 86_400_000} days) after the first ts {events[0].ts}")
+            f"({MAX_TRACE_SPAN_MS // DAY_MS} days) after the first ts {events[0].ts}")
 
 
 def _value_text(value: Any) -> str:

@@ -28,9 +28,10 @@ from sw_sentinel import scenarios, trace
 from sw_sentinel.domains import registrable_domain, url_registrable_domain
 from sw_sentinel.forensics import BehaviorReport, analyze_trace
 from sw_sentinel.model import Origin
-from sw_sentinel.policy import DAY_MS, HOUR_MS, PROFILES, day_segments
+from sw_sentinel.policy import PROFILES
 from sw_sentinel.scenarios import Scenario, generate, simulate
-from sw_sentinel.trace import TraceEvent, UnbalancedBrackets, is_activity, read_trace
+from sw_sentinel.trace import (DAY_MS, HOUR_MS, TraceEvent, UnbalancedBrackets, day_segments,
+                               is_activity, read_trace)
 
 from test_policy_clock import ALL_GENERATORS, _params
 

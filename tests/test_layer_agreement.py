@@ -1,7 +1,9 @@
 """The engine and forensics agree about one trace.
 
 Forensics is a second implementation that checks the engine: it shares
-definitions with it, never state. On every generator trace and on seeded
+definitions with it, never state. Both keep each worker in a
+``trace.Activity`` of their own, and forensics imports nothing from the
+engine's module. On every generator trace and on seeded
 fleets, per worker, the ``enforce`` engine's running intervals must last as
 long as forensics' activations, and under the default config the engine's
 push and background-fetch counters must equal forensics' hour-slot pushes
@@ -15,7 +17,7 @@ differ (``test_same_ts_fetches_are_where_the_layers_part``). No generator
 trace and no fleet below holds such a fetch.
 
 Both layers take a worker's notifications through the one visibility rule,
-``trace.Shown``: a notification is visible from its show until a click or a
+``trace.Activity.show`` and ``hide``: a notification is visible from its show until a click or a
 close of its ``notif_id``, or a later show with its tag. Only a programmatic
 close of a visible notification counts, so on seeded random traces of shows,
 clicks and closes every close the ``notif_min_visible`` rule judges is a
@@ -24,7 +26,7 @@ lacks the notifications capability still parts them: the engine refuses its
 notification events, forensics, which knows no capabilities, folds them.
 
 Both layers take a worker's fetch-handler brackets through the one bracket
-step, ``trace.Brackets.step``, so they reject the same traces for an end
+step, ``trace.Activity.step``, so they reject the same traces for an end
 with no open start, with the same message: ``enforce`` takes the step before
 the capability gate, and an event with no sw_id belongs to no worker in
 either layer. Only a trace that ends inside a bracket still parts them:

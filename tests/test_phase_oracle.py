@@ -60,7 +60,7 @@ class FlagEngine(PolicyEngine):
         if st.record.state is _RUNNING:
             if not st.update_chain:
                 st.update_chain = True
-                st.chain_anchor = st.activation_start
+                st.chain_anchor = st.start
                 st.dirty = True
         else:
             self._wake(st, event.ts)

@@ -11,7 +11,7 @@ from sw_sentinel.policy import PolicyEngine
 from sw_sentinel.scenarios import Scenario, generate
 from sw_sentinel.trace import (
     EVENT_KINDS,
-    Brackets,
+    Activity,
     InvariantViolation,
     MalformedLine,
     OutOfOrderTimestamp,
@@ -483,9 +483,9 @@ class TestBackgroundThirdParty:
     ], ids=["page_initiated", "inside_a_bracket", "at_a_brackets_end", "after_a_brackets_end",
             "first_party_subdomain", "domain_passed_as_first_party", "third_party"])
     def test_truth_table(self, depth, last_end, url, by_sw, expected):
-        brackets = Brackets(depth=depth, last_end=last_end)
+        activity = Activity(first_party=self.FIRST_PARTY, depth=depth, last_end=last_end)
         payload = {"url": url, "initiator_is_sw": by_sw}
-        assert trace.background_third_party(brackets, 50, payload, self.FIRST_PARTY) is expected
+        assert trace.background_third_party(activity, 50, payload) is expected
 
     def test_enforce_and_analyze_count_by_it(self, monkeypatch):
         """With the predicate answering False, neither layer counts a
@@ -534,8 +534,8 @@ def test_fetch_guard_sees_the_predicate():
 
 
 class TestShown:
-    """``trace.Shown`` is the one visibility rule of notifications: the engine
-    and forensics both show and hide through it."""
+    """``trace.Activity`` holds the one visibility rule of notifications: the
+    engine and forensics both show and hide through it."""
 
     @pytest.mark.parametrize("steps,expected", [
         ([("show", "A", None), ("close", "A", None)], [False, 0]),
@@ -556,7 +556,7 @@ class TestShown:
         or a click or close of a notif_id (a close's third field is
         ``by_user``). Forensics measures a close delta exactly for each
         programmatic close that finds its notification visible."""
-        shown, got, events = trace.Shown(), [], []
+        shown, got, events = Activity(first_party=frozenset()), [], []
         for index, (step, notif_id, extra) in enumerate(steps):
             ts = 10 * index
             if step == "show":
@@ -588,7 +588,7 @@ class TestShown:
                     len(reports["sw-hider"].notification_close_deltas_s))
 
         assert closes() == (10, 10)
-        monkeypatch.setattr(trace.Shown, "hide", lambda self, payload: None)
+        monkeypatch.setattr(trace.Activity, "hide", lambda self, payload: None)
         assert closes() == (0, 0)
 
 
@@ -604,8 +604,59 @@ def test_only_the_trace_module_reads_a_notif_id():
     assert len(modules) > 2
     offenders = {path.name: lines for path in modules
                  if path.name != "trace.py" and (lines := _notif_id_constants(path))}
-    assert offenders == {}, "show and hide a notification through trace.Shown"
+    assert offenders == {}, "show and hide a notification through trace.Activity"
 
 
 def test_notif_id_guard_sees_the_rule():
     assert _notif_id_constants(Path(trace.__file__))
+
+
+_ACTIVATION_FIELDS = frozenset({"start", "number", "intervals", "day_ms"})
+
+
+def _activation_stores(path):
+    """Line numbers where ``path`` stores an attribute named ``start``,
+    ``number``, ``intervals`` or ``day_ms``."""
+    return [node.lineno for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, ast.Attribute) and node.attr in _ACTIVATION_FIELDS
+            and isinstance(node.ctx, ast.Store)]
+
+
+def test_only_the_trace_module_opens_and_closes_an_activation():
+    """An activation opens only by ``Activity.wake`` and closes only by
+    ``Activity.stop``, in either layer. A load, such as the engine's read of
+    ``start``, is no store."""
+    modules = sorted(Path(trace.__file__).parent.glob("*.py"))
+    assert len(modules) > 2
+    offenders = {path.name: lines for path in modules
+                 if path.name != "trace.py" and (lines := _activation_stores(path))}
+    assert offenders == {}, "open and close an activation through trace.Activity"
+
+
+def test_activation_guard_sees_the_record():
+    assert _activation_stores(Path(trace.__file__))
+
+
+def _policy_imports(path):
+    """Line numbers where ``path`` imports the policy module or from it."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom):  # from .policy import x, or from . import policy
+            names = [node.module or "", *(alias.name for alias in node.names)]
+        elif isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        else:
+            continue
+        if any(name.rpartition(".")[2] == "policy" for name in names):
+            found.append(node.lineno)
+    return found
+
+
+def test_forensics_shares_definitions_with_the_engine_only_through_trace():
+    """Forensics checks the engine, so it takes nothing from it: what the
+    two layers share lives in ``trace``."""
+    assert _policy_imports(Path(forensics.__file__)) == []
+
+
+def test_import_guard_sees_an_import_from_the_engine():
+    assert _policy_imports(Path(trace.__file__).parent / "scenarios.py")
