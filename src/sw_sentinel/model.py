@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import InitVar, dataclass
 from enum import Enum
 from functools import lru_cache
+from operator import attrgetter
 from typing import Optional
 from urllib.parse import urlsplit
 
@@ -219,18 +220,18 @@ def check_capability(record: SwRecord, requested: Capability) -> bool:
 
 def lifecycle_allows(record: SwRecord, event_kind: str) -> bool:
     """Whether ``event_kind`` may happen to the record now. An install needs
-    an installing version and an activation a waiting one, unless the process
-    runs; only a running worker calls update(); an update found may not
-    answer a refused check alone. A deregistered record never moves."""
+    an installing version and an activation a waiting one, whether or not the
+    process runs; only a running worker calls update(); an update found may
+    not answer a refused check alone. A deregistered record never moves."""
     phase, process = record.phase, record.process
     if phase is _DEREGISTERED or event_kind not in LIFECYCLE_EVENTS:
         return False
     if event_kind in _PROCESS_ROWS:
         return process in _PROCESS_ROWS[event_kind][0]
     if event_kind == "install_done":
-        return phase is _INSTALLING or process is _RUNNING
+        return phase is _INSTALLING
     if event_kind == "activate":
-        return _WAITING in (phase, record.predecessor) or process is _RUNNING
+        return _WAITING in (phase, record.predecessor)
     if event_kind == "update_check":
         return process is _RUNNING
     if event_kind == "update_found":
@@ -281,14 +282,9 @@ def refuse_lifecycle_event(record: SwRecord, event_kind: str) -> None:
         record.update_refused = event_kind == "update_check"
 
 
-def _script_dir_scope(script_url: str) -> Scope:
-    path = urlsplit(script_url).path or "/"
-    directory = path.rsplit("/", 1)[0] + "/"
-    return Scope(directory)
-
-
 class SwRegistry:
-    """Registration registry: at most one worker per (origin, scope)."""
+    """Registration registry: at most one worker per (origin, scope). The
+    policy engine keeps one too, and admits each new worker by ``admit``."""
 
     def __init__(self) -> None:
         self._records: dict[tuple[str, str], SwRecord] = {}
@@ -297,58 +293,50 @@ class SwRegistry:
     def records(self) -> list[SwRecord]:
         return list(self._records.values())
 
-    def register_sw(
-        self,
-        origin: Origin,
-        scope: Optional[Scope],
-        script_url: str,
-        capabilities: Optional[frozenset[Capability]] = None,
-        has_existing_controller: bool = False,
-    ) -> SwRecord:
+    def admit(self, record: SwRecord) -> Optional[ModelError]:
+        """The Register rules of the Service Workers spec: an ``https`` origin,
+        a script hosted on it, and a scope that no record that is not
+        deregistered holds. None when admitted, and the record then holds its
+        scope; else the error, and the registry is unchanged."""
+        origin = record.origin
+        if not origin.is_secure:
+            return InsecureOrigin(f"{origin} may not register a service worker")
+        script_parts = urlsplit(record.script_url)
+        if (script_parts.scheme and script_parts.hostname
+                and Origin.parse(f"{script_parts.scheme}://{script_parts.netloc}") != origin):
+            return CrossOriginScript(f"{record.script_url} is not hosted on {origin}")
+        key = (str(origin), record.scope.path_prefix)
+        holder = self._records.get(key)
+        if holder is not None and holder.phase is not _DEREGISTERED:
+            return DuplicateScope(f"worker already registered at {key}")
+        self._records[key] = record
+        return None
+
+    def register_sw(self, origin: Origin, scope: Optional[Scope], script_url: str,
+                    capabilities: Optional[frozenset[Capability]] = None,
+                    has_existing_controller: bool = False) -> SwRecord:
         """Register a worker; activates immediately unless a controller exists.
+        With no scope, the worker's scope is its script's directory.
 
         Raises InsecureOrigin / CrossOriginScript / DuplicateScope.
         """
-        if not origin.is_secure:
-            raise InsecureOrigin(f"{origin} may not register a service worker")
-        script_parts = urlsplit(script_url)
-        if script_parts.scheme and script_parts.hostname:
-            script_origin = Origin.parse(
-                f"{script_parts.scheme}://{script_parts.netloc}"
-            )
-            if script_origin != origin:
-                raise CrossOriginScript(f"{script_url} is not hosted on {origin}")
         if scope is None:
-            scope = _script_dir_scope(script_url)
-        key = (str(origin), scope.path_prefix)
-        if key in self._records:
-            raise DuplicateScope(f"worker already registered at {key}")
-
+            scope = Scope((urlsplit(script_url).path or "/").rsplit("/", 1)[0] + "/")
+        record = SwRecord(sw_id=f"sw-{self._counter + 1}", origin=origin, scope=scope,
+                          script_url=script_url, capabilities=capabilities)
+        error = self.admit(record)
+        if error is not None:
+            raise error
         self._counter += 1
-        record = SwRecord(
-            sw_id=f"sw-{self._counter}",
-            origin=origin,
-            scope=scope,
-            script_url=script_url,
-            capabilities=capabilities,
-        )
         apply_lifecycle_event(record, "install_done")
         if not has_existing_controller:
             apply_lifecycle_event(record, "activate")
-        self._records[key] = record
         return record
 
     def match_scope(self, origin: Origin, page_path: str) -> Optional[SwRecord]:
-        """The controlling worker for a page path: longest matching scope wins."""
-        best: Optional[SwRecord] = None
-        for record in self._records.values():
-            if record.origin != origin or record.state not in CONTROLLING_STATES:
-                continue
-            if not record.scope.contains(page_path):
-                continue
-            if best is None or len(record.scope.path_prefix) > len(
-                best.scope.path_prefix
-            ):
-                best = record
-        return best
-
+        """The controlling worker for a page path: longest matching scope wins.
+        Every scope that matches is a prefix of the path, and an origin holds
+        each scope once, so the longest is the greatest."""
+        return max((record for record in self._records.values() if record.origin == origin
+                    and record.state in CONTROLLING_STATES and record.scope.contains(page_path)),
+                   key=attrgetter("scope.path_prefix"), default=None)

@@ -43,7 +43,10 @@ loop keeps the recorded brackets in a worker's ``trace.Activity``, the record
 forensics keeps too, and judges a fetch by forensics' rule
 (``trace.background_third_party``), but before it sees later events of its ts.
 
-Both modes move a worker only by the rows of ``model.apply_lifecycle_event``.
+Admission is a worker's first move: the first event of an unknown sw_id,
+whatever its kind, is judged by the model's Register rules
+(``model.SwRegistry.admit``), and a refusal goes through ``_refuse``. After
+that both modes move a worker only by the rows of ``model.apply_lifecycle_event``.
 Its process moves by ``_wake``, ``_stop`` and an applied deregistration, so it
 runs exactly when its record's ``process`` is RUNNING; its registration's
 ``phase`` moves by ``_by_row``, which sends a move the model forbids to ``_refuse``.
@@ -63,8 +66,8 @@ from operator import attrgetter
 from typing import Any, NamedTuple, Optional, Sequence
 
 from .domains import registrable_domain
-from .model import (Capability, Origin, Scope, SwRecord, SwSentinelError, SwState,
-                    apply_lifecycle_event, check_capability, lifecycle_allows,
+from .model import (Capability, Origin, Scope, SwRecord, SwRegistry, SwSentinelError,
+                    SwState, apply_lifecycle_event, check_capability, lifecycle_allows,
                     refuse_lifecycle_event)
 from .trace import (DAY_MS, KINDS, Activity, TraceEvent, UnbalancedBrackets,
                     background_third_party, is_activity, new_record)
@@ -409,6 +412,7 @@ class PolicyEngine:
         self._t0: Optional[int] = None
         self._states: dict[str, _SwEngineState] = {}
         self._by_origin: dict[str, dict[str, _SwEngineState]] = {}  # origin -> sw_id -> state
+        self._registry = SwRegistry()  # the scopes held, by the model's Register rules
         # min-heap of (wake_ts, order, stamp, state); see ``advance``
         self._heap: list[tuple[int, int, int, _SwEngineState]] = []
         self._stamps = 0
@@ -417,7 +421,9 @@ class PolicyEngine:
     # -- registry ---------------------------------------------------------
 
     def register_record(self, record: SwRecord) -> None:
-        """Pre-register a worker (used by tests and the capability grid)."""
+        """Pre-register a worker (used by tests and the capability grid). As in
+        ``enforce``, it holds its scope if the registry admits it."""
+        self._registry.admit(record)
         self._add_state(record)
 
     def record(self, sw_id: str) -> SwRecord:
@@ -451,21 +457,25 @@ class PolicyEngine:
         self._by_origin.setdefault(str(record.origin), {})[record.sw_id] = st
         return st
 
-    def _first_sight(self, event: TraceEvent) -> _SwEngineState:
-        """Register the worker of an event whose sw_id is not yet known."""
-        origin = Origin.parse(event.origin)
-        caps = event.get("capabilities")
-        return self._add_state(SwRecord(
-            sw_id=event.sw_id,
-            origin=origin,
-            scope=Scope(event.scope or "/"),
-            script_url=f"{origin}/sw.js",
-            phase=SwState.INSTALLING if event.kind == "register" else SwState.ACTIVATED,
-            capabilities=None if caps is None else frozenset(map(Capability, caps)),
-            # Traces that begin mid-life imply the subscription exists;
-            # fresh registrations wait for a permission grant.
-            push_subscribed=event.kind != "register",
-        ))
+    def _first_sight(self, event: TraceEvent, out: Decision) -> Optional[_SwEngineState]:
+        """Admit the worker of an event whose sw_id is not yet known, whatever
+        its kind, by the model's Register rules. A refusal is noted and goes
+        through ``_refuse``: ``simulate`` keeps no state, so the worker's next
+        event is judged afresh, and ``enforce`` judges the worker as recorded."""
+        origin, caps = Origin.parse(event.origin), event.get("capabilities")
+        fresh = event.kind == "register"
+        # Traces that begin mid-life imply the subscription exists;
+        # fresh registrations wait for a permission grant.
+        record = SwRecord(event.sw_id, origin, Scope(event.scope or "/"), f"{origin}/sw.js",
+                          phase=SwState.INSTALLING if fresh else SwState.ACTIVATED,
+                          capabilities=None if caps is None else frozenset(map(Capability, caps)),
+                          push_subscribed=not fresh)
+        error = self._registry.admit(record)
+        if error is not None:
+            out.notices.append(Notice(event.ts, event.sw_id, "registration_refused", str(error)))
+            if self._refuse(out):
+                return None
+        return self._add_state(record)
 
     # -- time -------------------------------------------------------------
 
@@ -777,8 +787,8 @@ class PolicyEngine:
             return out
         if sw_id is None:
             return out
-        st = self._states.get(sw_id) or self._first_sight(event)
-        if st.record.phase is _DEREGISTERED:
+        st = self._states.get(sw_id) or self._first_sight(event, out)
+        if st is None or st.record.phase is _DEREGISTERED:
             out.deliver = False
             return out
         handler = st.handlers.get(kind)

@@ -62,6 +62,17 @@ def test_stopped_worker_wakes_exactly_on_activity(kind, payload):
     assert woke == is_activity(probe)
 
 
+def test_an_install_with_no_new_version_keeps_the_active_one():
+    """A running worker's install or activation needs a new version as a
+    stopped one's does: without one, ``simulate`` refuses it."""
+    engine, phases, delivered = PolicyEngine(mode="simulate"), [], []
+    for index, kind in enumerate(("sync", "install", "install", "activate")):
+        delivered.append(engine.on_event(_event(1_000 * index, kind)).deliver)
+        phases.append(engine.record("sw-1").phase)
+    assert phases == [SwState.ACTIVATED] * 4
+    assert delivered == [True, False, False, False]
+
+
 def _state_assignments(path):
     """Line numbers where ``path`` assigns an attribute named ``state``,
     ``phase`` or ``process``."""

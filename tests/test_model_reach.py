@@ -31,12 +31,9 @@ from test_golden_outputs import produce
 ACCEPTANCE = "the acceptance criteria call it directly"
 RANK_BANDS = "the rank-band summary: the bench and demo 05 call it (ROADMAP, Not in this round)"
 ALLOWED_UNCALLED = {
-    "model.SwRegistry.__init__": ACCEPTANCE,
     "model.SwRegistry.records": ACCEPTANCE,
     "model.SwRegistry.register_sw": ACCEPTANCE,
     "model.SwRegistry.match_scope": ACCEPTANCE,
-    "model._script_dir_scope": ACCEPTANCE,
-    "model.Origin.is_secure": ACCEPTANCE,
     "model.Scope.contains": ACCEPTANCE,
     "model.Scope.__str__": ACCEPTANCE,
     "policy.PolicyEngine.register_record": ACCEPTANCE,

@@ -12,7 +12,6 @@ import pytest
 
 from sw_sentinel import scenarios
 from sw_sentinel.forensics import analyze_trace
-from sw_sentinel.model import DuplicateScope, InsecureOrigin, Origin, Scope, SwRegistry, SwState
 from sw_sentinel.policy import PolicyEngine
 from sw_sentinel.scenarios import Scenario, generate, simulate
 from sw_sentinel.trace import TraceEvent, parse_trace
@@ -38,29 +37,6 @@ def test_an_unrelated_earlier_register_leaves_a_workers_verdicts_alone():
     assert _verdicts(beside, "a") == _verdicts(alone, "a")
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 3: the engine admits registrations "
-                                       "the model refuses")
-def test_the_engine_refuses_the_registrations_the_model_refuses():
-    """An ``http://`` register and a second worker at a taken scope: the
-    model's registry refuses both, so ``simulate`` suppresses both and
-    ``enforce`` records a notice for each."""
-    trace = [TraceEvent(0, "register", "http://i.example", "sw-http", "/"),
-             TraceEvent(1, "register", "https://d.example", "sw-d1", "/"),
-             TraceEvent(2, "register", "https://d.example", "sw-d2", "/")]
-    registry = SwRegistry()
-
-    def register(origin):
-        registry.register_sw(Origin.parse(origin), Scope("/"), f"{origin}/sw.js")
-
-    with pytest.raises(InsecureOrigin):
-        register("http://i.example")
-    register("https://d.example")
-    with pytest.raises(DuplicateScope):
-        register("https://d.example")
-    assert simulate(trace).suppressed_events == [trace[0], trace[2]]
-    assert len(PolicyEngine(mode="enforce").run(trace).notices) == 2
-
-
 @pytest.mark.xfail(strict=True, reason="ROADMAP item 5: a stop caused by policy never "
                                        "appears in the delivered trace")
 def test_an_enforce_replay_of_a_delivered_trace_adds_no_violation():
@@ -75,16 +51,6 @@ def test_an_enforce_replay_of_a_delivered_trace_adds_no_violation():
 def test_analyze_gives_a_worker_no_activation_for_refused_events():
     reports = analyze_trace(parse_trace(CLICK_AND_REFUSE))
     assert reports["sw-push-only"].exec_minutes_per_activation == []
-
-
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 3 (lifecycle_allows): a running worker's "
-                                       "install moves its active version back to WAITING")
-def test_an_install_with_no_new_version_keeps_the_active_one():
-    engine, phases = PolicyEngine(mode="simulate"), []
-    for index, kind in enumerate(("sync", "install", "install", "activate")):
-        engine.on_event(TraceEvent(1_000 * index, kind, "https://p.example", "sw-p", "/"))
-        phases.append(engine.record("sw-p").phase)
-    assert SwState.WAITING not in phases
 
 
 @pytest.mark.xfail(strict=True, reason="ROADMAP item 13: generate builds a trace of any "

@@ -33,14 +33,14 @@ class FlagEngine(PolicyEngine):
         st.expect_install = True
 
     def _on_install(self, st, event, out):
-        if not st.expect_install and st.record.state is not _RUNNING and self._refuse(out):
+        if not st.expect_install and self._refuse(out):
             return
         st.expect_install = False
         st.expect_activate = True
         self._wake(st, event.ts)
 
     def _on_activate(self, st, event, out):
-        if not st.expect_activate and st.record.state is not _RUNNING and self._refuse(out):
+        if not st.expect_activate and self._refuse(out):
             return
         st.expect_activate = False
         self._wake(st, event.ts)

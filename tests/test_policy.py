@@ -580,8 +580,15 @@ def refusal(site, event, prelude=(), config=None, subscribed=True, enforce_error
 # One row per closed-loop refusal site. The worker starts activated,
 # subscribed and not running; ``prelude`` leads up to the refused event.
 REFUSAL_SITES = [
+    refusal("register_from_insecure_origin",
+            ev(1_000, "register", sw_id="sw-2", origin="http://p.example")),
+    refusal("register_at_taken_scope", ev(1_000, "register", sw_id="sw-2")),
     refusal("install_without_precursor", ev(1_000, "install")),
     refusal("activate_without_precursor", ev(1_000, "activate")),
+    refusal("install_while_running_without_new_version", ev(1_100, "install"),
+            prelude=[ev(1_000, "sync")]),
+    refusal("activate_while_running_without_new_version", ev(1_100, "activate"),
+            prelude=[ev(1_000, "sync")]),
     refusal("update_check_not_running", ev(1_000, "update_check")),
     refusal("update_found_after_refused_check", ev(1_000, "update_found", version=2),
             prelude=[ev(1_000, "update_check")]),
