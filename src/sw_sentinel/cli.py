@@ -24,13 +24,13 @@ import json
 import os
 import sys
 from functools import lru_cache
-from typing import Any, Callable, Iterable, Optional
+from typing import Any, Iterable, Optional
 
 from . import csp as csp_mod
 from . import forensics
 from .model import ModelError, Origin, SwSentinelError
 from .policy import (ActionEntry, Notice, PolicyConfig, PolicyConfigError, PolicyEngine, PROFILES,
-                     ViolationRecord, load_policies)
+                     SimulationResult, ViolationRecord, load_policies)
 from .scenarios import GENERATORS, PARAM_TYPES, Scenario, generate, simulate
 from .trace import TraceError, TraceEvent, UnbalancedBrackets, emit_trace, read_trace
 
@@ -145,9 +145,12 @@ def _notice_row(n: Notice) -> str:
             f'"sw_id": {_json_text(n.sw_id)}, "ts": {_json_text(n.ts)}}}\n')
 
 
-def _jsonl(row: Callable[[Any], str], records: Iterable[Any]) -> str:
-    """The rows of ``records``; the few violation and notice rows are whole."""
-    return "".join([row(record) for record in records])
+def _write_records(out: str, result: SimulationResult) -> None:
+    """Write the decisions of ``simulate`` and ``enforce`` into directory ``out``."""
+    _write_text(os.path.join(out, "violations.jsonl"),
+                "".join(map(_violation_row, result.violations)))
+    _write_text(os.path.join(out, "actions.jsonl"), _action_rows(result.actions))
+    _write_text(os.path.join(out, "notices.jsonl"), "".join(map(_notice_row, result.notices)))
 
 
 def _generate(args: argparse.Namespace) -> list[TraceEvent]:
@@ -183,10 +186,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     out = args.out
     _write_events(os.path.join(out, "delivered.jsonl"), result.delivered_events)
     _write_events(os.path.join(out, "suppressed.jsonl"), result.suppressed_events)
-    _write_text(os.path.join(out, "actions.jsonl"), _action_rows(result.actions))
-    _write_text(os.path.join(out, "violations.jsonl"),
-                _jsonl(_violation_row, result.violations))
-    _write_text(os.path.join(out, "notices.jsonl"), _jsonl(_notice_row, result.notices))
+    _write_records(out, result)
     _write_text(
         os.path.join(out, "final_states.json"),
         json.dumps({sw: state.value for sw, state in result.final_states.items()},
@@ -216,11 +216,7 @@ def _cmd_enforce(args: argparse.Namespace) -> int:
         result = PolicyEngine(config, args.profile, mode="enforce").run(events)
     except UnbalancedBrackets as exc:
         raise CliError(f"invalid trace {args.trace}: {exc}") from exc
-    out = args.out
-    _write_text(os.path.join(out, "violations.jsonl"),
-                _jsonl(_violation_row, result.violations))
-    _write_text(os.path.join(out, "actions.jsonl"), _action_rows(result.actions))
-    _write_text(os.path.join(out, "notices.jsonl"), _jsonl(_notice_row, result.notices))
+    _write_records(args.out, result)
     print(f"{len(result.violations)} violations, {len(result.actions)} actions")
     if args.fail_on_violation and result.violations:
         return 1

@@ -20,10 +20,9 @@ logger = logging.getLogger(__name__)
 
 SELF = "'self'"
 UNSAFE_EVAL = "'unsafe-eval'"
-NONE = "'none'"
 
-_KEYWORDS = {SELF, UNSAFE_EVAL, NONE}
-# Valid CSP keywords we retain but never match (nonces/hashes are out of scope).
+# Valid CSP keywords: 'self' and 'unsafe-eval' are read, any other is kept
+# inert and never matches (nonces/hashes are out of scope).
 _INERT_KEYWORD_RE = re.compile(r"^'[a-z0-9+/=-]+'$", re.IGNORECASE)
 _HOST_SOURCE_RE = re.compile(
     r"^(?:(?P<scheme>[a-z][a-z0-9+.-]*)://)?"
@@ -52,13 +51,8 @@ class CspVerdict:
 
 def _normalize_source(token: str) -> Optional[str]:
     """Canonical form of a source token, or None when it is malformed."""
-    lowered = token.lower()
-    if lowered in _KEYWORDS:
-        return lowered
-    if _INERT_KEYWORD_RE.match(token):
-        return lowered  # recognized CSP keyword kept inert
-    if _HOST_SOURCE_RE.match(token):
-        return lowered
+    if _INERT_KEYWORD_RE.match(token) or _HOST_SOURCE_RE.match(token):
+        return token.lower()
     return None
 
 
@@ -154,7 +148,7 @@ def check_import(
     for source in sources:
         if source == SELF and same_origin:
             return CspVerdict(True, SELF)
-        if source in _KEYWORDS or source.startswith("'"):
+        if source.startswith("'"):
             continue
         if host_source_matches(source, url):
             return CspVerdict(True, source)

@@ -251,7 +251,7 @@ def summarize(
 def export_cdf(values: Sequence[float], out: TextIO) -> list[tuple[float, float]]:
     """Write (value, cumulative_fraction) CSV rows for the sorted unique
     values to the text file ``out``; the final fraction is exactly 1.0.
-    Returns the rows."""
+    Returns the rows. A NaN has no rank: it raises ValueError."""
     rows: list[tuple[float, float]] = []
     if values:
         ordered = sorted(values)
@@ -260,6 +260,8 @@ def export_cdf(values: Sequence[float], out: TextIO) -> list[tuple[float, float]
         index = 0
         while index < n:
             value = ordered[index]
+            if value != value:
+                raise ValueError("a NaN has no rank in a CDF")
             while index < n and ordered[index] == value:
                 index += 1
                 seen += 1

@@ -73,9 +73,10 @@ class Origin:
         return self.scheme == "https"
 
     def __str__(self) -> str:
+        host = f"[{self.host}]" if ":" in self.host else self.host  # an IPv6 address
         if self.port is None:
-            return f"{self.scheme}://{self.host}"
-        return f"{self.scheme}://{self.host}:{self.port}"
+            return f"{self.scheme}://{host}"
+        return f"{self.scheme}://{host}:{self.port}"
 
 
 # Traces repeat a few origins on every line, so parsed origins are kept.

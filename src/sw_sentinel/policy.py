@@ -258,6 +258,8 @@ def _parse_spec(obj: Any) -> PolicySpec:
         raise PolicyConfigError(f"bad duration_in_minutes: {duration!r}")
     if rule.windowed and duration < 1:
         raise PolicyConfigError(f"{name} needs a window of at least one minute")
+    if name == "exec_per_day" and duration != DAY_MS // 60_000:  # the engine reads no other
+        raise PolicyConfigError(f"exec_per_day needs the virtual day's window, 1440: {duration!r}")
     return PolicySpec(name, severity, float(threshold), duration)
 
 
@@ -314,20 +316,14 @@ def _parse_config(config_text: str | bytes) -> PolicyConfig:
 REQUIRED_CAPABILITY = {kind: row.capability for kind, row in KINDS.items() if row.capability}
 
 
-@dataclass(slots=True, init=False)
+@dataclass(slots=True)
 class Decision:
     """Whether an event is delivered, and what judging it or the clock caused."""
 
-    deliver: bool
-    actions: list[ActionEntry]
-    violations: list[ViolationRecord]
-    notices: list[Notice]
-
-    def __init__(self, deliver: bool) -> None:
-        self.deliver = deliver
-        self.actions = []
-        self.violations = []
-        self.notices = []
+    deliver: bool = True
+    actions: list[ActionEntry] = field(default_factory=list)
+    violations: list[ViolationRecord] = field(default_factory=list)
+    notices: list[Notice] = field(default_factory=list)
 
 
 @dataclass
@@ -363,10 +359,11 @@ class _SwEngineState(Activity):
     # rule counters and the keys already reported, both by (policy, key)
     counts: dict[tuple[str, Any], int] = field(default_factory=dict)
     violated: set[tuple[str, Any]] = field(default_factory=set)
-    pending_silent: deque = field(default_factory=deque)
-    update_chain: bool = False
-    chain_anchor: int = 0
-    chain_capped: bool = False
+    pending_silent: deque[int] = field(default_factory=deque)  # grace deadlines
+    # activations by ``number``, 0 for none: the one whose self-update chain
+    # runs, anchored at its ``start``, and the one whose chain reached the cap
+    chain: int = 0
+    capped: int = 0
     lows_today: int = 0
     mediums_today: int = 0
     ladder_day: int = -1
@@ -411,7 +408,8 @@ class PolicyEngine:
             self._handlers[kind] = (row.capability, *pair)
         self._t0: Optional[int] = None
         self._states: dict[str, _SwEngineState] = {}
-        self._by_origin: dict[str, dict[str, _SwEngineState]] = {}  # origin -> sw_id -> state
+        # origin -> sw_id -> the state of each lapsed worker; see _on_permission_grant
+        self._lapsed: dict[Origin, dict[str, _SwEngineState]] = {}
         self._registry = SwRegistry()  # the scopes held, by the model's Register rules
         # min-heap of (wake_ts, order, stamp, state); see ``advance``
         self._heap: list[tuple[int, int, int, _SwEngineState]] = []
@@ -452,9 +450,10 @@ class PolicyEngine:
         st.order = len(self._states) if old is None else old.order
         if old is not None:
             old.stamp = -1  # its heap entries go stale
-            del self._by_origin[str(old.record.origin)][record.sw_id]
+            self._lapsed.get(old.record.origin, {}).pop(record.sw_id, None)
         self._states[record.sw_id] = st
-        self._by_origin.setdefault(str(record.origin), {})[record.sw_id] = st
+        if not record.push_subscribed or record.silent_push_count > 0:
+            self._lapsed.setdefault(record.origin, {})[record.sw_id] = st
         return st
 
     def _first_sight(self, event: TraceEvent, out: Decision) -> Optional[_SwEngineState]:
@@ -563,7 +562,7 @@ class PolicyEngine:
             out.actions.append(new_record(ActionEntry, (ts, st.record.sw_id, _THROTTLE, name)))
         if counter not in st.violated:  # a flood past the threshold skips the call
             self._violate(st, spec, key, ts, count, out)
-        return throttles and self._closed_loop and self._refuse(out)
+        return throttles and self._refuse(out)
 
     def _apply_action(self, st: _SwEngineState, ts: int, action: EnforcementAction,
                       reason: str, out: Decision) -> None:
@@ -588,7 +587,6 @@ class PolicyEngine:
         apply_lifecycle_event(record, "event_arrived")
         st.wake(ts)
         st.day_cursor = None
-        st.update_chain = st.chain_capped = False
         st.last_end = None
         st.dirty = True
 
@@ -597,7 +595,6 @@ class PolicyEngine:
             return
         st.stop(ts, self._t0 or 0)
         apply_lifecycle_event(st.record, "terminate")
-        st.update_chain = False
         st.dirty = True
         if self._closed_loop:
             st.depth = 0  # the closed loop kills open fetch handlers
@@ -621,8 +618,6 @@ class PolicyEngine:
         if out is None:
             out = Decision(True)
         heap = self._heap
-        if not heap or heap[0][0] > now:
-            return out
         due = []
         while heap and heap[0][0] <= now:
             _wake_ts, _order, stamp, st = heapq.heappop(heap)
@@ -645,7 +640,7 @@ class PolicyEngine:
         first silent-push deadline and, while it runs, its next crossing up
         to the end of the virtual day of ``now``, or that day's end when
         there is none. None when it has neither."""
-        wake = st.pending_silent[0][1] if st.pending_silent else None
+        wake = st.pending_silent[0] if st.pending_silent else None
         if st.record.process is _RUNNING:
             day_end = (self._t0 or 0) + (self._day(now) + 1) * DAY_MS
             crossing = self._next_crossing(st, day_end)
@@ -681,9 +676,8 @@ class PolicyEngine:
             heapq.heapify(heap)
 
     def _advance_sw(self, st: _SwEngineState, now: int, out: Decision) -> None:
-        while st.pending_silent and st.pending_silent[0][1] <= now:
-            _push_ts, deadline = st.pending_silent.popleft()
-            self._silent_push_detected(st, deadline, out)
+        while st.pending_silent and st.pending_silent[0] <= now:
+            self._silent_push_detected(st, st.pending_silent.popleft(), out)
         while st.record.process is _RUNNING:
             crossing = self._next_crossing(st, now)
             if crossing is None:
@@ -693,7 +687,7 @@ class PolicyEngine:
                 self._violate(st, self._specs[reason], key, ts, observed, out)
                 continue
             if reason == "self_update_cap":
-                st.chain_capped = True
+                st.capped = st.number
             # A self-update chain reached its cap or, in the closed loop, a
             # worker woke after spending today's budget: stop it, but log no
             # further violation.
@@ -713,8 +707,8 @@ class PolicyEngine:
         if crossing is not None:
             candidates.append(crossing)
         cap = self.profile.self_update_delay_cap_minutes
-        if cap is not None and st.update_chain and not st.chain_capped:
-            ts = self._tick_after(st.chain_anchor + cap * 60_000)
+        if cap is not None and st.chain == st.number != st.capped:
+            ts = self._tick_after(st.start + cap * 60_000)
             if ts <= now:
                 candidates.append((ts, "self_update_cap", None, 0.0))
         # Each reason appears once, so ties on a tick fall to the reason.
@@ -757,6 +751,8 @@ class PolicyEngine:
     def _silent_push_detected(self, st: _SwEngineState, ts: int, out: Decision) -> None:
         st.record.silent_push_count += 1
         sw_id = st.record.sw_id
+        if st.record.silent_push_count == 1:  # it lapses, if it has not yet
+            self._lapsed.setdefault(st.record.origin, {})[sw_id] = st
         if self.profile.default_notification_on_silent_push:
             out.notices.append(Notice(ts, sw_id, "default_notification", DEFAULT_NOTIFICATION_TITLE))
         limit = self.profile.silent_push_limit
@@ -814,14 +810,15 @@ class PolicyEngine:
         self.engagement_for(str(Origin.parse(event.origin))).visit(event.ts)
 
     def _on_permission_grant(self, event: TraceEvent, out: Decision) -> None:
-        group = self._by_origin.get(str(Origin.parse(event.origin)), {})
-        for st in sorted(group.values(), key=attrgetter("order")):  # registration order
+        """Renew the origin's lapsed workers in registration order: those in
+        ``_lapsed``, which holds a worker exactly while it is not subscribed or
+        has a silent push counted. Renewing any other would change nothing."""
+        lapsed = self._lapsed.pop(Origin.parse(event.origin), {})
+        for st in sorted(lapsed.values(), key=attrgetter("order")):
             record = st.record
-            renewed = not record.push_subscribed or record.silent_push_count > 0
             record.push_subscribed, record.silent_push_count = True, 0
-            if renewed:
-                out.notices.append(Notice(event.ts, record.sw_id, "subscription_renewed",
-                                          event.get("permission", "notifications")))
+            out.notices.append(Notice(event.ts, record.sw_id, "subscription_renewed",
+                                      event.get("permission", "notifications")))
 
     def _refuse_capability(self, st: _SwEngineState, event: TraceEvent, out: Decision,
                            reason: str) -> None:
@@ -856,13 +853,12 @@ class PolicyEngine:
         handler(self, st, event, out)
 
     def _on_update_found(self, st: _SwEngineState, event: TraceEvent, out: Decision) -> None:
-        # A stopped worker wakes for a browser-scheduled update, with no cap
-        # anchor; a running one starts a self-update chain, anchored at the
-        # activation it is extending.
+        # A stopped worker wakes for a browser-scheduled update, with no
+        # chain; a running one starts a self-update chain in the activation
+        # it is extending, which ends with that activation.
         running = st.record.process is _RUNNING
-        if not self._by_row(st, event, out) and running and not st.update_chain:
-            st.update_chain = True
-            st.chain_anchor = st.start
+        if not self._by_row(st, event, out) and running and st.chain != st.number:
+            st.chain = st.number
             st.dirty = True
 
     def _on_push(self, st: _SwEngineState, event: TraceEvent, out: Decision) -> None:
@@ -877,7 +873,7 @@ class PolicyEngine:
                                 event.ts, out)):
             return
         self._wake(st, event.ts)
-        st.pending_silent.append((event.ts, event.ts + SILENT_PUSH_GRACE_MS))
+        st.pending_silent.append(event.ts + SILENT_PUSH_GRACE_MS)
         st.dirty = True
 
     def _on_fetch_request(self, st: _SwEngineState, event: TraceEvent, out: Decision) -> None:

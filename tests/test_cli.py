@@ -380,6 +380,7 @@ class TestHostileArguments:
         (["enforce"], json.dumps([{**EXEC, "threshold": math.inf}])),
         (["enforce"], json.dumps([{**DAY, "threshold": math.nan}])),
         (["enforce"], json.dumps([{**EXEC, "threshold": 1e308}])),
+        (["enforce"], json.dumps([{**DAY, "duration_in_minutes": 60}])),
         (["enforce"], json.dumps([{**POLICY, "threshold": math.nan}])),
         (["enforce"], json.dumps({"policies": [POLICY],
                                   "deregister_engagement_threshold": math.nan})),
@@ -422,7 +423,8 @@ class TestHostileArguments:
         (["simulate", "--scenario", "benign", "--param", "duration_ms=31708800000"], None),
     ], ids=["threshold_zero", "severity", "engagement_text", "policies_number",
             "allow_list_number", "spec_number", "not_json", "threshold_infinity",
-            "threshold_nan", "threshold_1e308", "threshold_nan_counting", "engagement_nan",
+            "threshold_nan", "threshold_1e308", "day_window_60", "threshold_nan_counting",
+            "engagement_nan",
             "simulate_threshold_infinity", "simulate_threshold_nan", "simulate_threshold_1e308",
             "simulate_policies", "simulate_unknown_param", "simulate_missing_param",
             "simulate_negative_param", "gen_negative_param", "gen_benign_unknown_param",
@@ -624,6 +626,14 @@ class TestCspCommands:
             "import /lib.js: allow (https://app.example)",
             "import https://app.example/lib.js: allow (https://app.example)"]
 
+    def test_self_allows_a_same_origin_import_at_an_ipv6_origin(self, capsys):
+        assert run(["csp-check", "--origin", "https://[::1]:8443",
+                    "--import", "/lib.js", "--import", "https://[::1]/lib.js"]) == 1
+        assert capsys.readouterr().out.splitlines()[:2] == [
+            "import /lib.js: allow ('self')",
+            "import https://[::1]/lib.js: deny (script-src has no source allowing "
+            "https://[::1]/lib.js)"]
+
     @pytest.mark.parametrize("import_url,status", [
         ("data:text/javascript,alert(1)", "deny"),
         ("blob:https://evil.example/x", "deny"),
@@ -714,10 +724,10 @@ class TestRowWriter:
             (cli._action_rows, actions, [{"ts": a.ts, "sw_id": a.sw_id,
                                           "action": a.action.value, "reason": a.reason}
                                          for a in actions]),
-            (lambda rows: cli._jsonl(cli._violation_row, rows), violations,
+            (lambda rows: "".join(map(cli._violation_row, rows)), violations,
              [{"ts": v.ts, "sw_id": v.sw_id, "policy": v.policy_name, "observed": v.observed,
                "threshold": v.threshold} for v in violations]),
-            (lambda rows: cli._jsonl(cli._notice_row, rows), notices,
+            (lambda rows: "".join(map(cli._notice_row, rows)), notices,
              [{"ts": n.ts, "sw_id": n.sw_id, "kind": n.kind, "detail": n.detail}
               for n in notices]),
         ]

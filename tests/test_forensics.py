@@ -1,4 +1,5 @@
 import io
+import math
 import random
 
 import pytest
@@ -381,6 +382,11 @@ class TestExportCdf:
         rows = export_cdf([], buffer)
         assert rows == []
         assert buffer.getvalue().strip() == "value,cumulative_fraction"
+
+    def test_a_nan_has_no_rank(self):
+        for values in ([1.0, math.nan], [math.nan], [math.nan, 2.0, math.nan]):
+            with pytest.raises(ValueError):
+                export_cdf(values, io.StringIO())
 
     def test_final_fraction_exactly_one_and_strictly_increasing(self):
         rng = random.Random(2)

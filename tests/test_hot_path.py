@@ -21,7 +21,7 @@ from types import MappingProxyType
 
 import pytest
 
-from sw_sentinel import domains, forensics, model, trace
+from sw_sentinel import domains, forensics, model, policy, trace
 from sw_sentinel.domains import registrable_domain, url_registrable_domain
 from sw_sentinel.model import Capability, ModelError, Origin, Scope, SwRecord, SwState
 from sw_sentinel.policy import (PROFILES, RULES, ActionEntry, EnforcementAction, Notice,
@@ -604,6 +604,39 @@ def test_a_permission_grant_reads_only_the_workers_on_its_origin(monkeypatch):
         per_grant.append(len(made))
         assert [(n.sw_id, n.kind) for n in decision.notices] == [("sw-0", "subscription_renewed")]
     assert per_grant[0] == per_grant[1] <= 1
+
+
+def test_permission_grants_read_the_order_of_only_the_workers_they_renew(monkeypatch):
+    """n unsubscribed workers of one origin, then n grants: the first renews
+    them all and the rest find none to renew, so the grants read n sort keys
+    in all, where a walk over every worker of the origin reads n * n."""
+    reads = []
+
+    class CountingState(policy._SwEngineState):
+        @property
+        def order(self):
+            reads.append(self)
+            return self.__dict__["order"]
+
+        @order.setter
+        def order(self, value):
+            self.__dict__["order"] = value
+
+    monkeypatch.setattr(policy, "_SwEngineState", CountingState)
+    workers = 300
+    engine = PolicyEngine(default_policies(), "chrome", mode="enforce")
+    for i in range(workers):
+        engine.register_record(SwRecord(f"sw-{i}", Origin.parse("https://g.example"),
+                                        Scope(f"/s{i}/"), "https://g.example/sw.js",
+                                        state=SwState.ACTIVATED, push_subscribed=False))
+    reads.clear()
+    renewed = [[n.sw_id for n in engine.on_event(TraceEvent(
+        ts, "permission_grant", "https://g.example",
+        payload=MappingProxyType({"permission": "notifications"}))).notices]
+        for ts in range(workers)]
+    assert renewed[0] == [f"sw-{i}" for i in range(workers)]
+    assert not any(renewed[1:])
+    assert len(reads) == workers
 
 
 def test_bad_origin_raises_on_every_call():

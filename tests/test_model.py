@@ -42,8 +42,10 @@ class TestOrigin:
         assert Origin.parse("https://a.example") != Origin.parse("http://a.example")
 
     def test_str_round_trip(self):
-        for text in ("https://a.example", "https://a.example:8443", "http://b.example"):
+        for text in ("https://a.example", "https://a.example:8443", "http://b.example",
+                     "https://[::1]", "https://[::1]:8443", "http://[2001:db8::7]:8080"):
             assert str(Origin.parse(text)) == text
+            assert Origin.parse(str(Origin.parse(text))) == Origin.parse(text)
 
     def test_is_secure(self):
         assert Origin.parse("https://a.example").is_secure

@@ -58,9 +58,8 @@ class FlagEngine(PolicyEngine):
             return
         st.update_check_delivered = False
         if st.record.state is _RUNNING:
-            if not st.update_chain:
-                st.update_chain = True
-                st.chain_anchor = st.start
+            if st.chain != st.number:
+                st.chain = st.number
                 st.dirty = True
         else:
             self._wake(st, event.ts)

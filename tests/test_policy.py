@@ -111,6 +111,14 @@ class TestLoadPolicies:
         with pytest.raises(PolicyConfigError):
             load_policies(text)
 
+    @pytest.mark.parametrize("minutes", [1, 60, 1439, 1441, 2880])
+    def test_exec_per_day_takes_only_the_virtual_day_as_window(self, minutes):
+        """The daily budget is judged per virtual day, so no other window is read."""
+        body = '{"name":"exec_per_day","severity":"medium","threshold":90,"duration_in_minutes":%d}'
+        with pytest.raises(PolicyConfigError, match="exec_per_day"):
+            load_policies(f"[{body % minutes}]")
+        assert load_policies(f"[{body % 1440}]").get("exec_per_day").duration_in_minutes == 1440
+
     def test_object_form_with_allow_list(self):
         config = load_policies(
             '{"policies":[{"name":"push_per_hour","severity":"low","threshold":14,'
