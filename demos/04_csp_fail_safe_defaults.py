@@ -10,12 +10,12 @@ eval() is off until 'unsafe-eval' is granted explicitly.
 """
 
 from sw_sentinel import audit_headers, check_eval, check_import, parse_csp
-from sw_sentinel.csp import effective_sw_policy
+from sw_sentinel.csp import effective_script_src
 
 ORIGIN = "https://shop.example"
 
 # -- No header at all: deny-by-default ----------------------------------------
-print("effective script-src with no header:", effective_sw_policy(None).script_src())
+print("effective script-src with no header:", effective_script_src(None))
 for url in (f"{ORIGIN}/helpers.js", "https://cdn.pushprovider.example/sdk.js"):
     verdict = check_import(None, ORIGIN, url)
     print(f"  import {url}: {'allow' if verdict.allowed else 'deny'} ({verdict.rule})")

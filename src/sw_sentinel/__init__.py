@@ -11,7 +11,7 @@ from .policy import (BrowserProfile, EnforcementAction, EngagementScore, PolicyC
                      default_policies, load_policies)
 from .scenarios import Scenario, SimulationResult, generate, simulate
 from .csp import (CspPolicy, CspVerdict, audit_headers, check_eval, check_import,
-                  effective_sw_policy, parse_csp)
+                  effective_script_src, parse_csp)
 from .forensics import (BehaviorReport, PercentileSummary, RankBand, analyze_trace,
                         export_cdf, percentile, summarize)
 from .domains import registrable_domain

@@ -312,7 +312,7 @@ def _cmd_csp_audit(args: argparse.Namespace) -> int:
     except (OSError, UnicodeDecodeError) as exc:
         raise CliError(f"cannot read corpus {args.corpus}: {exc}") from exc
     summary = csp_mod.audit_headers(corpus)
-    print(json.dumps({**dataclasses.asdict(summary), "csp_fraction": summary.csp_fraction,
+    print(json.dumps({**summary._asdict(), "csp_fraction": summary.csp_fraction,
                       "script_src_fraction": summary.script_src_fraction}, sort_keys=True))
     return 0
 

@@ -10,9 +10,8 @@ from __future__ import annotations
 
 import logging
 import re
-from dataclasses import dataclass, field
-from typing import Any, Iterable, Mapping, Optional
-from urllib.parse import urljoin, urlsplit
+from typing import Any, Iterable, Mapping, NamedTuple, Optional
+from urllib.parse import SplitResult, urljoin, urlsplit
 
 from .model import DEFAULT_PORTS, Origin
 
@@ -32,19 +31,18 @@ _HOST_SOURCE_RE = re.compile(
 )
 
 
-@dataclass
 class CspPolicy:
     """Parsed directive map. Duplicate directives keep the first occurrence."""
 
-    directives: dict[str, tuple[str, ...]] = field(default_factory=dict)
-    warnings: list[str] = field(default_factory=list)
+    def __init__(self) -> None:
+        self.directives: dict[str, tuple[str, ...]] = {}
+        self.warnings: list[str] = []
 
     def script_src(self) -> Optional[tuple[str, ...]]:
         return self.directives.get("script-src")
 
 
-@dataclass(frozen=True)
-class CspVerdict:
+class CspVerdict(NamedTuple):
     allowed: bool
     rule: str
 
@@ -79,18 +77,14 @@ def parse_csp(header_value: str) -> CspPolicy:
     return policy
 
 
-def effective_sw_policy(parsed: Optional[CspPolicy]) -> CspPolicy:
-    """The policy actually enforced on a worker script response.
+def effective_script_src(policy: Optional[CspPolicy]) -> tuple[str, ...]:
+    """The script-src actually enforced on a worker script response.
 
-    A missing header, or a header without script-src, yields
-    script-src 'self'. default-src is intentionally not consulted.
+    A missing header, or a header without script-src, yields 'self'.
+    default-src is intentionally not consulted.
     """
-    result = CspPolicy()
-    if parsed is not None:
-        result.directives.update(parsed.directives)
-    if "script-src" not in result.directives:
-        result.directives["script-src"] = (SELF,)
-    return result
+    sources = None if policy is None else policy.script_src()
+    return (SELF,) if sources is None else sources
 
 
 def _host_matches(pattern: str, host: str) -> bool:
@@ -102,8 +96,8 @@ def _host_matches(pattern: str, host: str) -> bool:
     return host == pattern
 
 
-def host_source_matches(source: str, url: str) -> bool:
-    """Whether a host-source token allows the given URL.
+def host_source_matches(source: str, parts: SplitResult) -> bool:
+    """Whether a host-source token allows the URL split into ``parts``.
 
     Scheme-less sources assume https (worker scripts are https-only). A
     source without a port matches the scheme-default port only.
@@ -111,7 +105,6 @@ def host_source_matches(source: str, url: str) -> bool:
     match = _HOST_SOURCE_RE.match(source)
     if not match:
         return False
-    parts = urlsplit(url)
     if not parts.hostname:
         return False
     scheme = (parts.scheme or "https").lower()
@@ -134,37 +127,35 @@ def check_import(
 ) -> CspVerdict:
     """Verdict for an importScripts URL against the effective script-src.
 
-    The URL resolves against the worker's origin. It is same-origin only when
-    the resolved URL has a host and its origin is the worker's: a ``data:``,
-    ``blob:`` or ``javascript:`` URL never is."""
+    The URL resolves against the worker's origin, which changes only a URL
+    that lacks a scheme or a host. It is same-origin only when the resolved
+    URL has a host and its origin is the worker's: a ``data:``, ``blob:`` or
+    ``javascript:`` URL never is."""
     if isinstance(sw_origin, str):
         sw_origin = Origin.parse(sw_origin)
-    effective = effective_sw_policy(policy)
-    sources = effective.directives["script-src"]
-    url = urljoin(f"{sw_origin}/", import_url)
-    parts = urlsplit(url)
+    parts = urlsplit(import_url)
+    if not (parts.scheme and parts.netloc):
+        parts = urlsplit(urljoin(f"{sw_origin}/", import_url))
     same_origin = bool(parts.hostname) and (
         Origin.parse(f"{parts.scheme}://{parts.netloc}") == sw_origin)
-    for source in sources:
+    for source in effective_script_src(policy):
         if source == SELF and same_origin:
             return CspVerdict(True, SELF)
         if source.startswith("'"):
             continue
-        if host_source_matches(source, url):
+        if host_source_matches(source, parts):
             return CspVerdict(True, source)
     return CspVerdict(False, f"script-src has no source allowing {import_url}")
 
 
 def check_eval(policy: Optional[CspPolicy]) -> CspVerdict:
     """eval() is denied unless 'unsafe-eval' appears in the effective script-src."""
-    effective = effective_sw_policy(policy)
-    if UNSAFE_EVAL in effective.directives["script-src"]:
+    if UNSAFE_EVAL in effective_script_src(policy):
         return CspVerdict(True, UNSAFE_EVAL)
     return CspVerdict(False, "script-src lacks 'unsafe-eval'")
 
 
-@dataclass(frozen=True)
-class AuditSummary:
+class AuditSummary(NamedTuple):
     total: int
     with_csp: int
     with_script_src: int

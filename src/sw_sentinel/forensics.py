@@ -14,7 +14,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Mapping, Optional, Sequence, TextIO
+from typing import Any, Iterable, Mapping, NamedTuple, Optional, Sequence, TextIO
 
 from .domains import registrable_domain
 from .model import Origin, SwSentinelError
@@ -37,8 +37,7 @@ def percentile(values: Sequence[float], q: float) -> float:
     return ordered[rank - 1]
 
 
-@dataclass(frozen=True)
-class RankBand:
+class RankBand(NamedTuple):
     label: str
     lo: int
     hi: int
@@ -61,18 +60,20 @@ class BehaviorReport:
     right_censored_activation: bool = False
 
 
-@dataclass(slots=True, eq=False)
 class _Worker(Activity):
     """What ``analyze_trace`` keeps of one worker while it folds the trace."""
 
-    report: BehaviorReport
-    # the ts of the last activation's end, and the first activation that ended then
-    end_ts: Optional[int] = None
-    end_index: int = 0
-    # the ts of the latest background third-party fetches, their activation, how many
-    bg_ts: Optional[int] = None
-    bg_index: int = 0
-    bg_n: int = 0
+    __slots__ = ("report", "end_ts", "end_index", "bg_ts", "bg_index", "bg_n")
+
+    def __init__(self, report: BehaviorReport, first_party: frozenset[str]) -> None:
+        super().__init__(first_party)
+        self.report = report
+        # the ts of the last activation's end, and the first activation that ended then
+        self.end_ts: Optional[int] = None
+        self.end_index = 0
+        # the ts of the latest background third-party fetches, their activation, how many
+        self.bg_ts: Optional[int] = None
+        self.bg_index = self.bg_n = 0
 
 
 def analyze_trace(

@@ -11,11 +11,10 @@ alike: its registration's ``phase`` and its ``process``.
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass
 from enum import Enum
 from functools import lru_cache
 from operator import attrgetter
-from typing import Optional
+from typing import NamedTuple, Optional
 from urllib.parse import urlsplit
 
 
@@ -51,8 +50,7 @@ class InvalidScope(ModelError):
 DEFAULT_PORTS = {"https": 443, "http": 80}
 
 
-@dataclass(frozen=True)
-class Origin:
+class Origin(NamedTuple):
     """A web origin. Equality is component-wise on (scheme, host, port).
 
     Ports equal to the scheme default are normalized away so that
@@ -80,7 +78,7 @@ class Origin:
 
 
 # Traces repeat a few origins on every line, so parsed origins are kept.
-# Origin is frozen, so every caller may share one instance; an exception
+# Origin is a tuple, so every caller may share one instance; an exception
 # leaves the cache untouched, so a bad origin raises on every call.
 @lru_cache(maxsize=4096)
 def _parse_origin(cls: type[Origin], text: str) -> Origin:
@@ -97,26 +95,24 @@ def _parse_origin(cls: type[Origin], text: str) -> Origin:
     return cls(parts.scheme.lower(), host.lower(), port)
 
 
-@dataclass(frozen=True)
-class Scope:
+class Scope(NamedTuple("Scope", [("path_prefix", str)])):
     """A URL path prefix controlling which pages a worker may handle.
 
     Normalized to always end with "/" so that prefix matching is
     segment-aligned: "/te" can never match "/test/x".
     """
 
-    path_prefix: str
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        path = self.path_prefix
+    def __new__(cls, path_prefix: str) -> "Scope":
+        path = path_prefix
         if not path.startswith("/"):
             raise InvalidScope(f"scope must start with '/': {path!r}")
         if ".." in path.split("/"):
             raise InvalidScope(f"scope may not contain '..': {path!r}")
         if "?" in path or "#" in path:
             raise InvalidScope(f"scope may not carry query/fragment: {path!r}")
-        if not path.endswith("/"):
-            object.__setattr__(self, "path_prefix", path + "/")
+        return super().__new__(cls, path if path.endswith("/") else path + "/")
 
     def contains(self, page_path: str) -> bool:
         """True when page_path lies under this scope (segment-aligned)."""
@@ -162,7 +158,6 @@ LIFECYCLE_EVENTS = frozenset({"register", "install_done", "activate", "update_ch
                               "update_found", "deregister", *_PROCESS_ROWS})
 
 
-@dataclass
 class SwRecord:
     """One registered service worker, in two lifecycles that only this module
     moves: its registration's ``phase`` (installing, waiting, activated or
@@ -179,39 +174,28 @@ class SwRecord:
     update so self-update loops stay attributable to one logical worker.
     """
 
-    sw_id: str
-    origin: Origin
-    scope: Scope
-    script_url: str
-    state: InitVar[Optional[SwState]] = None
-    capabilities: Optional[frozenset[Capability]] = None
-    push_subscribed: bool = False
-    silent_push_count: int = 0
-    version: int = 1
-    phase: SwState = _INSTALLING
-    predecessor: Optional[SwState] = None
-    process: Optional[SwState] = None
-    update_checked: bool = False
-    update_refused: bool = False
-
-    def __post_init__(self, state: Optional[SwState]) -> None:
+    def __init__(self, sw_id: str, origin: Origin, scope: Scope, script_url: str,
+                 state: Optional[SwState] = None,
+                 capabilities: Optional[frozenset[Capability]] = None,
+                 push_subscribed: bool = False, phase: SwState = _INSTALLING) -> None:
+        self.sw_id, self.origin, self.scope, self.script_url = sw_id, origin, scope, script_url
+        self.capabilities, self.push_subscribed = capabilities, push_subscribed
+        self.silent_push_count, self.version = 0, 1
+        self.phase, self.predecessor, self.process = phase, None, None
+        self.update_checked = self.update_refused = False
         if state in (_RUNNING, _TERMINATED):
             self.phase, self.process = _ACTIVATED, state
         elif state is not None:
             self.phase = state
 
-
-def _state(record: SwRecord) -> SwState:
-    """The one value both lifecycles replace: a deregistered record's phase,
-    else the process once it has run, else the phase, or the predecessor's
-    while a new version installs."""
-    if record.process is None or record.phase is _DEREGISTERED:
-        return record.predecessor or record.phase
-    return record.process
-
-
-# ``state`` is an init-only argument as well, so its read-only view is set here.
-SwRecord.state = property(_state)
+    @property
+    def state(self) -> SwState:
+        """The one value both lifecycles replace: a deregistered record's
+        phase, else the process once it has run, else the phase, or the
+        predecessor's while a new version installs."""
+        if self.process is None or self.phase is _DEREGISTERED:
+            return self.predecessor or self.phase
+        return self.process
 
 
 def check_capability(record: SwRecord, requested: Capability) -> bool:

@@ -58,7 +58,6 @@ import heapq
 import json
 import sys
 from collections import deque
-from dataclasses import dataclass, field
 from enum import Enum
 from functools import cache, partial
 from importlib import resources
@@ -140,8 +139,7 @@ _LOG_ONLY, _THROTTLE = EnforcementAction.LOG_ONLY, EnforcementAction.THROTTLE_EV
 _TERMINATE, _DEREGISTER = EnforcementAction.TERMINATE_SW, EnforcementAction.DEREGISTER_SW
 
 
-@dataclass(frozen=True)
-class PolicySpec:
+class PolicySpec(NamedTuple):
     """One declarative policy in the count-based template shape."""
 
     name: str
@@ -182,12 +180,12 @@ class Notice(NamedTuple):
     detail: str
 
 
-@dataclass
 class EngagementScore:
     """Per-origin user engagement on the 0-100 scale used by deregistration."""
 
-    score: float = 0.0
-    last_visit: Optional[int] = None
+    def __init__(self) -> None:
+        self.score = 0.0
+        self.last_visit: Optional[int] = None
 
     def value_at(self, now: int) -> float:
         if self.last_visit is None:
@@ -200,8 +198,7 @@ class EngagementScore:
         self.last_visit = now
 
 
-@dataclass(frozen=True)
-class BrowserProfile:
+class BrowserProfile(NamedTuple):
     """Built-in mitigations that differ across browser vendors."""
 
     name: str
@@ -219,8 +216,7 @@ PROFILES: dict[str, BrowserProfile] = {
 }
 
 
-@dataclass(frozen=True)
-class PolicyConfig:
+class PolicyConfig(NamedTuple):
     specs: tuple[PolicySpec, ...]
     allow_list: frozenset[str] = frozenset()
     deregister_engagement_threshold: float = 5.0
@@ -316,29 +312,38 @@ def _parse_config(config_text: str | bytes) -> PolicyConfig:
 REQUIRED_CAPABILITY = {kind: row.capability for kind, row in KINDS.items() if row.capability}
 
 
-@dataclass(slots=True)
 class Decision:
     """Whether an event is delivered, and what judging it or the clock caused."""
 
-    deliver: bool = True
-    actions: list[ActionEntry] = field(default_factory=list)
-    violations: list[ViolationRecord] = field(default_factory=list)
-    notices: list[Notice] = field(default_factory=list)
+    __slots__ = ("deliver", "actions", "violations", "notices")
+
+    def __init__(self, deliver: bool = True) -> None:
+        self.deliver = deliver
+        self.actions: list[ActionEntry] = []
+        self.violations: list[ViolationRecord] = []
+        self.notices: list[Notice] = []
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is Decision and all(
+            getattr(self, name) == getattr(other, name) for name in Decision.__slots__)
 
 
-@dataclass
 class SimulationResult:
     """A whole trace judged in order: the events partitioned by delivery,
     every decision's actions, violations and notices merged in order, and
     each worker's final state and running intervals."""
 
-    delivered_events: list[TraceEvent] = field(default_factory=list)
-    suppressed_events: list[TraceEvent] = field(default_factory=list)
-    actions: list[ActionEntry] = field(default_factory=list)
-    violations: list[ViolationRecord] = field(default_factory=list)
-    notices: list[Notice] = field(default_factory=list)
-    final_states: dict[str, SwState] = field(default_factory=dict)
-    running_intervals: dict[str, list[tuple[int, int]]] = field(default_factory=dict)
+    def __init__(self) -> None:
+        self.delivered_events: list[TraceEvent] = []
+        self.suppressed_events: list[TraceEvent] = []
+        self.actions: list[ActionEntry] = []
+        self.violations: list[ViolationRecord] = []
+        self.notices: list[Notice] = []
+        self.final_states: dict[str, SwState] = {}
+        self.running_intervals: dict[str, list[tuple[int, int]]] = {}
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is SimulationResult and vars(self) == vars(other)
 
     def running_ms(self, sw_id: str) -> int:
         return sum(end - start for start, end in self.running_intervals.get(sw_id, []))
@@ -351,29 +356,30 @@ class SimulationResult:
 _Crossing = tuple[int, str, Any, float]  # see _next_crossing
 
 
-@dataclass(kw_only=True)
 class _SwEngineState(Activity):
-    record: SwRecord
-    handlers: dict[str, Any]  # kind -> handler, its capability gate resolved
-    day_cursor: Optional[int] = None  # see _day_crossing
-    # rule counters and the keys already reported, both by (policy, key)
-    counts: dict[tuple[str, Any], int] = field(default_factory=dict)
-    violated: set[tuple[str, Any]] = field(default_factory=set)
-    pending_silent: deque[int] = field(default_factory=deque)  # grace deadlines
-    # activations by ``number``, 0 for none: the one whose self-update chain
-    # runs, anchored at its ``start``, and the one whose chain reached the cap
-    chain: int = 0
-    capped: int = 0
-    lows_today: int = 0
-    mediums_today: int = 0
-    ladder_day: int = -1
-    # clock heap bookkeeping: registration order, the stamp of the live heap
-    # entry, that entry's key (None: no live entry), and whether an input of
-    # the key has changed since it was computed
-    order: int = 0
-    stamp: int = 0
-    wake_ts: Optional[int] = None
-    dirty: bool = False
+    """What the engine keeps of one worker beyond its ``Activity``."""
+
+    def __init__(self, record: SwRecord, handlers: dict[str, Any],
+                 first_party: frozenset[str]) -> None:
+        super().__init__(first_party)
+        self.record = record
+        self.handlers = handlers  # kind -> handler, its capability gate resolved
+        self.day_cursor: Optional[int] = None  # see _day_crossing
+        # rule counters and the keys already reported, both by (policy, key)
+        self.counts: dict[tuple[str, Any], int] = {}
+        self.violated: set[tuple[str, Any]] = set()
+        self.pending_silent: deque[int] = deque()  # grace deadlines
+        # activations by ``number``, 0 for none: the one whose self-update chain
+        # runs, anchored at its ``start``, and the one whose chain reached the cap
+        self.chain = self.capped = 0
+        self.lows_today = self.mediums_today = 0
+        self.ladder_day = -1
+        # clock heap bookkeeping: registration order, the stamp of the live heap
+        # entry, that entry's key (None: no live entry), and whether an input of
+        # the key has changed since it was computed
+        self.order = self.stamp = 0
+        self.wake_ts: Optional[int] = None
+        self.dirty = False
 
 
 class PolicyEngine:
@@ -507,7 +513,7 @@ class PolicyEngine:
         day = self._day(violation.ts)
         if day != st.ladder_day:
             st.ladder_day, st.lows_today, st.mediums_today = day, 0, 0
-        spec = self.config.get(violation.policy_name)
+        spec = self._specs.get(violation.policy_name)
         effective = spec.severity if spec is not None else _MEDIUM
         if effective is _LOW:
             st.lows_today += 1

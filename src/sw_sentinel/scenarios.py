@@ -18,10 +18,9 @@ from __future__ import annotations
 
 import inspect
 import math
-from dataclasses import dataclass, field
 from operator import itemgetter
 from types import MappingProxyType
-from typing import Any, Iterable, Iterator, Mapping, Optional, get_args
+from typing import Any, Iterable, Iterator, Mapping, NamedTuple, Optional, get_args
 
 from .policy import PolicyConfig, PolicyEngine, SimulationResult
 from .trace import (_NO_PAYLOAD, DAY_MS, HOUR_MS, MalformedLine, TraceEvent, _check_payload,
@@ -296,14 +295,13 @@ PARAM_TYPES = {name: {key: _admits(param.annotation) for key, param in
                for name, gen in GENERATORS.items()}
 
 
-@dataclass(frozen=True)
-class Scenario:
+class Scenario(NamedTuple):
     """Named workload with parameters; identical scenarios generate
     byte-identical traces."""
 
     name: str
     seed: int = 0
-    params: Mapping[str, Any] = field(default_factory=dict)
+    params: Mapping[str, Any] = _NO_PAYLOAD  # read-only and shared
     duration_ms: Optional[int] = None
 
 

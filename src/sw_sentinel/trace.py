@@ -10,7 +10,6 @@ Timestamps are non-decreasing within a trace.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from functools import lru_cache
 from types import MappingProxyType
 from typing import Any, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
@@ -163,7 +162,6 @@ def day_segments(start: int, end: int, t0: int) -> Iterator[tuple[int, int]]:
         day += 1
 
 
-@dataclass(slots=True, kw_only=True)
 class Activity:
     """What the engine and forensics both keep of one worker, and the one
     home of the rules they share: its fetch-handler brackets, its visible
@@ -176,14 +174,18 @@ class Activity:
     take-back and bracket left open), and the engine's day cursor, rule
     counters and ladder."""
 
-    first_party: frozenset[str]  # registrable domains that are not third party
-    depth: int = 0
-    last_end: Optional[int] = None
-    visible: dict[str, tuple[int, Optional[str]]] = field(default_factory=dict)
-    start: Optional[int] = None  # the open activation's first ts; None while stopped
-    number: int = 0  # the number of the open (or last) activation
-    intervals: list[tuple[int, int]] = field(default_factory=list)  # the closed ones
-    day_ms: dict[int, int] = field(default_factory=dict)  # their milliseconds per virtual day
+    __slots__ = ("first_party", "depth", "last_end", "visible", "start", "number", "intervals",
+                 "day_ms")
+
+    def __init__(self, first_party: frozenset[str]) -> None:
+        self.first_party = first_party  # registrable domains that are not third party
+        self.depth = 0
+        self.last_end: Optional[int] = None
+        self.visible: dict[str, tuple[int, Optional[str]]] = {}
+        self.start: Optional[int] = None  # the open activation's first ts; None while stopped
+        self.number = 0  # the number of the open (or last) activation
+        self.intervals: list[tuple[int, int]] = []  # the closed ones
+        self.day_ms: dict[int, int] = {}  # their milliseconds per virtual day
 
     def step(self, event: TraceEvent) -> bool:
         """Open or close a bracket by ``event``'s kind; True when a span opens.

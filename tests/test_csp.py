@@ -1,13 +1,18 @@
 import random
+from urllib.parse import urljoin, urlsplit
+
+import pytest
 
 from sw_sentinel.csp import (
+    CspVerdict,
     audit_headers,
     check_eval,
     check_import,
-    effective_sw_policy,
+    effective_script_src,
     host_source_matches,
     parse_csp,
 )
+from sw_sentinel.model import ModelError, Origin
 
 ORIGIN = "https://a.example"
 
@@ -60,26 +65,26 @@ class TestParse:
 
 class TestEffectivePolicy:
     def test_no_header_defaults_to_self(self):
-        assert effective_sw_policy(None).directives["script-src"] == ("'self'",)
+        assert effective_script_src(None) == ("'self'",)
 
     def test_existing_script_src_wins(self):
         policy = parse_csp("script-src 'self' https://p.example")
-        assert effective_sw_policy(policy).directives["script-src"] == (
-            "'self'", "https://p.example"
-        )
+        assert effective_script_src(policy) == ("'self'", "https://p.example")
 
     def test_default_src_does_not_leak_into_script_src(self):
         policy = parse_csp("default-src https://open.example")
-        effective = effective_sw_policy(policy)
-        assert effective.directives["script-src"] == ("'self'",)
+        assert effective_script_src(policy) == ("'self'",)
         assert not check_import(policy, ORIGIN, "https://open.example/x.js").allowed
 
     def test_idempotent(self):
+        """Checking a policy leaves it as parsed, so a second check judges alike."""
         for header in ("", "script-src 'self'", "default-src 'none'",
                        "script-src https://x.example 'unsafe-eval'"):
-            once = effective_sw_policy(parse_csp(header))
-            twice = effective_sw_policy(once)
-            assert once == twice
+            policy = parse_csp(header)
+            directives = dict(policy.directives)
+            once = check_import(policy, ORIGIN, "https://x.example/a.js"), check_eval(policy)
+            twice = check_import(policy, ORIGIN, "https://x.example/a.js"), check_eval(policy)
+            assert once == twice and policy.directives == directives
 
 
 class TestCheckImport:
@@ -146,15 +151,64 @@ class TestHostMatching:
             host = ".".join(rng.choice(atoms) for _ in range(rng.randint(1, 4)))
             base = ".".join(rng.choice(atoms) for _ in range(rng.randint(1, 3)))
             pattern = base if rng.random() < 0.5 else "*." + base
-            got = host_source_matches(pattern, f"https://{host}/x")
+            got = host_source_matches(pattern, urlsplit(f"https://{host}/x"))
             assert got == self._oracle(pattern, host), (pattern, host)
 
     def test_scheme_and_port(self):
-        assert host_source_matches("https://cdn.example", "https://cdn.example/x")
-        assert not host_source_matches("https://cdn.example", "http://cdn.example/x")
-        assert not host_source_matches("cdn.example", "https://cdn.example:8443/x")
-        assert host_source_matches("cdn.example:8443", "https://cdn.example:8443/x")
-        assert host_source_matches("cdn.example:*", "https://cdn.example:8443/x")
+        assert host_source_matches("https://cdn.example", urlsplit("https://cdn.example/x"))
+        assert not host_source_matches("https://cdn.example", urlsplit("http://cdn.example/x"))
+        assert not host_source_matches("cdn.example", urlsplit("https://cdn.example:8443/x"))
+        assert host_source_matches("cdn.example:8443", urlsplit("https://cdn.example:8443/x"))
+        assert host_source_matches("cdn.example:*", urlsplit("https://cdn.example:8443/x"))
+
+
+def urljoin_check_import(policy, sw_origin, import_url):
+    """Oracle: ``check_import`` as it was when every import resolved by
+    ``urljoin`` against the worker's origin."""
+    sw_origin = Origin.parse(sw_origin)
+    parts = urlsplit(urljoin(f"{sw_origin}/", import_url))
+    same_origin = bool(parts.hostname) and (
+        Origin.parse(f"{parts.scheme}://{parts.netloc}") == sw_origin)
+    for source in effective_script_src(policy):
+        if source == "'self'" and same_origin:
+            return CspVerdict(True, "'self'")
+        if not source.startswith("'") and host_source_matches(source, parts):
+            return CspVerdict(True, source)
+    return CspVerdict(False, f"script-src has no source allowing {import_url}")
+
+
+IMPORTS = ["https:evil.js", "//cdn.example/x", "/lib.js", "lib.js", "HTTPS://A.Example/x",
+           "https://a.example:443/x", "data:text/javascript,x://y", "blob:https://a.example/u",
+           "javascript:1", "https://[::1]:8443/x", "http://a.example/x", "https://cdn.example/x",
+           "https://b.cdn.example:8443/x", "//a.example/x?y#z", "", "?q", "#f", "../../up.js"]
+HEADERS = [None, "script-src 'self'", "script-src 'none'", "script-src https://cdn.example",
+           "script-src *.cdn.example:*", "script-src * 'self'", "script-src http://a.example",
+           "script-src a.example:443", "default-src https://cdn.example"]
+ORIGINS = ["https://a.example", "https://a.example:8443", "https://[::1]:8443", "http://a.example"]
+
+
+class TestImportResolution:
+    """An import that has a scheme and a host resolves to itself, so only the
+    others are joined to the origin: the verdicts are urljoin's."""
+
+    @pytest.mark.parametrize("header", HEADERS)
+    def test_verdicts_match_the_urljoin_form(self, header):
+        policy = None if header is None else parse_csp(header)
+        for origin in ORIGINS:
+            for url in IMPORTS:
+                assert check_import(policy, origin, url) == urljoin_check_import(
+                    policy, origin, url), (origin, url)
+
+    def test_a_relative_import_with_a_scheme_resolves_to_the_worker_host(self):
+        verdict = check_import(parse_csp("script-src 'self'"), ORIGIN, "https:evil.js")
+        assert verdict == CspVerdict(True, "'self'")
+
+    def test_a_port_out_of_range_raises_as_the_urljoin_form_does(self):
+        for header in (None, "script-src https://cdn.example"):
+            policy = None if header is None else parse_csp(header)
+            for check in (check_import, urljoin_check_import):
+                with pytest.raises(ModelError, match="Port out of range"):
+                    check(policy, ORIGIN, "https://a.example:99999/x")
 
 
 class TestAudit:

@@ -42,6 +42,8 @@ ALLOWED_UNCALLED = {
     "policy.PolicyEngine.window_counts": ACCEPTANCE,
     "policy.SimulationResult.running_ms": ACCEPTANCE,
     "policy.SimulationResult.max_continuous_ms": ACCEPTANCE,
+    "policy.Decision.__eq__": "tests compare decisions by value",
+    "policy.SimulationResult.__eq__": "tests compare a run's results by value",
     "forensics.percentile": RANK_BANDS,
     "forensics._summary": RANK_BANDS,
     "forensics.summarize": RANK_BANDS,

@@ -1,4 +1,3 @@
-import dataclasses
 import random
 import re
 from pathlib import Path
@@ -152,10 +151,12 @@ class TestLoadPolicies:
         assert load_policies(None) is shared is default_policies()
         assert shared == load_policies(text)
         assert load_policies(text) is not load_policies(text)  # explicit text: every call
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        specs = shared.specs
+        with pytest.raises(AttributeError):
             shared.specs = ()
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        with pytest.raises(AttributeError):
             shared.specs[0].threshold = 1.0
+        assert shared.specs is specs and shared == load_policies(text)
         assert isinstance(shared.specs, tuple) and isinstance(shared.allow_list, frozenset)
 
 class TestProfiles:
@@ -534,18 +535,23 @@ class TestEscalation:
             actions = engine.escalate(record, self._violation(n, "exec_per_day"))
             assert EnforcementAction.DEREGISTER_SW not in actions
 
-    def test_severity_comes_from_the_config_for_any_spec_name(self):
-        """A hand-built config may name a spec outside ``RULES``; escalate
-        reads its severity from the config, and only a name the config lacks
-        falls back to medium."""
-        config = PolicyConfig((PolicySpec("custom", Severity.LOW, 1, 0),))
+    def test_severity_comes_from_the_spec_resolved_for_its_rule(self):
+        """Escalate reads the severity of the spec the engine resolved for
+        each rule when it was built. A name with no resolved spec falls back
+        to medium: one the config lacks, and one outside ``RULES``, which no
+        rule of the engine judges even where a hand-built config names it."""
+        config = PolicyConfig((PolicySpec("custom", Severity.LOW, 1, 0),
+                               PolicySpec("tag_reuse", Severity.LOW, 1, 60)))
         engine = engine_with(config)
         engine._t0 = 0
         record = engine.record("sw-1")
-        assert engine.escalate(record, self._violation(1, "custom")) == (
+        assert engine.escalate(record, self._violation(1, "tag_reuse")) == (
             EnforcementAction.LOG_ONLY,)
-        assert engine.escalate(record, self._violation(2, "unnamed")) == (
-            EnforcementAction.TERMINATE_SW,)
+        for name in ("custom", "push_per_hour", "unnamed"):
+            engine = engine_with(config)
+            engine._t0 = 0
+            assert engine.escalate(engine.record("sw-1"), self._violation(2, name)) == (
+                EnforcementAction.TERMINATE_SW,)
 
 
 class TestEngagement:

@@ -483,7 +483,8 @@ class TestBackgroundThirdParty:
     ], ids=["page_initiated", "inside_a_bracket", "at_a_brackets_end", "after_a_brackets_end",
             "first_party_subdomain", "domain_passed_as_first_party", "third_party"])
     def test_truth_table(self, depth, last_end, url, by_sw, expected):
-        activity = Activity(first_party=self.FIRST_PARTY, depth=depth, last_end=last_end)
+        activity = Activity(first_party=self.FIRST_PARTY)
+        activity.depth, activity.last_end = depth, last_end
         payload = {"url": url, "initiator_is_sw": by_sw}
         assert trace.background_third_party(activity, 50, payload) is expected
 
