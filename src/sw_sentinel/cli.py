@@ -24,7 +24,8 @@ import json
 import os
 import sys
 from functools import lru_cache
-from typing import Any, Iterable, Optional
+from itertools import islice
+from typing import Any, Iterable, Iterator, Optional
 
 from . import csp as csp_mod
 from . import forensics
@@ -55,17 +56,28 @@ def _load_config(path: Optional[str]) -> PolicyConfig:
         raise CliError(f"invalid policy config {path}: {exc}") from exc
 
 
-def _write_text(path: str, text: str) -> None:
-    """Write ``path`` atomically, with the mode open(path, "w") gives a file.
-    A path that cannot be written is a CliError and leaves no temporary file."""
+_CHUNK = 1024  # rows per write at most: no output is one multi-MB string to fault in
+
+
+def _write_text(path: str, text: str | Iterable[str]) -> None:
+    """Write ``path`` atomically, from a string or its chunks in order, with the mode
+    open(path, "w") gives. An OSError is a CliError; no error leaves a temporary file."""
     directory = os.path.dirname(os.path.abspath(path))
     tmp = os.path.join(directory, f".sw-sentinel-{os.urandom(8).hex()}")
+    flags = os.O_WRONLY | os.O_CREAT | os.O_EXCL  # never a file another writer made
     try:
-        os.makedirs(directory, exist_ok=True)  # FileExistsError: a file holds the name
-        fh = open(tmp, "x", encoding="utf-8")  # "x": never a file another writer made
         try:
-            with fh:
-                fh.write(text)
+            fd = os.open(tmp, flags, 0o666)
+        except FileNotFoundError:
+            os.makedirs(directory, exist_ok=True)  # only when the directory is missing
+            fd = os.open(tmp, flags, 0o666)
+        try:
+            try:
+                for data in map(str.encode, (text,) if type(text) is str else text):  # UTF-8
+                    while data:
+                        data = data[os.write(fd, data):]
+            finally:
+                os.close(fd)
             os.replace(tmp, path)  # IsADirectoryError: a directory holds the name
         except BaseException:
             if os.path.exists(tmp):
@@ -75,10 +87,16 @@ def _write_text(path: str, text: str) -> None:
         raise CliError(f"cannot write {path}: {exc}") from exc
 
 
+def _batches(items: Iterable) -> Iterator[list]:
+    """``items`` in lists of at most ``_CHUNK``, in order."""
+    items = iter(items)
+    return iter(lambda: list(islice(items, _CHUNK)), [])
+
+
 def _write_events(path: str, events) -> None:
-    # The trailing "" ends the last line with a newline and leaves no text
-    # for no events; the list is freed before the text is written.
-    _write_text(path, "\n".join([*emit_trace(events), ""]))
+    # One emit_trace call: its order check and body memo span the file. The
+    # "" appended to each batch ends its last line with a newline.
+    _write_text(path, ("\n".join([*batch, ""]) for batch in _batches(emit_trace(events))))
 
 
 # The JSONL outputs are written key by key in sorted order, in the text that
@@ -148,9 +166,10 @@ def _notice_row(n: Notice) -> str:
 def _write_records(out: str, result: SimulationResult) -> None:
     """Write the decisions of ``simulate`` and ``enforce`` into directory ``out``."""
     _write_text(os.path.join(out, "violations.jsonl"),
-                "".join(map(_violation_row, result.violations)))
-    _write_text(os.path.join(out, "actions.jsonl"), _action_rows(result.actions))
-    _write_text(os.path.join(out, "notices.jsonl"), "".join(map(_notice_row, result.notices)))
+                ("".join(map(_violation_row, batch)) for batch in _batches(result.violations)))
+    _write_text(os.path.join(out, "actions.jsonl"), map(_action_rows, _batches(result.actions)))
+    _write_text(os.path.join(out, "notices.jsonl"),
+                ("".join(map(_notice_row, batch)) for batch in _batches(result.notices)))
 
 
 def _generate(args: argparse.Namespace) -> list[TraceEvent]:

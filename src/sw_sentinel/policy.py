@@ -56,11 +56,11 @@ from __future__ import annotations
 
 import heapq
 import json
+import os
 import sys
 from collections import deque
 from enum import Enum
 from functools import cache, partial
-from importlib import resources
 from operator import attrgetter
 from typing import Any, NamedTuple, Optional, Sequence
 
@@ -273,9 +273,10 @@ def load_policies(config_text: str | bytes | None = None) -> PolicyConfig:
 
 @cache
 def default_policies() -> PolicyConfig:
-    """The shipped defaults, read and parsed once per process: the config
-    is frozen, so every caller can share it."""
-    return _parse_config(resources.files(__package__).joinpath("defaults.json").read_text("utf-8"))
+    """The shipped defaults, read once per process by the module's loader, as
+    pkgutil.get_data does but with no import, and parsed once: the config is frozen and shared."""
+    path = os.path.join(os.path.dirname(__file__), "defaults.json")
+    return _parse_config(__loader__.get_data(path))
 
 
 def _parse_config(config_text: str | bytes) -> PolicyConfig:

@@ -1,4 +1,5 @@
 import csv
+import errno
 import gc
 import json
 import math
@@ -9,8 +10,10 @@ import pytest
 
 from sw_sentinel import cli
 from sw_sentinel.cli import run
-from sw_sentinel.policy import ActionEntry, EnforcementAction, Notice, ViolationRecord
-from sw_sentinel.trace import MAX_TRACE_SPAN_MS, read_trace
+from sw_sentinel.policy import (ActionEntry, EnforcementAction, Notice, PolicyEngine,
+                                ViolationRecord, load_policies)
+from sw_sentinel.scenarios import Scenario, generate
+from sw_sentinel.trace import MAX_TRACE_SPAN_MS, emit_trace, read_trace
 
 
 def lines(path):
@@ -579,6 +582,73 @@ class TestUnwritableOutput:
         assert not list(tmp_path.rglob(".sw-sentinel-*"))
         if blocker == "file_as_directory":
             assert (work / "file").read_text() == "kept\n"
+
+
+class TestStreamingWriter:
+    """Outputs go to disk in bounded chunks through one atomic writer: no
+    write holds more than ``cli._CHUNK`` rows, the bytes are those of the
+    whole output written at once, and a failure midway leaves no trace."""
+
+    DDOS = ["--scenario", "ddos", "--param", "req_per_s=50", "--param", "burst_minutes=10"]
+
+    def test_no_write_holds_more_than_a_chunk_of_rows(self, tmp_path, monkeypatch):
+        trace, out = tmp_path / "t.jsonl", tmp_path / "enf"
+        writes = []
+        real_write = os.write
+
+        def write(fd, data):
+            writes.append(bytes(data))
+            return real_write(fd, data)
+
+        monkeypatch.setattr(os, "write", write)
+        assert run(["gen", *self.DDOS, "--out", str(trace)]) == 0
+        trace_writes = writes[:]
+        assert run(["enforce", "--trace", str(trace), "--out", str(out)]) == 0
+        monkeypatch.undo()
+        assert cli._CHUNK == 1024
+        assert max(data.count(b"\n") for data in writes) <= cli._CHUNK
+        events = generate(Scenario(name="ddos", seed=0,
+                                   params={"req_per_s": 50, "burst_minutes": 10}))
+        text = "".join(line + "\n" for line in emit_trace(events))
+        assert b"".join(trace_writes) == trace.read_bytes() == text.encode("utf-8")
+        assert len(trace_writes) > len(events) // cli._CHUNK
+        actions = PolicyEngine(load_policies(None), "chrome", mode="enforce").run(
+            read_trace(str(trace))).actions
+        assert len(actions) > 10 * cli._CHUNK
+        assert (out / "actions.jsonl").read_text("utf-8") == cli._action_rows(actions)
+
+    def test_a_failing_producer_leaves_the_target_as_it_was(self, tmp_path):
+        target = tmp_path / "out.jsonl"
+        target.write_bytes(b"kept\n")
+
+        class Stop(Exception):
+            pass
+
+        stop = Stop("producer failed")
+
+        def chunks():
+            yield "first\n" * 10
+            raise stop
+
+        with pytest.raises(Stop) as err:
+            cli._write_text(str(target), chunks())
+        assert err.value is stop
+        assert target.read_bytes() == b"kept\n"
+        assert not list(tmp_path.rglob(".sw-sentinel-*"))
+
+    def test_a_failing_write_exits_two(self, tmp_path, capsys, monkeypatch):
+        def full(fd, data):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        monkeypatch.setattr(os, "write", full)
+        out = tmp_path / "t.jsonl"
+        assert run(["gen", "--scenario", "benign", "--out", str(out)]) == 2
+        monkeypatch.undo()
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: cannot write {out}: ")
+        assert "No space left on device" in captured.err
+        assert len(captured.err.splitlines()) == 1 and "Traceback" not in captured.err
+        assert not out.exists() and not list(tmp_path.rglob(".sw-sentinel-*"))
 
 
 class TestCspCommands:

@@ -1,18 +1,22 @@
-"""Importing the package builds no dataclass that it does not need.
+"""Importing the package builds no dataclass, and imports no module, that it
+does not need.
 
 ``dataclasses`` generates and compiles the methods of each decorated class
 while its module is imported: about 0.5 ms a class in CPython 3.11, where a
 ``NamedTuple`` costs about a sixth of that and a plain class almost nothing.
 Every command imports the package first, so this cost is paid by each short
 CLI job. Each dataclass of the package is named here with the caller that
-needs what only a dataclass gives. This test counts; it does not time.
+needs what only a dataclass gives. These tests count; they do not time.
 """
 
 import ast
 import dataclasses
 import importlib
 import inspect
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import sw_sentinel
@@ -54,3 +58,20 @@ def test_the_source_walk_sees_every_dataclass_the_modules_define():
                   if inspect.isclass(value) and value.__module__ == module.__name__
                   and dataclasses.is_dataclass(value)}
     assert found == set(_decorated())
+
+
+def test_importing_the_cli_leaves_out_importlib_resources():
+    """``importlib.resources`` pulls in ``tempfile``, ``shutil``, ``zipfile``,
+    ``bz2``, ``lzma`` and ``random``, several ms of every command's start; the
+    shipped defaults are read without it. ``-S`` keeps site packages from
+    importing it first."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", "import sys, sw_sentinel.cli\n"
+         "sw_sentinel.cli.load_policies(None)\n"
+         "print(sw_sentinel.cli.__file__)\n"
+         "print('importlib.resources' in sys.modules)"],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr[-2000:]
+    assert done.stdout.splitlines() == [str(src / "sw_sentinel" / "cli.py"), "False"]
