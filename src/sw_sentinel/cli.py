@@ -17,7 +17,6 @@ not correctness.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import gc
 import io
 import json
@@ -271,10 +270,8 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         reports = forensics.analyze_trace(events, metadata)
     except UnbalancedBrackets as exc:
         raise CliError(f"invalid trace {args.trace}: {exc}") from exc
-    # Rows by field, as asdict writes them but without its deep copy of every list.
-    names = [field.name for field in dataclasses.fields(forensics.BehaviorReport)]
-    report_obj = {sw_id: {name: getattr(report, name) for name in names}
-                  for sw_id, report in reports.items()}
+    # A BehaviorReport's __dict__ is its fields: asdict's rows, without its deep copies.
+    report_obj = {sw_id: vars(report) for sw_id, report in reports.items()}
     _write_text(os.path.join(args.out, "report.json"),
                 json.dumps(report_obj, sort_keys=True, indent=2) + "\n")
     for metric, field_name in forensics._METRIC_FIELDS.items():

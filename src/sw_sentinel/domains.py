@@ -90,8 +90,6 @@ def registrable_domain(host: str) -> str:
     for take in range(len(labels) - 1, 0, -1):
         candidate = ".".join(labels[-take:])
         if candidate in PUBLIC_SUFFIXES:
-            if take == len(labels):
-                return host
             return ".".join(labels[-(take + 1):])
     return ".".join(labels[-2:])
 

@@ -132,7 +132,7 @@ def analyze_trace(
             slots[slot] += 1
         elif kind == "terminate":
             if w.start is not None:
-                w.stop(ts, t0)
+                w.stop(ts)
                 if ts != w.end_ts:  # the activations are numbered as their counts are
                     w.end_ts = ts
                     w.end_index = len(w.report.bg_third_party_fetches_per_activation) - 1
@@ -158,11 +158,11 @@ def analyze_trace(
     for w in workers.values():
         report = w.report
         if w.start is not None:  # still running at trace end: right-censored
-            w.stop(ts, t0)
+            w.stop(ts)
             report.right_censored_activation = True
         report.exec_minutes_per_activation = [(end - begin) / 60_000 for begin, end in w.intervals]
         totals = report.exec_minutes_per_day = [0.0] * days
-        for begin, end in w.intervals:  # minutes by segment: day_ms would round otherwise
+        for begin, end in w.intervals:  # minutes by segment: a per-day ms sum rounds differently
             for day, ms in day_segments(begin, end, t0):
                 totals[day] += ms / 60_000
     return {sw_id: w.report for sw_id, w in workers.items()}

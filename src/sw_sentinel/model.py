@@ -177,11 +177,11 @@ class SwRecord:
     def __init__(self, sw_id: str, origin: Origin, scope: Scope, script_url: str,
                  state: Optional[SwState] = None,
                  capabilities: Optional[frozenset[Capability]] = None,
-                 push_subscribed: bool = False, phase: SwState = _INSTALLING) -> None:
+                 push_subscribed: bool = False) -> None:
         self.sw_id, self.origin, self.scope, self.script_url = sw_id, origin, scope, script_url
         self.capabilities, self.push_subscribed = capabilities, push_subscribed
         self.silent_push_count, self.version = 0, 1
-        self.phase, self.predecessor, self.process = phase, None, None
+        self.phase, self.predecessor, self.process = _INSTALLING, None, None
         self.update_checked = self.update_refused = False
         if state in (_RUNNING, _TERMINATED):
             self.phase, self.process = _ACTIVATED, state

@@ -69,7 +69,7 @@ from .model import (Capability, Origin, Scope, SwRecord, SwRegistry, SwSentinelE
                     SwState, apply_lifecycle_event, check_capability, lifecycle_allows,
                     refuse_lifecycle_event)
 from .trace import (DAY_MS, KINDS, Activity, TraceEvent, UnbalancedBrackets,
-                    background_third_party, is_activity, new_record)
+                    background_third_party, day_segments, is_activity, new_record)
 
 TICK_MS = 1_000
 SILENT_PUSH_GRACE_MS = 5_000
@@ -365,6 +365,7 @@ class _SwEngineState(Activity):
         super().__init__(first_party)
         self.record = record
         self.handlers = handlers  # kind -> handler, its capability gate resolved
+        self.day_ms: dict[int, int] = {}  # closed activations' ms per virtual day
         self.day_cursor: Optional[int] = None  # see _day_crossing
         # rule counters and the keys already reported, both by (policy, key)
         self.counts: dict[tuple[str, Any], int] = {}
@@ -473,7 +474,7 @@ class PolicyEngine:
         # Traces that begin mid-life imply the subscription exists;
         # fresh registrations wait for a permission grant.
         record = SwRecord(event.sw_id, origin, Scope(event.scope or "/"), f"{origin}/sw.js",
-                          phase=SwState.INSTALLING if fresh else SwState.ACTIVATED,
+                          state=SwState.INSTALLING if fresh else SwState.ACTIVATED,
                           capabilities=None if caps is None else frozenset(map(Capability, caps)),
                           push_subscribed=not fresh)
         error = self._registry.admit(record)
@@ -536,13 +537,11 @@ class PolicyEngine:
     def _violate(self, st: _SwEngineState, spec: PolicySpec, key: Any, ts: int,
                  observed: float, out: Decision) -> None:
         """The one path from a rule's transgression to its decisions: report
-        it once per (rule, key), or every time when ``key`` is None, then
-        climb the ladder. A rule that ``stops`` terminates the worker
-        whatever rung the ladder reaches."""
+        it, mark (rule, key) reported unless ``key`` is None, then climb the
+        ladder. Every caller skips a key already reported. A rule that
+        ``stops`` terminates the worker whatever rung the ladder reaches."""
         name = spec.name
         if key is not None:
-            if (name, key) in st.violated:
-                return
             st.violated.add((name, key))
         violation = new_record(ViolationRecord,
                                (name, st.record.sw_id, ts, observed, spec.threshold))
@@ -600,7 +599,9 @@ class PolicyEngine:
     def _stop(self, st: _SwEngineState, ts: int) -> None:
         if st.record.process is not _RUNNING:
             return
-        st.stop(ts, self._t0 or 0)
+        for day, ms in day_segments(st.start, ts, self._t0 or 0):  # the day ledger
+            st.day_ms[day] = st.day_ms.get(day, 0) + ms
+        st.stop(ts)
         apply_lifecycle_event(st.record, "terminate")
         st.dirty = True
         if self._closed_loop:

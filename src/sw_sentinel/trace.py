@@ -171,11 +171,10 @@ class Activity:
     forensics on ``is_activity`` while ``start`` is None), how it builds
     ``first_party``, its own resets (the engine's of ``last_end`` at a wake,
     the closed loop's of ``depth`` at a stop) and checks (forensics' same-ts
-    take-back and bracket left open), and the engine's day cursor, rule
-    counters and ladder."""
+    take-back and bracket left open), and the engine's day ledger, day
+    cursor, rule counters and ladder."""
 
-    __slots__ = ("first_party", "depth", "last_end", "visible", "start", "number", "intervals",
-                 "day_ms")
+    __slots__ = ("first_party", "depth", "last_end", "visible", "start", "number", "intervals")
 
     def __init__(self, first_party: frozenset[str]) -> None:
         self.first_party = first_party  # registrable domains that are not third party
@@ -185,7 +184,6 @@ class Activity:
         self.start: Optional[int] = None  # the open activation's first ts; None while stopped
         self.number = 0  # the number of the open (or last) activation
         self.intervals: list[tuple[int, int]] = []  # the closed ones
-        self.day_ms: dict[int, int] = {}  # their milliseconds per virtual day
 
     def step(self, event: TraceEvent) -> bool:
         """Open or close a bracket by ``event``'s kind; True when a span opens.
@@ -226,13 +224,9 @@ class Activity:
         self.start = ts
         self.number += 1
 
-    def stop(self, ts: int, t0: int) -> None:
-        """Close the open activation at ``ts``: its interval, and its
-        milliseconds in each virtual day counted from ``t0``."""
-        start, day_ms = self.start, self.day_ms
-        self.intervals.append((start, ts))
-        for day, ms in day_segments(start, ts, t0):
-            day_ms[day] = day_ms.get(day, 0) + ms
+    def stop(self, ts: int) -> None:
+        """Close the open activation at ``ts``: its interval."""
+        self.intervals.append((self.start, ts))
         self.start = None
 
 

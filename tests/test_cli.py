@@ -401,6 +401,7 @@ class TestHostileArguments:
         (["gen", "--scenario", "benign", "--param", "bogus=1"], None),
         (["analyze"], "[1]"),
         (["analyze"], json.dumps({"sw-1": {"import_domains": 5}})),
+        (["analyze"], json.dumps({"sw-1": 3})),
         (["csp-audit"], "[1]\n"),
         (["csp-audit"], json.dumps({"url": "https://a.example", "headers": 5}) + "\n"),
         (["analyze"], '{"sw-1": {"rank": ' + "9" * 5_000 + "}}"),
@@ -431,7 +432,7 @@ class TestHostileArguments:
             "simulate_threshold_infinity", "simulate_threshold_nan", "simulate_threshold_1e308",
             "simulate_policies", "simulate_unknown_param", "simulate_missing_param",
             "simulate_negative_param", "gen_negative_param", "gen_benign_unknown_param",
-            "meta_list", "meta_import_domains_number",
+            "meta_list", "meta_import_domains_number", "meta_value_number",
             "corpus_line_list", "corpus_headers_number", "meta_int_past_digit_limit",
             "corpus_int_past_digit_limit", "gen_float_duration", "simulate_float_duration",
             "gen_bool_duration", "gen_renew_after_zero", "simulate_renew_after_zero",
@@ -457,6 +458,25 @@ class TestHostileArguments:
         if argv[0] == "csp-audit":
             assert f"{path}:1: " in captured.err and captured.out == ""
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["enforce", "simulate"])
+    @pytest.mark.parametrize("config", ["directory", "not_utf8"])
+    def test_an_unreadable_config_exits_two(self, tmp_path, capsys, command, config):
+        path = tmp_path / "config"
+        if config == "directory":
+            path.mkdir()
+        else:
+            path.write_bytes(b'[{"name": "\xff"}]')
+        argv = [command, "--policies", str(path), "--out", str(tmp_path / "out")]
+        if command == "enforce":
+            trace = tmp_path / "t.jsonl"
+            write_lines(trace, fetch_trace("register", "install", "activate"))
+            argv += ["--trace", str(trace)]
+        else:
+            argv += ["--scenario", "benign"]
+        assert run(argv) == 2
+        assert capsys.readouterr().err.startswith(f"error: cannot read policy config {path}: ")
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command,param", [
         ("gen", "pushes_per_hour=true"), ("simulate", "silent=x"), ("gen", "silent=1"),
@@ -748,6 +768,14 @@ class TestCspCommands:
         assert run(["csp-audit", "--corpus", str(corpus)]) == 0
         summary = json.loads(capsys.readouterr().out)
         assert (summary["total"], summary["with_csp"], summary["with_script_src"]) == (50, 4, 2)
+
+    def test_audit_skips_blank_lines(self, tmp_path, capsys):
+        row = json.dumps({"url": "https://s.example/sw.js",
+                          "headers": {"Service-Worker": "script"}})
+        corpus = tmp_path / "headers.jsonl"
+        corpus.write_text(f"\n{row}\n  \n\n{row}\n")
+        assert run(["csp-audit", "--corpus", str(corpus)]) == 0
+        assert json.loads(capsys.readouterr().out)["total"] == 2
 
     def test_audit_missing_file_exits_two(self, tmp_path):
         assert run(["csp-audit", "--corpus", str(tmp_path / "none.jsonl")]) == 2

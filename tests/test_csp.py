@@ -161,6 +161,12 @@ class TestHostMatching:
         assert host_source_matches("cdn.example:8443", urlsplit("https://cdn.example:8443/x"))
         assert host_source_matches("cdn.example:*", urlsplit("https://cdn.example:8443/x"))
 
+    def test_a_token_that_is_no_host_source_matches_nothing(self):
+        """``parse_csp`` skips such a token; a direct caller gets no match."""
+        assert not host_source_matches("https:", urlsplit("https://cdn.example/x"))
+        assert not host_source_matches("https://cdn.example/lib/",
+                                       urlsplit("https://cdn.example/lib/x.js"))
+
 
 def urljoin_check_import(policy, sw_origin, import_url):
     """Oracle: ``check_import`` as it was when every import resolved by

@@ -367,6 +367,11 @@ class TestSummarize:
         with pytest.raises(KeyError):
             summarize({}, "nonsense")
 
+    def test_reports_without_values_raise(self):
+        reports = {"sw-1": BehaviorReport(sw_id="sw-1")}
+        with pytest.raises(EmptyInput, match="pushes_per_hour"):
+            summarize(reports, "pushes_per_hour")
+
 
 class TestExportCdf:
     def test_basic_fractions(self):

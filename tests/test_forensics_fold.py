@@ -24,7 +24,7 @@ from typing import Any, Iterable, Mapping, Optional, Sequence
 
 import pytest
 
-from sw_sentinel import scenarios, trace
+from sw_sentinel import forensics, scenarios, trace
 from sw_sentinel.domains import registrable_domain, url_registrable_domain
 from sw_sentinel.forensics import BehaviorReport, analyze_trace
 from sw_sentinel.model import Origin
@@ -33,7 +33,7 @@ from sw_sentinel.scenarios import Scenario, generate, simulate
 from sw_sentinel.trace import (DAY_MS, HOUR_MS, TraceEvent, UnbalancedBrackets, day_segments,
                                is_activity, read_trace)
 
-from test_policy_clock import ALL_GENERATORS, _params
+from test_policy_clock import ALL_GENERATORS, _params, merged_fleet
 
 BENCH_WORKLOADS = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
 
@@ -404,3 +404,24 @@ def test_same_ts_fetches_count_where_the_reference_counts_them(events, counts):
 def test_unbalanced_and_empty_traces_raise_as_the_reference_does(events):
     expected = assert_fold_matches(events)
     assert expected == {} if not events else expected[0] is UnbalancedBrackets
+
+
+def test_analyze_walks_each_activations_days_once(monkeypatch):
+    """Work is counted, not timed: ``analyze_trace`` splits each closed
+    activation over the virtual days once, for its minutes per day. Closing
+    an ``Activity`` walks no days: the engine's day ledger is its own."""
+    walks = 0
+
+    def counted(start, end, t0):
+        nonlocal walks
+        walks += 1
+        return day_segments(start, end, t0)
+
+    monkeypatch.setattr(trace, "day_segments", counted)
+    monkeypatch.setattr(forensics, "day_segments", counted)
+    reports = analyze_trace(merged_fleet(2, workers=6, names=ALL_GENERATORS))
+    closed = sum(len(report.exec_minutes_per_activation) for report in reports.values())
+    assert closed > len(reports)
+    assert any(sum(1 for minutes in report.exec_minutes_per_day if minutes) > 1
+               for report in reports.values())  # some worker runs on two days
+    assert walks == closed

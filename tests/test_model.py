@@ -57,6 +57,9 @@ class TestScope:
         assert Scope("/test").path_prefix == "/test/"
         assert Scope("/").path_prefix == "/"
 
+    def test_text_is_the_prefix(self):
+        assert str(Scope("/app")) == "/app/"
+
     def test_segment_alignment(self):
         assert not Scope("/te").contains("/test/x")
         assert Scope("/test/").contains("/test/x")

@@ -657,6 +657,10 @@ class TestModeContract:
         else:
             assert self._judge("enforce", config, subscribed, prelude, event).deliver
 
+    def test_an_unknown_mode_is_refused(self):
+        with pytest.raises(ValueError, match="'x'"):
+            PolicyEngine(mode="x")
+
 
 class TestRecords:
     """Actions, violations and notices are immutable tuple records; a

@@ -302,6 +302,10 @@ class TestSimulate:
             assert [event.ts for event in events if event.kind == "terminate"] == expected
         assert gaps or name == "tracking_library"  # its visits are 10 s apart
 
+    def test_an_unknown_scenario_is_a_key_error(self):
+        with pytest.raises(KeyError, match="nope"):
+            generate(Scenario("nope"))
+
     @pytest.mark.parametrize("value", [-1, -0.5, float("nan"), float("inf")])
     def test_negative_or_unbounded_params_rejected(self, value):
         with pytest.raises(ValueError, match="req_per_s"):

@@ -612,12 +612,12 @@ def test_notif_id_guard_sees_the_rule():
     assert _notif_id_constants(Path(trace.__file__))
 
 
-_ACTIVATION_FIELDS = frozenset({"start", "number", "intervals", "day_ms"})
+_ACTIVATION_FIELDS = frozenset({"start", "number", "intervals"})
 
 
 def _activation_stores(path):
     """Line numbers where ``path`` stores an attribute named ``start``,
-    ``number``, ``intervals`` or ``day_ms``."""
+    ``number`` or ``intervals``."""
     return [node.lineno for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
             if isinstance(node, ast.Attribute) and node.attr in _ACTIVATION_FIELDS
             and isinstance(node.ctx, ast.Store)]
@@ -661,3 +661,25 @@ def test_forensics_shares_definitions_with_the_engine_only_through_trace():
 
 def test_import_guard_sees_an_import_from_the_engine():
     assert _policy_imports(Path(trace.__file__).parent / "scenarios.py")
+
+
+def _day_ledger_names(path):
+    """Line numbers where ``path`` names ``day_ms``, as an attribute, a
+    variable or a constant."""
+    return [node.lineno for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if (isinstance(node, ast.Attribute) and node.attr == "day_ms")
+            or (isinstance(node, ast.Name) and node.id == "day_ms")
+            or (isinstance(node, ast.Constant) and node.value == "day_ms")]
+
+
+def test_only_the_engine_keeps_the_day_ledger():
+    """Only the engine's ``exec_per_day`` rule reads a worker's milliseconds
+    per virtual day, so only ``policy.py`` books them. Forensics sums its
+    minutes segment by segment, and the shared ``Activity`` keeps none."""
+    modules = sorted(Path(trace.__file__).parent.glob("*.py"))
+    assert len(modules) > 2
+    offenders = {path.name: lines for path in modules
+                 if path.name != "policy.py" and (lines := _day_ledger_names(path))}
+    assert offenders == {}, "the day ledger is the engine's own state"
+    assert _day_ledger_names(Path(trace.__file__).parent / "policy.py")
+    assert not hasattr(trace.Activity(frozenset()), "day_ms")
