@@ -116,38 +116,28 @@ def _json_text(value: Any) -> str:
     return _VALUE_ENCODER.encode(value)
 
 
-def _action_row(a: ActionEntry, prefixes: dict[tuple, str]) -> str:
-    ts, sw_id, action, reason = a
-    # Keyed on the action's value string, which hashes in C where the member
-    # hashes in Python. A str or None sw_id only: 1 and True are equal keys
-    # with other texts.
-    value = action._value_
-    key = (value, reason, sw_id) if sw_id is None or type(sw_id) is str else None
-    prefix = prefixes.get(key)
-    if prefix is None:
-        prefix = (f'{{"action": {_json_str(value)}, "reason": {_json_str(reason)}, '
-                  f'"sw_id": {_json_text(sw_id)}, "ts": ')
-        if key is not None:
-            prefixes[key] = prefix
-    return f"{prefix}{ts}}}\n" if type(ts) is int else prefix + _json_text(ts) + "}\n"
-
-
 def _action_rows(actions: Iterable[ActionEntry]) -> str:
-    """The rows of ``actions.jsonl``: a row with an int ts whose sw_id, action
-    and reason are the very objects of the row before reuses its prefix."""
+    """The rows of ``actions.jsonl``. A row whose sw_id, action and reason are
+    the very objects of the row before reuses its prefix; any other row looks
+    it up in a memo keyed on the action's value string, which hashes in C
+    where the member hashes in Python, the reason and a str or None sw_id
+    (1 and True are equal keys with other texts)."""
     prefixes: dict[tuple, str] = {}
     rows: list[str] = []
     last_sw = last_reason = prefix = None
     last_action: Any = object()  # no row's action
-    for a in actions:
-        ts, sw_id, action, reason = a
-        if action is last_action and reason is last_reason and sw_id is last_sw and type(ts) is int:
-            rows.append(f"{prefix}{ts}}}\n")
-        else:
-            rows.append(_action_row(a, prefixes))
-            if sw_id is None or type(sw_id) is str:  # as _action_row's own key
-                last_sw, last_action, last_reason = sw_id, action, reason
-                prefix = prefixes[(action._value_, reason, sw_id)]
+    for ts, sw_id, action, reason in actions:
+        if action is not last_action or reason is not last_reason or sw_id is not last_sw:
+            value = action._value_
+            key = (value, reason, sw_id) if sw_id is None or type(sw_id) is str else None
+            prefix = prefixes.get(key)
+            if prefix is None:
+                prefix = (f'{{"action": {_json_str(value)}, "reason": {_json_str(reason)}, '
+                          f'"sw_id": {_json_text(sw_id)}, "ts": ')
+                if key is not None:
+                    prefixes[key] = prefix
+            last_sw, last_action, last_reason = sw_id, action, reason
+        rows.append(f"{prefix}{ts}}}\n" if type(ts) is int else prefix + _json_text(ts) + "}\n")
     return "".join(rows)
 
 
@@ -274,10 +264,8 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     report_obj = {sw_id: vars(report) for sw_id, report in reports.items()}
     _write_text(os.path.join(args.out, "report.json"),
                 json.dumps(report_obj, sort_keys=True, indent=2) + "\n")
-    for metric, field_name in forensics._METRIC_FIELDS.items():
-        values: list[float] = []
-        for report in reports.values():
-            values.extend(getattr(report, field_name))
+    for metric in forensics.METRICS:
+        values, _peaks = forensics.pooled(reports.values(), metric)
         # csv ends rows with "\r\n"; a StringIO keeps them as written.
         text = io.StringIO()
         forensics.export_cdf(values, text)
@@ -333,7 +321,10 @@ def _cmd_csp_audit(args: argparse.Namespace) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
+@lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    """The parser every ``run`` in this process shares: parsing reads it and
+    builds a fresh namespace, so one run's values cannot reach the next."""
     parser = argparse.ArgumentParser(
         prog="sw-sentinel",
         description="Service worker abuse model: generate, enforce, analyze.",
@@ -380,13 +371,6 @@ def build_parser() -> argparse.ArgumentParser:
     aud.add_argument("--corpus", required=True)
     aud.set_defaults(func=_cmd_csp_audit)
     return parser
-
-
-@lru_cache(maxsize=1)
-def _parser() -> argparse.ArgumentParser:
-    """The parser every ``run`` in this process shares: parsing reads it and
-    builds a fresh namespace, so one run's values cannot reach the next."""
-    return build_parser()
 
 
 def run(argv: Optional[list[str]] = None) -> int:

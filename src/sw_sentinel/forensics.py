@@ -212,6 +212,22 @@ def _summary(metric: str, values: list[float], peaks: list[float]) -> Percentile
     )
 
 
+def pooled(reports: Iterable[BehaviorReport], metric: str) -> tuple[list[float], list[float]]:
+    """The one pooling of a metric: every value of ``metric`` over ``reports``,
+    in order, and the peak of each report that has a value."""
+    if metric not in _METRIC_FIELDS:
+        raise KeyError(f"unknown metric {metric!r}; one of {sorted(_METRIC_FIELDS)}")
+    field_name = _METRIC_FIELDS[metric]
+    values: list[float] = []
+    peaks: list[float] = []
+    for report in reports:
+        series = getattr(report, field_name)
+        values.extend(series)
+        if series:
+            peaks.append(max(series))
+    return values, peaks
+
+
 def summarize(
     reports: Mapping[str, BehaviorReport],
     metric: str,
@@ -219,31 +235,15 @@ def summarize(
     sw_metadata: Optional[Mapping[str, Mapping[str, Any]]] = None,
 ) -> dict[str, PercentileSummary]:
     """Per-band and overall percentile summaries for one metric."""
-    if metric not in _METRIC_FIELDS:
-        raise KeyError(f"unknown metric {metric!r}; one of {sorted(_METRIC_FIELDS)}")
-    field_name = _METRIC_FIELDS[metric]
     sw_metadata = sw_metadata or {}
-
-    def collect(selected: Iterable[BehaviorReport]) -> tuple[list[float], list[float]]:
-        values: list[float] = []
-        peaks: list[float] = []
-        for report in selected:
-            series = list(getattr(report, field_name))
-            values.extend(series)
-            if series:
-                peaks.append(max(series))
-        return values, peaks
-
-    out: dict[str, PercentileSummary] = {}
-    values, peaks = collect(reports.values())
-    out["overall"] = _summary(metric, values, peaks)
+    out = {"overall": _summary(metric, *pooled(reports.values(), metric))}
     for band in bands or ():
         members = [
             report
             for sw_id, report in reports.items()
             if band.holds(int(sw_metadata.get(sw_id, {}).get("rank", -1)))
         ]
-        band_values, band_peaks = collect(members)
+        band_values, band_peaks = pooled(members, metric)
         if band_values:
             out[band.label] = _summary(metric, band_values, band_peaks)
     return out

@@ -428,7 +428,10 @@ class PolicyEngine:
 
     def register_record(self, record: SwRecord) -> None:
         """Pre-register a worker (used by tests and the capability grid). As in
-        ``enforce``, it holds its scope if the registry admits it."""
+        ``enforce``, it holds its scope if the registry admits it. A running
+        record is a ValueError: the engine opens every activation itself."""
+        if record.process is _RUNNING:
+            raise ValueError(f"cannot pre-register {record.sw_id!r}: it is running")
         self._registry.admit(record)
         self._add_state(record)
 
@@ -968,8 +971,8 @@ class PolicyEngine:
         all_actions += actions
         all_violations += violations
         all_notices += notices
+        result.final_states = self.states()
         for sw_id, st in self._states.items():
-            result.final_states[sw_id] = st.record.state
             intervals = result.running_intervals[sw_id] = list(st.intervals)
             if st.record.process is _RUNNING:
                 intervals.append((st.start, end_ts))

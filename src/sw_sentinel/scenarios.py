@@ -285,14 +285,13 @@ GENERATORS = {
 }
 
 
-def _admits(annotation: Any) -> tuple[type, ...]:
-    """Its own type only (a bool is no count), None too if Optional, int too if float."""
-    return (float, int) if annotation is float else get_args(annotation) or (annotation,)
-
-
-PARAM_TYPES = {name: {key: _admits(param.annotation) for key, param in
-                      inspect.signature(gen, eval_str=True).parameters.items() if key != "seed"}
+_SIGNATURES = {name: inspect.signature(gen, eval_str=True).parameters
                for name, gen in GENERATORS.items()}
+# A parameter admits its type only (a bool is no count), None too if Optional, int too if float.
+PARAM_TYPES = {name: {key: (float, int) if param.annotation is float
+                      else get_args(param.annotation) or (param.annotation,)
+                      for key, param in params.items() if key != "seed"}
+               for name, params in _SIGNATURES.items()}
 
 
 class Scenario(NamedTuple):
@@ -306,21 +305,27 @@ class Scenario(NamedTuple):
 
 
 def generate(scenario: Scenario) -> list[TraceEvent]:
-    """The scenario's trace; a parameter of a wrong type or range is a ValueError naming it,
-    and a trace the reader would refuse for its span raises TraceSpanTooLong."""
-    if scenario.name not in GENERATORS:
-        raise KeyError(f"unknown scenario {scenario.name!r}")
+    """The scenario's trace. A parameter missing, unknown, or of a wrong type or range is a
+    ValueError naming it; a trace the reader would refuse for its span raises TraceSpanTooLong."""
+    name = scenario.name
+    if name not in GENERATORS:
+        raise KeyError(f"unknown scenario {name!r}")
     kwargs = dict(scenario.params)
     if scenario.duration_ms is not None:
         kwargs["duration_ms"] = scenario.duration_ms
     for key, value in kwargs.items():
-        types = PARAM_TYPES[scenario.name].get(key, (type(value),))  # a key it lacks: TypeError
+        types = PARAM_TYPES[name].get(key)
+        if types is None:
+            raise ValueError(f"parameter {key} is not a parameter of {name}")
         if type(value) not in types:
             raise ValueError(f"parameter {key} must be "
                              f"{' or '.join(t.__name__ for t in types)}: {value!r}")
         if type(value) in (int, float) and not 0 <= value < math.inf:
             raise ValueError(f"parameter {key} must be a finite number >= 0: {value!r}")
-    events = GENERATORS[scenario.name](scenario.seed, **kwargs)
+    for key, param in _SIGNATURES[name].items():
+        if param.default is param.empty and key != "seed" and key not in kwargs:
+            raise ValueError(f"parameter {key} is required")
+    events = GENERATORS[name](scenario.seed, **kwargs)
     check_span(events)
     return events
 

@@ -174,13 +174,15 @@ class Activity:
     take-back and bracket left open), and the engine's day ledger, day
     cursor, rule counters and ladder."""
 
-    __slots__ = ("first_party", "depth", "last_end", "visible", "start", "number", "intervals")
+    __slots__ = ("first_party", "depth", "last_end", "visible", "tags", "start", "number",
+                 "intervals")
 
     def __init__(self, first_party: frozenset[str]) -> None:
         self.first_party = first_party  # registrable domains that are not third party
         self.depth = 0
         self.last_end: Optional[int] = None
         self.visible: dict[str, tuple[int, Optional[str]]] = {}
+        self.tags: dict[str, str] = {}  # each tag shown, to the notif_id last shown with it
         self.start: Optional[int] = None  # the open activation's first ts; None while stopped
         self.number = 0  # the number of the open (or last) activation
         self.intervals: list[tuple[int, int]] = []  # the closed ones
@@ -204,14 +206,17 @@ class Activity:
         """Show the notification of ``payload`` at ``ts``; True when it
         replaced a visible notification with its tag. A notification stays
         visible until a click or a close of its ``notif_id``, or a later show
-        with its ``tag``; a show of a visible ``notif_id`` shows it afresh."""
-        tag, visible = payload.get("tag"), self.visible
-        replaced = [] if tag is None else [
-            notif_id for notif_id, (_ts, seen) in visible.items() if seen == tag]
-        for notif_id in replaced:
-            del visible[notif_id]
-        visible[payload.get("notif_id", "")] = (ts, tag)
-        return bool(replaced)
+        with its ``tag``; a show of a visible ``notif_id`` shows it afresh. So only
+        the notification ``tags`` names for a tag can hold it: no show scans ``visible``."""
+        tag, visible, notif_id = payload.get("tag"), self.visible, payload.get("notif_id", "")
+        held = self.tags.get(tag)
+        replaced = tag is not None and held in visible and visible[held][1] == tag
+        if replaced:
+            del visible[held]
+        if tag is not None:
+            self.tags[tag] = notif_id
+        visible[notif_id] = (ts, tag)
+        return replaced
 
     def hide(self, payload: Mapping[str, Any]) -> Optional[int]:
         """Hide the notification a click or a close of ``payload`` names: the

@@ -49,6 +49,20 @@ class TestGen:
                     "--out", str(tmp_path / "x.jsonl")])
         assert code == 2
 
+    @pytest.mark.parametrize("scenario,params,named", [
+        ("push_flood", [], "parameter pushes_per_hour is required"),
+        ("ddos", ["req_per_s=1", "burst_minutes=1", "bogus=3"],
+         "parameter bogus is not a parameter of ddos"),
+    ], ids=["missing", "unknown"])
+    def test_a_missing_or_unknown_param_exits_two_naming_it(self, tmp_path, capsys, scenario,
+                                                             params, named):
+        out = tmp_path / "x.jsonl"
+        code = run(["gen", "--scenario", scenario, *(arg for pair in params
+                                                     for arg in ("--param", pair)),
+                    "--out", str(out)])
+        assert code == 2 and not out.exists()
+        assert capsys.readouterr().err == f"error: cannot generate scenario: {named}\n"
+
     def test_runs_share_one_parser_but_not_their_params(self, tmp_path, monkeypatch):
         seen = []
         monkeypatch.setattr(cli, "generate", lambda scenario: seen.append(scenario) or [])

@@ -2,13 +2,16 @@
 
 Each case generates one small trace, runs ``simulate`` under all five
 browser profiles, and runs ``enforce`` (all five profiles) plus
-``analyze`` over the generated trace. Three more cases run the paths that
+``analyze`` over the generated trace. Four more cases run the paths that
 no generated trace reaches: ``analyze --meta`` on the tracking library's
 trace; a hand-written trace with a clicked notification and a worker
 refused the fetch events it lacks the capability for, through ``enforce``
-and ``analyze``; and ``csp-check`` and ``csp-audit``, whose stdout is
-pinned. A change that alters any output byte fails here and names the
-files that moved.
+and ``analyze``; a hand-written trace of the open loop's refusals (an http
+register, a second worker at a held scope, a never-run worker's own fetch,
+and a close and a click of notifications never shown), through ``enforce``
+and ``analyze``; and ``csp-check`` and ``csp-audit``, whose stdout is pinned.
+A change that alters any output byte fails here and names the files that
+moved.
 
 After an intended output change, rewrite the table with
 ``PYTHONPATH=src python tests/test_golden_outputs.py --write``; it prints
@@ -77,6 +80,27 @@ CLICK_AND_REFUSE = (
     '"scope":"/"}',
 )
 
+# The open loop's refusals: an http register; a second sw_id at a scope that
+# is held; a never-run worker's own fetch; a programmatic close and a click of
+# notifications never shown, by a worker that has not run.
+REFUSALS = (
+    '{"ts":0,"kind":"register","origin":"https://held.example","sw_id":"sw-held","scope":"/"}',
+    '{"ts":0,"kind":"register","origin":"https://held.example","sw_id":"sw-second",'
+    '"scope":"/"}',
+    '{"ts":0,"kind":"register","origin":"http://plain.example","sw_id":"sw-http","scope":"/"}',
+    '{"ts":500,"kind":"register","origin":"https://idle.example","sw_id":"sw-idle","scope":"/"}',
+    '{"ts":1000,"kind":"fetch_request","origin":"https://idle.example","sw_id":"sw-idle",'
+    '"scope":"/","url":"https://tracker.example/t","initiator_is_sw":true}',
+    '{"ts":2000,"kind":"notification_close","origin":"https://held.example",'
+    '"sw_id":"sw-held","scope":"/","notif_id":"never","by_user":false}',
+    '{"ts":3000,"kind":"notification_click","origin":"https://held.example",'
+    '"sw_id":"sw-held","scope":"/","notif_id":"nor-this"}',
+    '{"ts":40000,"kind":"terminate","origin":"https://held.example","sw_id":"sw-held",'
+    '"scope":"/"}',
+    '{"ts":40000,"kind":"terminate","origin":"https://idle.example","sw_id":"sw-idle",'
+    '"scope":"/"}',
+)
+
 # A header whose host sources allow every import below, and eval.
 CSP_HEADER = "script-src 'self' https://cdn.example *.push.example:* 'unsafe-eval'"
 CSP_IMPORTS = ("/lib.js", "https://cdn.example/sdk.js", "https://a.push.example:8443/w.js")
@@ -133,12 +157,13 @@ def produce(root):
     meta = _write(os.path.join(case, "meta.json"), json.dumps(TRACKING_META))
     _run(["analyze", "--trace", os.path.join(case, "trace.jsonl"), "--meta", meta,
           "--out", os.path.join(case, "analyze-meta")])
-    case = os.path.join(root, "click_and_refuse")
-    trace = _write(os.path.join(case, "trace.jsonl"), "\n".join(CLICK_AND_REFUSE) + "\n")
-    for profile in sorted(PROFILES):
-        _run(["enforce", "--trace", trace, "--profile", profile,
-              "--out", os.path.join(case, f"enforce-{profile}")])
-    _run(["analyze", "--trace", trace, "--out", os.path.join(case, "analyze")])
+    for label, lines in (("click_and_refuse", CLICK_AND_REFUSE), ("refusals", REFUSALS)):
+        case = os.path.join(root, label)
+        trace = _write(os.path.join(case, "trace.jsonl"), "\n".join(lines) + "\n")
+        for profile in sorted(PROFILES):
+            _run(["enforce", "--trace", trace, "--profile", profile,
+                  "--out", os.path.join(case, f"enforce-{profile}")])
+        _run(["analyze", "--trace", trace, "--out", os.path.join(case, "analyze")])
     case = os.path.join(root, "csp")
     _run_to_file(os.path.join(case, "check.txt"),
                  ["csp-check", "--header", CSP_HEADER, "--origin", "https://app.example",

@@ -38,7 +38,6 @@ ALLOWED_UNCALLED = {
     "model.Scope.__str__": ACCEPTANCE,
     "policy.PolicyEngine.register_record": ACCEPTANCE,
     "policy.PolicyEngine.record": ACCEPTANCE,
-    "policy.PolicyEngine.states": ACCEPTANCE,
     "policy.PolicyEngine.window_counts": ACCEPTANCE,
     "policy.SimulationResult.running_ms": ACCEPTANCE,
     "policy.SimulationResult.max_continuous_ms": ACCEPTANCE,
@@ -47,11 +46,9 @@ ALLOWED_UNCALLED = {
     "forensics.percentile": RANK_BANDS,
     "forensics._summary": RANK_BANDS,
     "forensics.summarize": RANK_BANDS,
-    "forensics.summarize.<locals>.collect": RANK_BANDS,
     "forensics.RankBand.holds": RANK_BANDS,
     "forensics.PercentileSummary.affected_sw_count_at": RANK_BANDS,
     "cli.main": "the console script: it only passes sys.argv to cli.run",
-    "scenarios._admits": "it runs at import time, before any command, to build PARAM_TYPES",
 }
 
 

@@ -91,8 +91,6 @@ class _CountingVisible(dict):
             yield item
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 13: each tagged show scans every "
-                                       "visible notification for its tag")
 def test_tagged_shows_touch_a_bounded_number_of_visible_entries():
     """Work is counted, not timed: n shows with distinct tags and no close
     may touch at most 4n visible entries. A scan per show touches n²/2."""

@@ -4,10 +4,11 @@ A generator's signature is the one home of its parameters' types. Every
 parameter but the seed is an ``int``, ``float``, ``bool``, ``str`` or
 ``Optional[int]``; ``generate`` takes a value of exactly that type (a float
 parameter also an int, an Optional one also None) that, as a number, is
-finite and >= 0. A seeded fuzz draws parameters from small counts and type
-probes: each draw raises ``KeyError``, ``TypeError`` or ``ValueError``, or
-gives a trace that round-trips through the writer and the reader and that
-``enforce`` and ``analyze`` accept.
+finite and >= 0; it refuses by name, too, a parameter that has no default
+and is missing, and one that is not in the signature. A seeded fuzz draws
+parameters from small counts and type probes: each draw raises ``KeyError``,
+``TypeError`` or ``ValueError``, or gives a trace that round-trips through
+the writer and the reader and that ``enforce`` and ``analyze`` accept.
 """
 
 import inspect
@@ -45,8 +46,15 @@ def test_every_parameter_has_a_type_the_contract_knows():
     ("ddos", {"req_per_s": 1, "burst_minutes": 1, "target": 5}, "target"),
     ("benign", {"exec_min_per_day": 1441}, "exec_min_per_day"),
     ("benign", {"exec_min_per_day": 1e308}, "exec_min_per_day"),
+    ("push_flood", {}, "pushes_per_hour"),
+    ("ddos", {"req_per_s": 1}, "burst_minutes"),
+    ("ddos", {"req_per_s": 1, "burst_minutes": 1, "bogus": 3}, "bogus"),
+    ("ddos", {"bogus": 3}, "bogus"),
+    ("benign", {"seed": 1}, "seed"),
 ], ids=["bool_pushes_per_hour", "bool_n_pushes", "bool_exec_min_per_day", "text_silent",
-        "int_silent", "int_target", "exec_min_per_day_1441", "exec_min_per_day_1e308"])
+        "int_silent", "int_target", "exec_min_per_day_1441", "exec_min_per_day_1e308",
+        "missing_pushes_per_hour", "missing_burst_minutes", "unknown_bogus",
+        "unknown_before_missing", "seed_as_a_parameter"])
 def test_a_value_outside_the_contract_is_refused_by_name(name, params, key):
     with pytest.raises(ValueError, match=f"parameter {key} "):
         generate(Scenario(name, 0, params, 3_600_000 if "duration_ms" in PARAM_TYPES[name]

@@ -661,6 +661,20 @@ class TestModeContract:
         with pytest.raises(ValueError, match="'x'"):
             PolicyEngine(mode="x")
 
+    def test_a_running_record_is_refused_before_the_registry_admits_it(self):
+        """A record built running has no activation for the engine to stop:
+        pre-registering it is a ValueError naming it, and neither the engine
+        nor the registry keeps it, so its scope stays free."""
+        engine = PolicyEngine(default_policies(), "chrome", mode="enforce")
+        running = SwRecord("sw-run", Origin.parse(ORIGIN), Scope("/"), f"{ORIGIN}/sw.js",
+                           state=SwState.RUNNING)
+        with pytest.raises(ValueError, match="'sw-run'"):
+            engine.register_record(running)
+        assert engine.states() == {}
+        engine.register_record(fresh_record())
+        assert engine.states() == {"sw-1": SwState.ACTIVATED}
+        assert engine.run([ev(0, "push", push_id="a")]).running_intervals == {"sw-1": [(0, 0)]}
+
 
 class TestRecords:
     """Actions, violations and notices are immutable tuple records; a

@@ -577,6 +577,37 @@ class TestShown:
                     and not event.get("by_user")]
         assert forensics.analyze_trace(events)["sw-1"].notification_close_deltas_s == measured
 
+    def test_the_tag_map_shows_and_hides_as_a_scan_of_visible_does(self):
+        """Seeded: random shows, re-shows, clicks and closes of a few
+        notif_ids under a few tags, None among them, give the return values
+        and the ``visible`` map, in order, that a show scanning every
+        visible notification for its tag gives."""
+        def scan_show(visible, ts, payload):
+            tag = payload.get("tag")
+            replaced = [] if tag is None else [
+                notif_id for notif_id, (_ts, seen) in visible.items() if seen == tag]
+            for notif_id in replaced:
+                del visible[notif_id]
+            visible[payload.get("notif_id", "")] = (ts, tag)
+            return bool(replaced)
+
+        rng = random.Random(13)
+        for _ in range(3_000):
+            activity, reference, tags = Activity(first_party=frozenset()), {}, set()
+            for ts in range(rng.randrange(1, 30)):
+                notif_id = rng.choice("ABCD")
+                step = rng.choice(("show", "show", "click", "close"))
+                if step == "show":
+                    tag = rng.choice((None, "t", "u", "v"))
+                    tags.add(tag)
+                    payload = {"notif_id": notif_id, "title": "x", "tag": tag}
+                    assert activity.show(ts, payload) == scan_show(reference, ts, payload)
+                else:
+                    assert activity.hide({"notif_id": notif_id}) == (
+                        None if notif_id not in reference else reference.pop(notif_id)[0])
+                assert list(activity.visible.items()) == list(reference.items())
+            assert len(activity.tags) == len(tags - {None})
+
     def test_enforce_and_analyze_hide_by_it(self, monkeypatch):
         """With ``hide`` finding nothing visible, neither layer reports a
         close on a trace whose every notification is closed at once."""
