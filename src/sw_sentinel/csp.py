@@ -4,6 +4,10 @@ Implements the fail-safe default ``script-src 'self'`` for worker scripts,
 importScripts origin checks, and eval gating. Deliberately does NOT fall
 back from script-src to default-src: the default exists to close the
 unrestricted-import hole, and inheriting default-src would reopen it.
+
+A header value may join several policies with commas (CSP3's serialized
+policy list; HTTP joins repeated header fields the same way). Each is
+enforced: an import or an eval is allowed only when every policy allows it.
 """
 
 from __future__ import annotations
@@ -32,11 +36,14 @@ _HOST_SOURCE_RE = re.compile(
 
 
 class CspPolicy:
-    """Parsed directive map. Duplicate directives keep the first occurrence."""
+    """Parsed directive map of one policy. Duplicate directives keep the first
+    occurrence. A header's first policy holds the header's warnings, and in
+    ``rest`` the policies that follow it."""
 
     def __init__(self) -> None:
         self.directives: dict[str, tuple[str, ...]] = {}
         self.warnings: list[str] = []
+        self.rest: tuple[CspPolicy, ...] = ()
 
     def script_src(self) -> Optional[tuple[str, ...]]:
         return self.directives.get("script-src")
@@ -55,30 +62,44 @@ def _normalize_source(token: str) -> Optional[str]:
 
 
 def parse_csp(header_value: str) -> CspPolicy:
-    """Parse a CSP header value; malformed source tokens are skipped with a
-    warning rather than failing the whole header (real headers are messy)."""
-    policy = CspPolicy()
-    for raw in header_value.split(";"):
-        tokens = raw.split()
-        if not tokens:
-            continue
-        name = tokens[0].lower()
-        sources = []
-        for token in tokens[1:]:
-            normalized = _normalize_source(token)
-            if normalized is None:
-                message = f"malformed source {token!r} in directive {name!r}; skipped"
-                policy.warnings.append(message)
-                logger.warning("%s", message)
+    """Parse a CSP header value into its first policy, the others in its
+    ``rest``; a policy with no directive is dropped. Malformed source tokens
+    are skipped with a warning rather than failing the whole header (real
+    headers are messy)."""
+    warnings: list[str] = []
+    policies = []
+    for serialized in header_value.split(","):
+        policy = CspPolicy()
+        for raw in serialized.split(";"):
+            tokens = raw.split()
+            if not tokens:
                 continue
-            sources.append(normalized)
-        if name not in policy.directives:  # first occurrence wins
-            policy.directives[name] = tuple(sources)
-    return policy
+            name = tokens[0].lower()
+            sources = []
+            for token in tokens[1:]:
+                normalized = _normalize_source(token)
+                if normalized is None:
+                    message = f"malformed source {token!r} in directive {name!r}; skipped"
+                    warnings.append(message)
+                    logger.warning("%s", message)
+                    continue
+                sources.append(normalized)
+            if name not in policy.directives:  # first occurrence wins
+                policy.directives[name] = tuple(sources)
+        if policy.directives:
+            policies.append(policy)
+    first = policies[0] if policies else CspPolicy()
+    first.warnings, first.rest = warnings, tuple(policies[1:])
+    return first
+
+
+def _each_policy(policy: Optional[CspPolicy]) -> tuple[Optional[CspPolicy], ...]:
+    """The policies of a parsed header, or None alone for no header."""
+    return (None,) if policy is None else (policy, *policy.rest)
 
 
 def effective_script_src(policy: Optional[CspPolicy]) -> tuple[str, ...]:
-    """The script-src actually enforced on a worker script response.
+    """The script-src one policy actually enforces on a worker script response.
 
     A missing header, or a header without script-src, yields 'self'.
     default-src is intentionally not consulted.
@@ -125,7 +146,8 @@ def host_source_matches(source: str, parts: SplitResult) -> bool:
 def check_import(
     policy: Optional[CspPolicy], sw_origin: Origin | str, import_url: str
 ) -> CspVerdict:
-    """Verdict for an importScripts URL against the effective script-src.
+    """Verdict for an importScripts URL against the effective script-src of
+    each policy: the first denial, or else the first policy's allowing source.
 
     The URL resolves against the worker's origin, which changes only a URL
     that lacks a scheme or a host. It is same-origin only when the resolved
@@ -138,7 +160,19 @@ def check_import(
         parts = urlsplit(urljoin(f"{sw_origin}/", import_url))
     same_origin = bool(parts.hostname) and (
         Origin.parse(f"{parts.scheme}://{parts.netloc}") == sw_origin)
-    for source in effective_script_src(policy):
+    allowed = None
+    for one in _each_policy(policy):
+        verdict = _import_verdict(effective_script_src(one), parts, same_origin, import_url)
+        if not verdict.allowed:
+            return verdict
+        allowed = allowed or verdict
+    return allowed
+
+
+def _import_verdict(sources: tuple[str, ...], parts: SplitResult, same_origin: bool,
+                    import_url: str) -> CspVerdict:
+    """One policy's verdict: its first source that allows the URL, or a denial."""
+    for source in sources:
         if source == SELF and same_origin:
             return CspVerdict(True, SELF)
         if source.startswith("'"):
@@ -149,8 +183,9 @@ def check_import(
 
 
 def check_eval(policy: Optional[CspPolicy]) -> CspVerdict:
-    """eval() is denied unless 'unsafe-eval' appears in the effective script-src."""
-    if UNSAFE_EVAL in effective_script_src(policy):
+    """eval() is denied unless 'unsafe-eval' appears in the effective
+    script-src of every policy."""
+    if all(UNSAFE_EVAL in effective_script_src(one) for one in _each_policy(policy)):
         return CspVerdict(True, UNSAFE_EVAL)
     return CspVerdict(False, "script-src lacks 'unsafe-eval'")
 
@@ -178,7 +213,8 @@ def _header_lookup(headers: Mapping[str, Any], name: str) -> Optional[str]:
 
 
 def audit_headers(corpus: Iterable[tuple[str, Mapping[str, str]]]) -> AuditSummary:
-    """Count worker-script responses carrying a CSP, and those with script-src.
+    """Count worker-script responses carrying a CSP, and those with script-src
+    in any of its policies.
 
     Worker responses are identified by the ``Service-Worker`` request header
     recorded alongside the response; other corpus entries are ignored.
@@ -192,6 +228,6 @@ def audit_headers(corpus: Iterable[tuple[str, Mapping[str, str]]]) -> AuditSumma
         if not csp_value:
             continue
         with_csp += 1
-        if parse_csp(csp_value).script_src() is not None:
+        if any(one.script_src() is not None for one in _each_policy(parse_csp(csp_value))):
             with_script_src += 1
     return AuditSummary(total, with_csp, with_script_src)

@@ -29,7 +29,10 @@ deregisters the worker in ``simulate`` and does nothing in ``enforce``. A
 throttle stops nothing, so it is reported where its event is judged:
 ``_count`` appends a counting rule's throttle itself, one per event of a
 flood, and the closed loop carries it out by ``_refuse``; the capability
-gate's, which both modes carry out, goes through ``_apply_action``.
+gate's, which both modes carry out, goes through ``_apply_action``. The repeat
+of a background fetch that ``_count`` just throttled as a flood's is judged
+in ``on_event`` by that count alone: its counter goes up, the same throttle is
+appended and ``_refuse`` runs, with no dispatch or handler.
 ``PolicyEngine.run`` is the one loop that drives the engine over a whole
 trace: it judges every event into one reused ``Decision`` (``on_event``,
 ``advance`` and ``finish`` fill the ``out`` they are given) and moves its
@@ -62,6 +65,7 @@ from collections import deque
 from enum import Enum
 from functools import cache, partial
 from operator import attrgetter
+from types import MappingProxyType
 from typing import Any, NamedTuple, Optional, Sequence
 
 from .domains import registrable_domain
@@ -423,6 +427,11 @@ class PolicyEngine:
         self._heap: list[tuple[int, int, int, _SwEngineState]] = []
         self._stamps = 0
         self.engagement: dict[str, EngagementScore] = {}
+        # The flood a repeat may replay (``on_event``): its event, worker state
+        # and counter; and its rule, None when a subclass handles fetches itself.
+        self._flood: Optional[tuple[TraceEvent, _SwEngineState, tuple[str, Any]]] = None
+        self._replayed = ("bg_fetch_per_activation"
+                          if cls._on_fetch_request is PolicyEngine._on_fetch_request else None)
 
     # -- registry ---------------------------------------------------------
 
@@ -453,6 +462,7 @@ class PolicyEngine:
         until its first handler runs, so it is not put on the clock heap. Its
         table has no origin's kind, and maps a kind gated on a capability the
         record lacks to a refusal."""
+        self._flood = None  # a replay would judge the worker the state replaced
         handlers = {kind: handler if needed is None or check_capability(record, needed) else refusal
                     for kind, (needed, handler, refusal) in self._handlers.items()}
         st = _SwEngineState(record=record, handlers=handlers,
@@ -555,22 +565,27 @@ class PolicyEngine:
         for action in actions:
             self._apply_action(st, ts, action, name, out)
 
-    def _count(self, st: _SwEngineState, spec: PolicySpec, key: Any, ts: int,
+    def _count(self, st: _SwEngineState, spec: PolicySpec, key: Any, event: TraceEvent,
                out: Decision) -> bool:
         """Count one event against a counting rule under ``key``. Past the
         threshold a throttling rule throttles the event, and the rule is
-        violated once per key. True when the closed loop refuses the event."""
+        violated once per key. True when the closed loop refuses the event.
+        A background fetch with a read-only payload that a flood past the
+        threshold throttles is remembered for ``on_event`` to replay."""
         name = spec.name
         counter = (name, key)
         counts = st.counts
         count = counts[counter] = counts.get(counter, 0) + 1
         if count <= spec.threshold:
             return False
+        ts = event.ts
         throttles = _THROTTLES[name]
         if throttles:  # a flood's every event: reported here, carried out by ``_refuse``
             out.actions.append(new_record(ActionEntry, (ts, st.record.sw_id, _THROTTLE, name)))
         if counter not in st.violated:  # a flood past the threshold skips the call
             self._violate(st, spec, key, ts, count, out)
+        elif name == self._replayed and type(event.payload) is MappingProxyType:
+            self._flood = (event, st, counter)
         return throttles and self._refuse(out)
 
     def _apply_action(self, st: _SwEngineState, ts: int, action: EnforcementAction,
@@ -636,6 +651,7 @@ class PolicyEngine:
                 st.wake_ts = None
                 due.append(st)
         if due:
+            self._flood = None  # a due worker may stop or wake before the next repeat
             due.sort(key=attrgetter("order"))
             mark = len(out.actions), len(out.violations), len(out.notices)
             for st in due:
@@ -779,13 +795,32 @@ class PolicyEngine:
         an origin's kind by the engine's own handler, any other by its
         worker's table. The records go into ``out`` when given, else into a
         fresh Decision; a refusal clears its ``deliver``. The Decision is
-        returned."""
-        ts, kind, _origin, sw_id, _scope, _payload = event
+        returned.
+
+        A repeat of the background fetch that ``_count`` just throttled as a
+        flood's, its kind, origin, sw_id, scope and read-only payload the very
+        objects (``is``, as ``emit_trace`` compares them), meets the state that
+        fetch left while no worker is due, so it is judged as that one was. Any
+        other event, an ``advance`` that finds a worker due and ``_add_state``
+        forget the flood. Events come in ts order, as a trace holds them."""
+        ts, kind, origin, sw_id, scope, payload = event
         if self._t0 is None:
             self._t0 = ts
         if out is None:
             out = Decision(True)
         heap = self._heap
+        flood = self._flood
+        if flood is not None:
+            self._flood = None
+            last, st, counter = flood
+            if (payload is last[5] and kind is last[1] and sw_id is last[3] and origin is last[2]
+                    and scope is last[4] and not (heap and heap[0][0] <= ts)):
+                st.counts[counter] += 1
+                out.actions.append(new_record(ActionEntry, (ts, st.record.sw_id, _THROTTLE,
+                                                            counter[0])))
+                self._refuse(out)
+                self._flood = flood
+                return out
         if heap and heap[0][0] <= ts:  # a worker is due: ``advance`` has work
             self.advance(ts, out)
         origin_handler = self._origin_handlers.get(kind)
@@ -881,7 +916,7 @@ class PolicyEngine:
         spec = self._specs["push_per_hour"]
         if (spec is not None and event.origin not in self.config.allow_list
                 and self._count(st, spec, self._slot(event.ts, spec.duration_in_minutes),
-                                event.ts, out)):
+                                event, out)):
             return
         self._wake(st, event.ts)
         st.pending_silent.append(event.ts + SILENT_PUSH_GRACE_MS)
@@ -895,7 +930,7 @@ class PolicyEngine:
             self._wake(st, event.ts)  # open loop: the recorded event shows it running
         spec = self._specs["bg_fetch_per_activation"]
         if spec is not None and background_third_party(st, event.ts, event.payload):
-            self._count(st, spec, st.number, event.ts, out)
+            self._count(st, spec, st.number, event, out)
 
     def _on_notification_show(self, st: _SwEngineState, event: TraceEvent, out: Decision) -> None:
         if st.record.process is not _RUNNING and self._refuse(out):
@@ -907,7 +942,7 @@ class PolicyEngine:
         spec = self._specs["tag_reuse"]
         if st.show(event.ts, event.payload) and spec is not None:
             key = (event.get("tag"), self._slot(event.ts, spec.duration_in_minutes))
-            self._count(st, spec, key, event.ts, out)
+            self._count(st, spec, key, event, out)
 
     def _on_notification_click(self, st: _SwEngineState, event: TraceEvent, out: Decision) -> None:
         if st.hide(event.payload) is None and self._refuse(out):

@@ -287,11 +287,31 @@ GENERATORS = {
 
 _SIGNATURES = {name: inspect.signature(gen, eval_str=True).parameters
                for name, gen in GENERATORS.items()}
+
 # A parameter admits its type only (a bool is no count), None too if Optional, int too if float.
 PARAM_TYPES = {name: {key: (float, int) if param.annotation is float
                       else get_args(param.annotation) or (param.annotation,)
                       for key, param in params.items() if key != "seed"}
                for name, params in _SIGNATURES.items()}
+
+# The most events (and hour slots) one ``generate`` call may make: far above
+# every trace here, whose largest, the benchmark's ddos, has 30,004 events.
+# A million tag_reuser events take about 330 MB.
+MAX_EVENTS = 1_000_000
+# Per generator, at most how many events and hour slots it makes, give or take
+# a few, from the parameters they grow with: their names are the function's own.
+_SIZES = {
+    "webbot": lambda duration_ms: 4 * duration_ms // 25_000,
+    "push_flood": lambda pushes_per_hour, duration_ms:
+        (4 * pushes_per_hour + 1) * duration_ms // HOUR_MS,
+    "ddos": lambda req_per_s, burst_minutes: req_per_s * burst_minutes * 60,
+    "notification_hider": lambda duration_ms: 4 * duration_ms // 60_000,
+    "tag_reuser": lambda n_pushes: 3 * n_pushes,
+    "tracking_library": lambda page_visits: 5 * page_visits,
+    "benign": lambda push_rate, fetches_per_activation, duration_ms:
+        ((3 + fetches_per_activation) * push_rate + 1) * duration_ms // HOUR_MS,
+}
+_SIZE_PARAMS = {name: tuple(inspect.signature(size).parameters) for name, size in _SIZES.items()}
 
 
 class Scenario(NamedTuple):
@@ -306,7 +326,9 @@ class Scenario(NamedTuple):
 
 def generate(scenario: Scenario) -> list[TraceEvent]:
     """The scenario's trace. A parameter missing, unknown, or of a wrong type or range is a
-    ValueError naming it; a trace the reader would refuse for its span raises TraceSpanTooLong."""
+    ValueError naming it, and so are parameters that would make more than ``MAX_EVENTS``
+    events, before any is made; a trace the reader would refuse for its span raises
+    TraceSpanTooLong."""
     name = scenario.name
     if name not in GENERATORS:
         raise KeyError(f"unknown scenario {name!r}")
@@ -325,6 +347,11 @@ def generate(scenario: Scenario) -> list[TraceEvent]:
     for key, param in _SIGNATURES[name].items():
         if param.default is param.empty and key != "seed" and key not in kwargs:
             raise ValueError(f"parameter {key} is required")
+    names = _SIZE_PARAMS[name]
+    size = _SIZES[name](*(kwargs.get(key, _SIGNATURES[name][key].default) for key in names))
+    if size > MAX_EVENTS:
+        raise ValueError(f"too many events: {size} from {', '.join(names)}, "
+                         f"more than {MAX_EVENTS}")
     events = GENERATORS[name](scenario.seed, **kwargs)
     check_span(events)
     return events

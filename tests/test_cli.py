@@ -8,7 +8,7 @@ import random
 
 import pytest
 
-from sw_sentinel import cli
+from sw_sentinel import cli, scenarios
 from sw_sentinel.cli import run
 from sw_sentinel.policy import (ActionEntry, EnforcementAction, Notice, PolicyEngine,
                                 ViolationRecord, load_policies)
@@ -555,6 +555,34 @@ class TestHostileArguments:
         assert err.endswith(f"{MAX_TRACE_SPAN_MS} ms (366 days) after the first ts 0\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["gen", "simulate"])
+    @pytest.mark.parametrize("scenario,params,named", [
+        ("tag_reuser", ["n_pushes=100000000"], "n_pushes"),
+        ("ddos", ["req_per_s=100000", "burst_minutes=1000"], "req_per_s, burst_minutes"),
+        ("push_flood", ["pushes_per_hour=100000000"], "pushes_per_hour, duration_ms"),
+        ("tracking_library", ["page_visits=100000000"], "page_visits"),
+        ("benign", ["push_rate=100000000"], "push_rate, fetches_per_activation, duration_ms"),
+        ("webbot", ["duration_ms=31622400000"], "duration_ms"),
+    ], ids=["n_pushes", "req_per_s_x_burst_minutes", "pushes_per_hour", "page_visits",
+            "push_rate", "duration_ms"])
+    def test_a_count_past_the_bound_exits_two_before_generating(
+            self, tmp_path, capsys, monkeypatch, command, scenario, params, named):
+        """``gen`` and ``simulate`` refuse parameters that would make more than
+        ``scenarios.MAX_EVENTS`` events, naming them, before the generator runs."""
+        def generator_ran(*_args, **_kwargs):
+            raise AssertionError("the generator ran")
+
+        monkeypatch.setitem(scenarios.GENERATORS, scenario, generator_ran)
+        out = tmp_path / "out"
+        argv = [command, "--scenario", scenario, "--out", str(out)]
+        for param in params:
+            argv += ["--param", param]
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot generate scenario: too many events: ")
+        assert err.endswith(f" from {named}, more than {scenarios.MAX_EVENTS}\n")
+        assert not out.exists()
+
 
     @pytest.mark.parametrize("command,flag", [
         ("analyze", "--meta"), ("csp-audit", "--corpus"),
@@ -701,6 +729,18 @@ class TestCspCommands:
         assert code == 1  # eval denied without 'unsafe-eval'
         out = capsys.readouterr().out
         assert out.count("allow") == 2
+
+    def test_check_enforces_every_policy_of_a_comma_joined_header(self, capsys):
+        """The later policy does not widen the first: the import is denied,
+        and no source is read as malformed."""
+        code = run(["csp-check", "--header", "script-src 'self', script-src https://cdn.example",
+                    "--origin", "https://a.example", "--import", "https://cdn.example/lib/x.js"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out.splitlines()[0] == ("import https://cdn.example/lib/x.js: deny "
+                                                "(script-src has no source allowing "
+                                                "https://cdn.example/lib/x.js)")
+        assert captured.err == ""
 
     def test_check_all_allowed_exits_zero(self):
         code = run(["csp-check",

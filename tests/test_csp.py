@@ -217,6 +217,63 @@ class TestImportResolution:
                     check(policy, ORIGIN, "https://a.example:99999/x")
 
 
+class TestPolicyList:
+    """A comma joins policies, and each is enforced: an import or an eval is
+    allowed only when every policy allows it, and a denial is the first
+    denying policy's verdict."""
+
+    def test_a_later_policy_does_not_widen_an_earlier_one(self):
+        policy = parse_csp("script-src 'self', script-src https://cdn.example")
+        assert policy.warnings == []
+        assert [one.directives for one in (policy, *policy.rest)] == [
+            {"script-src": ("'self'",)}, {"script-src": ("https://cdn.example",)}]
+        for url in ("https://cdn.example/lib/x.js", "https://a.example/x.js"):
+            assert check_import(policy, ORIGIN, url) == CspVerdict(
+                False, f"script-src has no source allowing {url}")
+
+    @pytest.mark.parametrize("first", HEADERS[1:])
+    @pytest.mark.parametrize("second", HEADERS[1:])
+    def test_a_joined_header_judges_as_its_policies_do(self, first, second):
+        joined = parse_csp(f"{first}, {second}")
+        alone = parse_csp(first), parse_csp(second)
+        assert [one.directives for one in (joined, *joined.rest)] == [
+            policy.directives for policy in alone]
+        for origin in ORIGINS:
+            for url in IMPORTS:
+                verdicts = [check_import(policy, origin, url) for policy in alone]
+                expected = next((v for v in verdicts if not v.allowed), verdicts[0])
+                assert check_import(joined, origin, url) == expected, (origin, url)
+        evals = [check_eval(policy) for policy in alone]
+        assert check_eval(joined) == next((v for v in evals if not v.allowed), evals[0])
+
+    @pytest.mark.parametrize("header", HEADERS[1:])
+    def test_a_header_with_no_comma_is_one_policy(self, header):
+        assert parse_csp(header).rest == ()
+
+    def test_the_first_policy_holds_every_policys_warnings(self):
+        policy = parse_csp("script-src 'self', script-src ht!tp::bad")
+        assert len(policy.warnings) == 1 and policy.rest[0].warnings == []
+        assert policy.rest[0].directives == {"script-src": ()}
+
+    def test_empty_policies_are_dropped(self):
+        policy = parse_csp("script-src *, ,")
+        assert (policy.directives, policy.rest) == ({"script-src": ("*",)}, ())
+        assert check_import(parse_csp(", script-src *"), ORIGIN, "https://z.example/x.js").allowed
+        policy = parse_csp(",")
+        assert (policy.directives, policy.rest) == ({}, ())
+        assert effective_script_src(policy) == ("'self'",)
+
+    def test_audit_counts_a_joined_headers_script_src_once(self):
+        rows = [(f"https://site{i}.example/sw.js",
+                 {"Service-Worker": "script", "Content-Security-Policy": header})
+                for i, header in enumerate([
+                    "script-src 'self', script-src https://cdn.example",
+                    "default-src 'self', script-src 'self'",
+                    "default-src 'self', img-src https://img.example"])]
+        summary = audit_headers(rows)
+        assert (summary.total, summary.with_csp, summary.with_script_src) == (3, 3, 2)
+
+
 class TestAudit:
     def _corpus(self, total, with_csp, with_script_src):
         rows = []

@@ -458,6 +458,22 @@ def test_rule_specs_are_looked_up_once_per_engine(monkeypatch, mode):
     assert per_engine == [len(RULES), len(RULES)]
 
 
+@pytest.mark.parametrize("mode", ["enforce", "simulate"])
+def test_a_flood_classifies_a_bounded_number_of_fetches(monkeypatch, mode):
+    """Work is counted, not timed: a repeated throttled background fetch is
+    judged by one count, so the classification runs for a few fetches of a
+    flood, not for each. One call per fetch is 12,000 calls here."""
+    calls = []
+    classify = policy.background_third_party
+    monkeypatch.setattr(policy, "background_third_party",
+                        lambda *args: calls.append(args[1]) or classify(*args))
+    events = generate(Scenario("ddos", 0, {"req_per_s": 20, "burst_minutes": 10}))
+    result = PolicyEngine(default_policies(), "chrome", mode=mode).run(events)
+    throttles = [a for a in result.actions if a.action is EnforcementAction.THROTTLE_EVENT]
+    assert len(throttles) > len(events) // 4
+    assert len(calls) < len(events) // 100
+
+
 class KeyCheckEngine(PolicyEngine):
     """After every event, each worker's live clock key must equal a fresh
     computation: a handler that changed an input of the key without setting

@@ -53,8 +53,6 @@ def test_analyze_gives_a_worker_no_activation_for_refused_events():
     assert reports["sw-push-only"].exec_minutes_per_activation == []
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 13: generate builds a trace of any "
-                                       "count before the span bound can refuse it")
 def test_generate_refuses_a_count_past_its_bound_before_building(monkeypatch):
     def build(*_args, **_kwargs):
         raise RuntimeError("the generator ran")

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from sw_sentinel import scenarios
 from sw_sentinel.model import SwState
 from sw_sentinel.policy import (
     EnforcementAction,
@@ -368,3 +369,18 @@ class TestSimulate:
         high = simulate(engaged, default_policies(), "chrome")
         assert any(a.action is EnforcementAction.DEREGISTER_SW for a in low.actions)
         assert not any(a.action is EnforcementAction.DEREGISTER_SW for a in high.actions)
+
+
+@pytest.mark.parametrize("name", sorted(GENERATORS))
+def test_the_size_bound_counts_each_generator_by_its_own_parameters(name):
+    """Each generator's size reads parameters of its own, and gives its
+    trace's length give or take a few events, as the bound assumes."""
+    names = scenarios._SIZE_PARAMS[name]
+    assert set(names) <= set(scenarios.PARAM_TYPES[name])
+    rng = random.Random(f"size-{name}")
+    for seed in range(5):
+        params = _params(name, rng)
+        events = generate(Scenario(name, seed, params))
+        defaults = scenarios._SIGNATURES[name]
+        size = scenarios._SIZES[name](*(params.get(key, defaults[key].default) for key in names))
+        assert abs(size - len(events)) <= 8, (params, size, len(events))

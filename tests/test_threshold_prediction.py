@@ -1,4 +1,4 @@
-"""Forensics' minutes predict ``enforce``'s verdicts on the clock rules.
+"""Forensics' metrics predict ``enforce``'s verdicts.
 
 The paper measures workers in the wild to tune enforcement thresholds, which
 assumes that a worker's measured metric passes a threshold exactly when the
@@ -7,6 +7,13 @@ the workers that ``enforce`` violates under a one-rule config, for the two
 clock rules: ``exec_per_activation`` (the longest activation) and
 ``exec_per_day`` (the most execution in one virtual day, which the engine
 books in its own day ledger and forensics sums segment by segment).
+
+The other three rules are predicted exactly, with no tolerance:
+``push_per_hour`` by the most pushes in an hour slot,
+``bg_fetch_per_activation`` by the most background third-party fetches in
+one activation (a flood's repeats, which the engine judges by one count,
+included), and ``notif_min_visible``, a floor, by the shortest programmatic
+close delta.
 
 The engine judges a clock rule at the first ``TICK_MS`` tick after the
 crossing, while forensics measures to the millisecond. So the one allowed
@@ -34,6 +41,7 @@ from sw_sentinel.forensics import analyze_trace
 from sw_sentinel.policy import TICK_MS, PolicyConfig, PolicyEngine, PolicySpec, Severity
 from sw_sentinel.scenarios import Scenario, generate
 
+from test_layer_agreement import random_notification_trace
 from test_policy_clock import ALL_GENERATORS, _params, merged_fleet
 
 # rule -> (its window, the report field whose per-worker peak it bounds)
@@ -44,11 +52,15 @@ CLOCK_RULES = {
 
 
 def _traces(group):
-    """The generator traces, three seeds of each, or four seeded fleets."""
+    """The generator traces, three seeds of each, four seeded fleets, or 40
+    random notification traces, whose close deltas vary more."""
     if group == "generators":
         rng = random.Random("threshold-prediction")
         return [generate(Scenario(name, seed, _params(name, rng)))
                 for name in ALL_GENERATORS for seed in range(3)]
+    if group == "notifications":
+        rng = random.Random("threshold-prediction")
+        return [random_notification_trace(rng) for _ in range(40)]
     return [merged_fleet(seed, workers=random.Random(seed).randint(3, 8), names=ALL_GENERATORS)
             for seed in range(4)]
 
@@ -65,6 +77,37 @@ def _thresholds(peaks):
             for value in (peak - half_tick, math.nextafter(peak, 0), peak,
                           math.nextafter(peak, math.inf))}
     return sorted(value for value in near if value > 0)
+
+
+# rule -> (its window, the report field of its metric, whether it is a floor)
+EXACT_RULES = {
+    "push_per_hour": (60, "pushes_per_hour_slots", False),
+    "bg_fetch_per_activation": (0, "bg_third_party_fetches_per_activation", False),
+    "notif_min_visible": (0, "notification_close_deltas_s", True),
+}
+
+
+@pytest.mark.parametrize("rule,group", [
+    *((rule, group) for rule in sorted(EXACT_RULES) for group in ("generators", "fleets")),
+    ("notif_min_visible", "notifications")])
+def test_forensics_metrics_predict_violations_exactly(rule, group):
+    window, field, floor = EXACT_RULES[rule]
+    judged = agreed = 0
+    for events in _traces(group):
+        reports = analyze_trace(events)
+        extremes = {sw_id: (min if floor else max)(getattr(report, field))
+                    for sw_id, report in reports.items() if getattr(report, field)}
+        for threshold in _thresholds(extremes.values()):
+            config = PolicyConfig((PolicySpec(rule, Severity.LOW, threshold, window),))
+            run = PolicyEngine(config, "chrome", mode="enforce").run(events)
+            violated = {violation.sw_id for violation in run.violations}
+            predicted = {sw_id for sw_id, value in extremes.items()
+                         if (value < threshold if floor else value > threshold)}
+            assert violated == predicted, threshold
+            judged += 1
+            agreed += len(violated)
+    assert judged >= 4 and agreed >= 1  # real verdicts
+    assert group != "notifications" or (judged >= 100 and agreed >= 50)
 
 
 @pytest.mark.parametrize("group", ["generators", "fleets"])
